@@ -1,11 +1,11 @@
 /**
  * @file
  * Study sweep scaling: wall-clock seconds of one fixed Study::run()
- * sweep at jobs = 1, 2, 4 and the hardware concurrency, with the
- * shared encode cache off and on. Emits BENCH_study_scaling.json
- * (seconds, speedup vs jobs=1, cache hit rate per configuration) and
- * asserts that every parallel run produces rows bit-identical to the
- * serial run — the determinism contract of the parallel sweep engine.
+ * sweep at jobs = 1, 2, 4 and the hardware concurrency. Emits
+ * BENCH_study_scaling.json (seconds and speedup vs jobs=1 per jobs
+ * setting) and asserts that every parallel run produces rows
+ * bit-identical to the serial run — the determinism contract of the
+ * parallel sweep engine.
  *
  * Honest measurement note: speedup is whatever the host delivers. On a
  * single-core container every configuration runs the same work on one
@@ -66,11 +66,9 @@ rowsIdentical(const std::vector<StudyRow> &a,
 
 struct Measurement
 {
-    bool cacheOn = false;
     unsigned jobs = 0;
     double seconds = 0;
     double speedup = 0;
-    double hitRate = 0;
 };
 
 } // namespace
@@ -79,9 +77,9 @@ int
 main(int argc, char **argv)
 {
     benchutil::banner("study scaling",
-                      "fixed Study sweep at jobs = 1/2/4/hw, encode "
-                      "cache off and on; parallel rows must be "
-                      "bit-identical to serial", argc, argv);
+                      "fixed Study sweep at jobs = 1/2/4/hw; parallel "
+                      "rows must be bit-identical to serial",
+                      argc, argv);
 
     // A fixed, seed-pinned sweep: two structures the formats disagree
     // on (uniform random, banded) at the paper's partition sizes.
@@ -95,75 +93,41 @@ main(int argc, char **argv)
     jobsSweep.erase(std::unique(jobsSweep.begin(), jobsSweep.end()),
                     jobsSweep.end());
 
-    EncodeCache &cache = EncodeCache::global();
-    const bool cacheWasEnabled = cache.enabled();
-
     std::vector<Measurement> table;
     bool identical = true;
-    for (bool cacheOn : {false, true}) {
-        cache.setEnabled(cacheOn);
-        cache.clear();
-        if (cacheOn) {
-            // Warm once so the timed runs measure parallel scaling at
-            // the steady-state hit rate, not first-touch encoding.
-            StudyConfig warm;
-            warm.jobs = 1;
-            Study study(warm);
-            study.addWorkload("random", random);
-            study.addWorkload("band", band);
-            study.run();
+    std::vector<StudyRow> serialRows;
+    double serialSeconds = 0;
+    for (unsigned jobs : jobsSweep) {
+        StudyConfig cfg;
+        cfg.jobs = jobs;
+        Study study(cfg);
+        study.addWorkload("random", random);
+        study.addWorkload("band", band);
+
+        const auto start = std::chrono::steady_clock::now();
+        const StudyResult result = study.run();
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+
+        if (jobs == jobsSweep.front()) {
+            serialRows = result.rows;
+            serialSeconds = elapsed.count();
+        } else if (!rowsIdentical(serialRows, result.rows)) {
+            identical = false;
         }
-        std::vector<StudyRow> serialRows;
-        double serialSeconds = 0;
-        for (unsigned jobs : jobsSweep) {
-            const auto statsBefore = cache.stats();
 
-            StudyConfig cfg;
-            cfg.jobs = jobs;
-            Study study(cfg);
-            study.addWorkload("random", random);
-            study.addWorkload("band", band);
-
-            const auto start = std::chrono::steady_clock::now();
-            const StudyResult result = study.run();
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - start;
-
-            const auto statsAfter = cache.stats();
-            const double hits = static_cast<double>(statsAfter.hits -
-                                                    statsBefore.hits);
-            const double misses = static_cast<double>(
-                statsAfter.misses - statsBefore.misses);
-            const double lookups = hits + misses;
-
-            if (jobs == jobsSweep.front()) {
-                serialRows = result.rows;
-                serialSeconds = elapsed.count();
-            } else if (!rowsIdentical(serialRows, result.rows)) {
-                identical = false;
-            }
-
-            Measurement m;
-            m.cacheOn = cacheOn;
-            m.jobs = jobs;
-            m.seconds = elapsed.count();
-            m.speedup = elapsed.count() > 0
-                            ? serialSeconds / elapsed.count()
-                            : 0;
-            m.hitRate = lookups > 0 ? hits / lookups : 0;
-            table.push_back(m);
-        }
+        Measurement m;
+        m.jobs = jobs;
+        m.seconds = elapsed.count();
+        m.speedup =
+            elapsed.count() > 0 ? serialSeconds / elapsed.count() : 0;
+        table.push_back(m);
     }
-    cache.setEnabled(cacheWasEnabled);
-    cache.clear();
 
-    TableWriter out({"cache", "jobs", "seconds", "speedup vs jobs=1",
-                     "cache hit rate"});
+    TableWriter out({"jobs", "seconds", "speedup vs jobs=1"});
     for (const Measurement &m : table) {
-        out.addRow({m.cacheOn ? "on" : "off", std::to_string(m.jobs),
-                    TableWriter::num(m.seconds, 4),
-                    TableWriter::num(m.speedup, 3),
-                    TableWriter::num(m.hitRate, 3)});
+        out.addRow({std::to_string(m.jobs), TableWriter::num(m.seconds, 4),
+                    TableWriter::num(m.speedup, 3)});
     }
     out.print(std::cout);
 
@@ -177,13 +141,10 @@ main(int argc, char **argv)
          << (identical ? "true" : "false") << ",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < table.size(); ++i) {
         const Measurement &m = table[i];
-        json << "    {\"cache\": " << (m.cacheOn ? "true" : "false")
-             << ", \"jobs\": " << m.jobs << ", \"seconds\": ";
+        json << "    {\"jobs\": " << m.jobs << ", \"seconds\": ";
         writeJsonNumber(json, m.seconds);
         json << ", \"speedup\": ";
         writeJsonNumber(json, m.speedup);
-        json << ", \"cache_hit_rate\": ";
-        writeJsonNumber(json, m.hitRate);
         json << '}' << (i + 1 < table.size() ? "," : "") << '\n';
     }
     json << "  ]\n}\n";

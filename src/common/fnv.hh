@@ -2,12 +2,11 @@
  * @file
  * FNV-1a hashing shared by every content-addressed surface.
  *
- * The encode cache (PR 5) fingerprints tiles by hashing their packed
- * canonical nonzero stream; the binary matrix container and the sweep
- * journal (src/store) reuse the exact same byte-level hash so a
- * container's content hash, a journal's matrix identity and a cache
- * key all agree on what "the same triplets" means. One definition, in
- * one header, keeps those fingerprints interchangeable forever.
+ * The binary matrix container and the sweep journal (src/store) hash
+ * packed triplet bytes with it, so a container's content hash and a
+ * journal's matrix identity agree on what "the same triplets" means.
+ * The serve result memo keys requests with it too. One definition, in
+ * one header, keeps those fingerprints interchangeable.
  */
 
 #ifndef COPERNICUS_COMMON_FNV_HH

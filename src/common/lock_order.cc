@@ -19,7 +19,6 @@ lockOrderRegistry()
         {"serve.spans", lock_rank::serveSpans},
         {"study.cache", lock_rank::studyCache},
         {"store.sweep_journal", lock_rank::sweepJournal},
-        {"encode_cache.shard", lock_rank::encodeCacheShard},
         {"stat.distribution", lock_rank::statDistribution},
         {"trace.span_collector", lock_rank::spanCollector},
         {"trace.flight_recorder", lock_rank::flightRecorder},

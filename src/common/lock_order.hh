@@ -31,7 +31,7 @@ namespace copernicus {
 /** One entry of the lock hierarchy. */
 struct LockLevel
 {
-    /** Dotted lock name: "encode_cache.shard", "serve.admit", ... */
+    /** Dotted lock name: "serve.admit", "study.cache", ... */
     std::string name;
 
     /**
@@ -54,7 +54,6 @@ inline constexpr int serveInflight = 30; ///< --top in-flight registry
 inline constexpr int serveSpans = 40;    ///< request-span log
 inline constexpr int studyCache = 50;    ///< partitioning memo slots
 inline constexpr int sweepJournal = 55;  ///< checkpoint journal append
-inline constexpr int encodeCacheShard = 60; ///< encode-cache shards
 inline constexpr int statDistribution = 70; ///< DistributionStat bins
 inline constexpr int spanCollector = 80;    ///< span ring
 inline constexpr int flightRecorder = 90;   ///< wide-event ring

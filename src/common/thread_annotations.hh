@@ -3,10 +3,10 @@
  * Clang thread-safety annotation macros (no-ops elsewhere).
  *
  * The concurrency-bearing classes (common/mutex.hh wrappers,
- * thread_pool, stat_group, encode_cache, the serve daemon, the
- * observability rings) declare their locking contracts with these
- * macros so `clang++ -Wthread-safety -Werror` can prove statically
- * that every guarded member is only touched with its capability held.
+ * thread_pool, stat_group, the serve daemon, the observability rings)
+ * declare their locking contracts with these macros so
+ * `clang++ -Wthread-safety -Werror` can prove statically that every
+ * guarded member is only touched with its capability held.
  * The CI `thread-safety` job builds the library tree exactly that way;
  * gcc and non-annotating builds see empty macros and identical code.
  *

@@ -1,8 +1,9 @@
 #include "compress/lz4_block.hh"
 
-#include <array>
 #include <cstdint>
 #include <cstring>
+
+#include "compress/match_table.hh"
 
 namespace copernicus {
 
@@ -69,18 +70,7 @@ emitSequence(std::vector<std::byte> &out, const std::uint8_t *literals,
         writeLength(out, matchLen - minMatch - 15);
 }
 
-/**
- * Single-probe match table, thread-confined and never cleared: every
- * candidate is validated against the current input (position below
- * the cursor, offset in range, 4 bytes equal) before use, so stale
- * entries from earlier blocks can only miss, not corrupt.
- */
-std::uint32_t *
-matchTable()
-{
-    thread_local std::array<std::uint32_t, 1u << hashBits> table{};
-    return table.data();
-}
+using Table = MatchTable<hashBits>;
 
 } // namespace
 
@@ -96,21 +86,19 @@ lz4Compress(std::span<const std::byte> src, std::vector<std::byte> &out)
 
     std::size_t anchor = 0;
     if (n > mfLimit) {
-        std::uint32_t *table = matchTable();
+        thread_local Table table;
+        table.startBlock(n);
         const std::size_t matchLimit = n - lastLiterals;
         const std::size_t searchEnd = n - mfLimit;
         std::size_t i = 0;
         while (i <= searchEnd) {
             const std::uint32_t seq = read32(in + i);
-            const std::uint32_t h = hash4(seq);
-            const std::uint32_t cand = table[h];
-            table[h] = static_cast<std::uint32_t>(i) + 1;
-            if (cand == 0 || cand - 1 >= i || i - (cand - 1) > maxOffset ||
-                read32(in + (cand - 1)) != seq) {
+            std::size_t match = table.exchange(hash4(seq), i);
+            if (match == Table::none || i - match > maxOffset ||
+                read32(in + match) != seq) {
                 ++i;
                 continue;
             }
-            std::size_t match = cand - 1;
             // Extend forward to the literal tail, backward into the
             // pending literals.
             std::size_t len = minMatch;

@@ -1,8 +1,9 @@
 #include "compress/lzf_block.hh"
 
-#include <array>
 #include <cstdint>
 #include <cstring>
+
+#include "compress/match_table.hh"
 
 namespace copernicus {
 
@@ -28,13 +29,7 @@ hash3(std::uint32_t sequence)
     return (sequence * 2654435761u) >> (32 - hashBits);
 }
 
-/** Stale-safe single-probe table; see lz4_block.cc for the scheme. */
-std::uint32_t *
-matchTable()
-{
-    thread_local std::array<std::uint32_t, 1u << hashBits> table{};
-    return table.data();
-}
+using Table = MatchTable<hashBits>;
 
 void
 flushLiterals(std::vector<std::byte> &out, const std::uint8_t *literals,
@@ -81,21 +76,18 @@ lzfCompress(std::span<const std::byte> src, std::vector<std::byte> &out)
 
     std::size_t anchor = 0;
     if (n >= minMatch) {
-        std::uint32_t *table = matchTable();
+        thread_local Table table;
+        table.startBlock(n);
         const std::size_t searchEnd = n - minMatch;
         std::size_t i = 0;
         while (i <= searchEnd) {
             const std::uint32_t seq = read24(in + i);
-            const std::uint32_t h = hash3(seq);
-            const std::uint32_t cand = table[h];
-            table[h] = static_cast<std::uint32_t>(i) + 1;
-            if (cand == 0 || cand - 1 >= i ||
-                i - (cand - 1) > maxOffset ||
-                read24(in + (cand - 1)) != seq) {
+            const std::size_t match = table.exchange(hash3(seq), i);
+            if (match == Table::none || i - match > maxOffset ||
+                read24(in + match) != seq) {
                 ++i;
                 continue;
             }
-            const std::size_t match = cand - 1;
             std::size_t len = minMatch;
             while (len < maxMatch && i + len < n &&
                    in[match + len] == in[i + len])

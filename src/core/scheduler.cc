@@ -4,7 +4,6 @@
 
 #include "common/status.hh"
 #include "common/thread_pool.hh"
-#include "formats/encode_cache.hh"
 #include "formats/validate.hh"
 #include "hls/axi.hh"
 #include "hls/decompressor.hh"
@@ -23,7 +22,7 @@ chooseFormat(const Tile &tile, const std::vector<FormatKind> &candidates,
     FormatKind best = candidates.front();
     auto best_score = std::numeric_limits<double>::infinity();
     for (FormatKind kind : candidates) {
-        const auto encoded = encodeCached(registry, kind, tile);
+        const auto encoded = registry.codec(kind).encode(tile);
         if (grammarValidationEnabled()) {
             const GrammarReport report = validateEncodedTile(*encoded);
             panicIf(!report.ok(),

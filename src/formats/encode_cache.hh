@@ -1,168 +1,53 @@
 /**
  * @file
- * EncodeCache: a sharded, content-addressed memo of
- * encode(tile, format, params).
- *
- * The sweep hot paths encode the same tiles over and over: Study::run
- * re-encodes every tile for each design point, planFormats encodes
- * every tile once per candidate format, and the adaptive pipeline then
- * encodes the winners again. Encoding is pure — the result depends
- * only on the tile contents, the format, and the codec
- * hyperparameters — so one shared memo collapses all of that to one
- * encode per distinct (tile, format, params) triple. Content
- * addressing also dedupes *identical* tiles, which band and stencil
- * matrices produce in bulk (the same band tile repeats down the whole
- * diagonal).
- *
- * Lookups hash the tile's canonical nonzero stream (FNV-1a over the
- * sorted (row, col, value) triplets — O(nnz), not O(p^2)) but hits are
- * verified by full stream comparison, so a hash collision can never
- * substitute a wrong encoding — parallel and serial sweeps stay
- * bit-identical with the cache on or off.
- *
- * Concurrency: the table is split into shards, each behind its own
- * mutex, so pool workers encoding different tiles rarely contend. Two
- * workers racing on the same missing key both encode (pure, identical
- * results) and the first insert wins.
- *
- * Memory: a byte budget (default 256 MiB, spread over the shards)
- * bounds the cache; a shard that exceeds its share is dropped
- * wholesale (counted as evictions) — a deliberately simple policy that
- * keeps the hot path to one hash + one map probe.
- *
- * Disable with COPERNICUS_ENCODE_CACHE=0 or setEnabled(false).
+ * Compatibility names for the benchmark runner under perfbench/, which
+ * still links them. There is no encode memo: encodeCached() encodes
+ * through the registry's codec, clear() does nothing and stats() is
+ * always zero. Nothing under src/ uses this header; it goes when the
+ * runner stops naming it.
  */
 
 #ifndef COPERNICUS_FORMATS_ENCODE_CACHE_HH
 #define COPERNICUS_FORMATS_ENCODE_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
-#include "common/lock_order.hh"
-#include "common/mutex.hh"
-#include "common/stat_group.hh"
-#include "common/thread_annotations.hh"
 #include "formats/registry.hh"
 #include "matrix/tile.hh"
 
 namespace copernicus {
 
-/** Process-wide memo of encoded tiles. */
+/** Stand-in for the removed encode memo: holds nothing. */
 class EncodeCache
 {
   public:
-    EncodeCache();
-    EncodeCache(const EncodeCache &) = delete;
-    EncodeCache &operator=(const EncodeCache &) = delete;
-
-    /** The shared cache used by the pipeline and the scheduler. */
-    static EncodeCache &global();
-
-    /**
-     * encode(tile) through @p registry's codec for @p kind, memoised
-     * on (tile contents, kind, registry params). Never returns null.
-     */
-    std::shared_ptr<const EncodedTile>
-    encode(const FormatRegistry &registry, FormatKind kind,
-           const Tile &tile);
-
-    /** Drop every entry (stats and configuration are kept). */
-    void clear();
-
-    /** Turn memoisation on/off; off = every call encodes fresh. */
-    void setEnabled(bool enabled);
-    bool enabled() const;
-
-    /**
-     * Cap the total byte budget (tiles + encodings, approximate).
-     * Applied per shard; an overfull shard is dropped wholesale.
-     */
-    void setMaxBytes(std::uint64_t bytes);
-    std::uint64_t maxBytes() const;
-
-    /** Monotonic counters since process start. */
+    /** Always zero: nothing is memoised. */
     struct Stats
     {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        std::uint64_t evictions = 0; ///< shard drops
-
-        /** Verified hits rejected by the grammar validator. */
-        std::uint64_t validationBypasses = 0;
-        std::uint64_t entries = 0;   ///< currently resident
-        std::uint64_t bytes = 0;     ///< approximate resident bytes
-        double
-        hitRate() const
-        {
-            const std::uint64_t total = hits + misses;
-            return total == 0
-                       ? 0.0
-                       : static_cast<double>(hits) /
-                             static_cast<double>(total);
-        }
+        std::uint64_t evictions = 0;
     };
-    Stats stats() const;
 
-  private:
-    struct Entry
+    static EncodeCache &
+    global()
     {
-        FormatKind kind;
-        FormatParams params;
-        Index p = 0; ///< tile edge length of the key
-        /** Canonical nonzero stream: hits are verified, never trusted. */
-        std::vector<TileNonzero> key;
-        std::shared_ptr<const EncodedTile> encoded;
-        std::uint64_t bytes = 0;
-    };
+        static EncodeCache cache;
+        return cache;
+    }
 
-    struct Shard
-    {
-        mutable Mutex mutex{lock_rank::encodeCacheShard};
-        std::unordered_map<std::uint64_t, std::vector<Entry>> table
-            COPERNICUS_GUARDED_BY(mutex);
-        std::uint64_t bytes COPERNICUS_GUARDED_BY(mutex) = 0;
-        std::uint64_t entries COPERNICUS_GUARDED_BY(mutex) = 0;
-    };
-
-    static constexpr std::size_t shardCount = 16;
-
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::atomic<bool> on{true};
-    std::atomic<std::uint64_t> budget;
-    mutable std::atomic<std::uint64_t> hits{0};
-    mutable std::atomic<std::uint64_t> misses{0};
-    mutable std::atomic<std::uint64_t> evictions{0};
-    mutable std::atomic<std::uint64_t> validationBypasses{0};
+    void clear() {}
+    Stats stats() const { return {}; }
 };
 
-/**
- * Shorthand used by the pipeline/scheduler hot paths: the global
- * cache's encode(), falling back to a fresh codec encode when the
- * cache is disabled.
- */
-std::shared_ptr<const EncodedTile>
+/** registry.codec(kind).encode(tile). */
+inline std::shared_ptr<const EncodedTile>
 encodeCached(const FormatRegistry &registry, FormatKind kind,
-             const Tile &tile);
-
-/**
- * EncodeCache::global().stats() exported as a StatGroup named
- * "encode_cache", for --stats-json alongside the profile group.
- */
-class EncodeCacheStats
+             const Tile &tile)
 {
-  public:
-    EncodeCacheStats();
-
-    const StatGroup &group() const { return grp; }
-
-  private:
-    StatGroup grp;
-    std::vector<std::unique_ptr<ScalarStat>> owned;
-};
+    return registry.codec(kind).encode(tile);
+}
 
 } // namespace copernicus
 

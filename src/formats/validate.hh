@@ -14,10 +14,11 @@
  * invariant id ("csr.offsets.monotone") that copernicus_lint and the
  * mutation tests key on.
  *
- * The EncodeCache's verified-hit path and debug-mode runPipeline call
- * the validator when grammarValidationEnabled() — a process-wide
- * toggle (COPERNICUS_VALIDATE=1 or setGrammarValidationEnabled) that
- * defaults off so the hot sweep paths pay nothing.
+ * runPipeline and planFormats validate every tile they encode when
+ * grammarValidationEnabled() — a process-wide toggle
+ * (COPERNICUS_VALIDATE=1 or setGrammarValidationEnabled) that defaults
+ * off so the hot sweep paths pay nothing. The daemon's validate_tile
+ * endpoint always validates.
  */
 
 #ifndef COPERNICUS_FORMATS_VALIDATE_HH
@@ -61,15 +62,15 @@ struct GrammarReport
  * Check @p encoded against its format's grammar.
  *
  * Pure structural validation: only the encoded arrays are consulted,
- * never a decoded tile, so the cache can run it on tiles whose source
- * is unavailable.
+ * never a decoded tile, so it runs on encodings whose source tile is
+ * unavailable.
  */
 GrammarReport validateEncodedTile(const EncodedTile &encoded);
 
 /**
- * Whether hot paths (EncodeCache verified hits, runPipeline) should
- * validate. Defaults to the COPERNICUS_VALIDATE environment toggle
- * (unset/0 = off); setGrammarValidationEnabled overrides it.
+ * Whether the hot paths (runPipeline, planFormats) should validate.
+ * Defaults to the COPERNICUS_VALIDATE environment toggle (unset/0 =
+ * off); setGrammarValidationEnabled overrides it.
  */
 bool grammarValidationEnabled();
 

@@ -5,7 +5,6 @@
 
 #include "common/status.hh"
 #include "compress/second_stage.hh"
-#include "formats/encode_cache.hh"
 #include "formats/validate.hh"
 #include "hls/axi.hh"
 #include "hls/decompressor.hh"
@@ -36,7 +35,7 @@ runImpl(const Partitioning &parts,
     Cycles trace_clock = 0;
     for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
         const Tile &tile = parts.tiles[i];
-        const auto encoded = encodeCached(registry, perTile[i], tile);
+        const auto encoded = registry.codec(perTile[i]).encode(tile);
         if (grammarValidationEnabled()) {
             const GrammarReport report = validateEncodedTile(*encoded);
             panicIf(!report.ok(),

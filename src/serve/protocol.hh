@@ -39,7 +39,7 @@ namespace copernicus {
 enum class Endpoint
 {
     Ping,         ///< liveness probe
-    Stats,        ///< per-endpoint latency/cache/queue counters
+    Stats,        ///< per-endpoint latency/queue counters, memo
     Shutdown,     ///< begin graceful drain (responds first)
     Sleep,        ///< hold a worker for params.ms (load-gen/tests)
     RunStudy,     ///< full format x partition sweep over one matrix

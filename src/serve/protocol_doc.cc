@@ -43,8 +43,6 @@ buildWideEventJson(const WideEventInputs &in)
         << ", \"latency_us\": " << in.latencyUs
         << ", \"deadline_budget_ms\": " << num(in.deadlineBudgetMs)
         << ", \"deadline_used_ms\": " << num(in.deadlineUsedMs)
-        << ", \"cache_hits\": " << in.cacheHits
-        << ", \"cache_misses\": " << in.cacheMisses
         << ", \"compress_us\": " << in.compressUs
         << ", \"formats_swept\": " << in.formatsSwept
         << ", \"memo_hit\": " << (in.memoHit ? "true" : "false")
@@ -78,8 +76,6 @@ documentedWideEventFields()
         "latency_us",
         "deadline_budget_ms",
         "deadline_used_ms",
-        "cache_hits",
-        "cache_misses",
         "compress_us",
         "formats_swept",
         "memo_hit",
@@ -96,8 +92,6 @@ documentedMetricFamilies()
         "copernicus_serve_requests_rejected_total",
         "copernicus_serve_requests_completed_total",
         "copernicus_serve_requests_errored_total",
-        "copernicus_serve_cache_hits_total",
-        "copernicus_serve_cache_misses_total",
         "copernicus_serve_bad_lines_total",
         "copernicus_serve_connections_total",
         "copernicus_serve_frame_errors_total",
@@ -111,9 +105,6 @@ documentedMetricFamilies()
         "copernicus_serve_request_duration_seconds",
         "copernicus_thread_pool_tasks_total",
         "copernicus_thread_pool_steals_total",
-        "copernicus_encode_cache_hits_total",
-        "copernicus_encode_cache_misses_total",
-        "copernicus_encode_cache_entries",
         "copernicus_flightrec_wide_events_total",
         "copernicus_flightrec_wide_events_dropped_total",
         "copernicus_spans_recorded_total",

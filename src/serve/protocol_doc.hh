@@ -44,8 +44,6 @@ struct WideEventInputs
     std::uint64_t latencyUs = 0;
     double deadlineBudgetMs = 0;
     double deadlineUsedMs = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
     std::uint64_t compressUs = 0;
     std::uint64_t formatsSwept = 0;
     bool memoHit = false;          ///< served from the result memo

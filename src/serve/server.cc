@@ -40,6 +40,13 @@ namespace {
 /** Set by requestShutdownFromSignal(); polled by the event-loop tick. */
 std::atomic<bool> signalShutdown{false};
 
+/**
+ * A connection stops being read once more than txHighWater response
+ * bytes wait to be sent to it, and is read again below txLowWater.
+ */
+constexpr std::size_t txHighWater = 1 << 20;
+constexpr std::size_t txLowWater = 256 << 10;
+
 std::string
 jsonStr(std::string_view text)
 {
@@ -107,12 +114,6 @@ Server::Server(ServeOptions options) : opts(std::move(options))
         s.errors = std::make_unique<ScalarStat>(
             grp, prefix + ".errors",
             "admitted requests answered with an error");
-        s.cacheHits = std::make_unique<ScalarStat>(
-            grp, prefix + ".cache_hits",
-            "encode-cache hits attributed to this endpoint");
-        s.cacheMisses = std::make_unique<ScalarStat>(
-            grp, prefix + ".cache_misses",
-            "encode-cache misses attributed to this endpoint");
         s.latencyUs = std::make_unique<DistributionStat>(
             grp, prefix + ".latency_us",
             "admitted-request latency (microseconds)", 0, 100000, 1000);
@@ -482,7 +483,10 @@ bool
 Server::loopRead(const std::shared_ptr<Conn> &conn)
 {
     char buf[65536];
-    for (;;) {
+    // Read at least once, so a peer that hung up reaches EOF even while
+    // paused; stop after a chunk whose answers pushed the backlog past
+    // the high-water mark (flushConn resumes reading once it drains).
+    do {
         const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
         if (n < 0) {
             if (errno == EINTR)
@@ -516,7 +520,8 @@ Server::loopRead(const std::shared_ptr<Conn> &conn)
                 return false;
             break;
         }
-    }
+    } while (!conn->readPaused);
+    return true;
 }
 
 bool
@@ -661,7 +666,7 @@ Server::flushConn(const std::shared_ptr<Conn> &conn)
 {
     if (!conn->open.load(std::memory_order_relaxed))
         return;
-    bool want = false;
+    std::size_t unsent = 0;
     {
         const MutexLock lock(conn->txMutex);
         while (conn->txOffset < conn->txBuffer.size()) {
@@ -672,10 +677,8 @@ Server::flushConn(const std::shared_ptr<Conn> &conn)
             if (n < 0) {
                 if (errno == EINTR)
                     continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                    want = true;
+                if (errno == EAGAIN || errno == EWOULDBLOCK)
                     break;
-                }
                 // The peer is gone; drop the buffer, the event loop
                 // retires the connection on its next pass.
                 conn->open.store(false, std::memory_order_relaxed);
@@ -689,23 +692,29 @@ Server::flushConn(const std::shared_ptr<Conn> &conn)
             conn->txBuffer.erase(0, conn->txOffset);
             conn->txOffset = 0;
         }
+        unsent = conn->txBuffer.size();
     }
-    updateWriteInterest(conn, want);
+    updateInterest(conn, unsent);
 }
 
 void
-Server::updateWriteInterest(const std::shared_ptr<Conn> &conn,
-                            bool want)
+Server::updateInterest(const std::shared_ptr<Conn> &conn,
+                       std::size_t unsent)
 {
-    if (want == conn->wantWrite ||
+    const bool want = unsent > 0;
+    const bool paused = unsent > txHighWater ||
+                        (conn->readPaused && unsent >= txLowWater);
+    if ((want == conn->wantWrite && paused == conn->readPaused) ||
         !conn->open.load(std::memory_order_relaxed))
         return;
     epoll_event ev{};
-    ev.events = want ? (EPOLLIN | EPOLLOUT)
-                     : static_cast<std::uint32_t>(EPOLLIN);
+    ev.events = (paused ? 0u : std::uint32_t(EPOLLIN)) |
+                (want ? std::uint32_t(EPOLLOUT) : 0u);
     ev.data.fd = conn->fd;
-    if (::epoll_ctl(epollFd, EPOLL_CTL_MOD, conn->fd, &ev) == 0)
+    if (::epoll_ctl(epollFd, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
         conn->wantWrite = want;
+        conn->readPaused = paused;
+    }
 }
 
 void
@@ -820,7 +829,7 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
       case Admit::Full:
         *statsFor(request.endpoint).rejected += 1;
         recordWideEvent(request, serve_error::queueFull, binary,
-                        receiptUs, receiptUs, nowUs(), 0, 0, 0, 0,
+                        receiptUs, receiptUs, nowUs(), 0, 0,
                         RequestObs{});
         respond(conn, binary, wireStreamId,
                 errorResponse(request.id,
@@ -834,7 +843,7 @@ Server::handlePayload(const std::shared_ptr<Conn> &conn,
       case Admit::Draining:
         *statsFor(request.endpoint).rejected += 1;
         recordWideEvent(request, serve_error::shuttingDown, binary,
-                        receiptUs, receiptUs, nowUs(), 0, 0, 0, 0,
+                        receiptUs, receiptUs, nowUs(), 0, 0,
                         RequestObs{});
         respond(conn, binary, wireStreamId,
                 errorResponse(request.id,
@@ -902,7 +911,6 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
 {
     EndpointStats &stats = statsFor(request.endpoint);
     const std::uint64_t startUs = nowUs();
-    const EncodeCache::Stats cacheBefore = EncodeCache::global().stats();
     const CompressTotals compressBefore = compressTotals();
 
     const bool observe = requestSpanId != 0;
@@ -995,19 +1003,11 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
         }
     }
 
-    // Attribute cache activity to the endpoint. Deltas from a shared
-    // cache are approximate when requests overlap, but per-endpoint
-    // hit *rates* remain meaningful because the mix is attributed
-    // proportionally over many requests.
-    const EncodeCache::Stats cacheAfter = EncodeCache::global().stats();
-    const auto cacheHits = cacheAfter.hits - cacheBefore.hits;
-    const auto cacheMisses = cacheAfter.misses - cacheBefore.misses;
-    // Second-stage compression time attributed to this request; the
-    // same approximate-under-overlap caveat as the cache deltas.
+    // Second-stage compression time attributed to this request. The
+    // totals are process-wide, so the delta is approximate when
+    // requests overlap.
     const std::uint64_t compressUs =
         (compressTotals().nanos - compressBefore.nanos) / 1000;
-    *stats.cacheHits += static_cast<double>(cacheHits);
-    *stats.cacheMisses += static_cast<double>(cacheMisses);
 
     const std::uint64_t endUs = nowUs();
     stats.latencyUs->sample(static_cast<double>(endUs - startUs));
@@ -1030,8 +1030,7 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
              endUs});
     }
     recordWideEvent(request, outcome, stream.binary, receiptUs,
-                    startUs, endUs, timeoutMs, cacheHits, cacheMisses,
-                    compressUs, obs);
+                    startUs, endUs, timeoutMs, compressUs, obs);
 
     // Retire the stream id before the response leaves, so a client
     // that reuses an id immediately after reading its response can
@@ -1055,8 +1054,6 @@ Server::recordWideEvent(const ServeRequest &request,
                         std::string_view outcome, bool binary,
                         std::uint64_t receiptUs, std::uint64_t startUs,
                         std::uint64_t endUs, double timeoutMs,
-                        std::uint64_t cacheHits,
-                        std::uint64_t cacheMisses,
                         std::uint64_t compressUs,
                         const RequestObs &obs)
 {
@@ -1073,8 +1070,6 @@ Server::recordWideEvent(const ServeRequest &request,
     event.deadlineBudgetMs = timeoutMs;
     event.deadlineUsedMs =
         static_cast<double>(endUs - startUs) / 1000.0;
-    event.cacheHits = cacheHits;
-    event.cacheMisses = cacheMisses;
     event.compressUs = compressUs;
     event.formatsSwept = obs.formatsSwept;
     event.memoHit = obs.memoHit;
@@ -1355,7 +1350,7 @@ Server::dispatch(const ServeRequest &request,
             checkAbort();
             for (FormatKind kind : kinds) {
                 const auto encoded =
-                    encodeCached(defaultRegistry(), kind, tile);
+                    defaultRegistry().codec(kind).encode(tile);
                 const GrammarReport report =
                     validateEncodedTile(*encoded);
                 ++checked;
@@ -1449,8 +1444,7 @@ std::string
 Server::statsJson() const
 {
     std::ostringstream out;
-    dumpGroupsJson(out,
-                   {&grp, &poolStats.group(), &cacheStats.group()});
+    dumpGroupsJson(out, {&grp, &poolStats.group()});
     std::string json = out.str();
     // dumpGroupsJson ends its document with '\n'; embedded in a
     // response payload that newline would split an NDJSON line, so
@@ -1531,12 +1525,6 @@ Server::metricsText() const
     writer.counter("copernicus_serve_requests_errored_total",
                    "Admitted requests answered with an error.",
                    perEndpoint(&EndpointStats::errors));
-    writer.counter("copernicus_serve_cache_hits_total",
-                   "Encode-cache hits attributed to the endpoint.",
-                   perEndpoint(&EndpointStats::cacheHits));
-    writer.counter("copernicus_serve_cache_misses_total",
-                   "Encode-cache misses attributed to the endpoint.",
-                   perEndpoint(&EndpointStats::cacheMisses));
 
     writer.counter(
         "copernicus_serve_bad_lines_total",
@@ -1608,17 +1596,6 @@ Server::metricsText() const
     writer.counter("copernicus_thread_pool_steals_total",
                    "Tasks taken from another lane's deque.",
                    {{{}, static_cast<double>(poolCounters.steals)}});
-
-    const EncodeCache::Stats cache = EncodeCache::global().stats();
-    writer.counter("copernicus_encode_cache_hits_total",
-                   "Encode-cache hits, process-wide.",
-                   {{{}, static_cast<double>(cache.hits)}});
-    writer.counter("copernicus_encode_cache_misses_total",
-                   "Encode-cache misses, process-wide.",
-                   {{{}, static_cast<double>(cache.misses)}});
-    writer.gauge("copernicus_encode_cache_entries",
-                 "Entries resident in the encode cache.",
-                 {{{}, static_cast<double>(cache.entries)}});
 
     const FlightRecorder &recorder = FlightRecorder::global();
     writer.counter(

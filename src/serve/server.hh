@@ -33,6 +33,10 @@
  * ranked leaf) and wake the loop through an eventfd; the loop performs
  * the nonblocking sends and arms EPOLLOUT when a peer stops reading,
  * so one slow client backpressures its own buffer, never a thread.
+ * Once a connection's unsent bytes pass a fixed high-water mark the
+ * loop also stops reading it, and resumes below a low-water mark, so a
+ * peer that pipelines requests without reading the answers holds the
+ * daemon to a bounded buffer.
  * The fd itself is closed by the last owner of the shared Conn, so a
  * handler finishing after its client disconnected can never write to
  * a recycled descriptor.
@@ -64,7 +68,7 @@
 #include "common/stat_group.hh"
 #include "common/thread_annotations.hh"
 #include "common/thread_pool.hh"
-#include "formats/encode_cache.hh"
+#include "formats/registry.hh"
 #include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/result_memo.hh"
@@ -204,7 +208,7 @@ class Server
     bool accepting() const;
 
     /**
-     * The serve/thread_pool/encode_cache groups plus live load state
+     * The serve/thread_pool groups plus live load state
      * (`"queue_depth"`, an `"inflight"` array with per-request ages,
      * a `"memo"` object with the result-memo counters) as one JSON
      * doc — the stats endpoint's payload, which is also what
@@ -214,7 +218,7 @@ class Server
 
     /**
      * Prometheus text exposition of the serve counters, latency
-     * histograms, pool, cache and memo stats. Built entirely from
+     * histograms, pool and memo stats. Built entirely from
      * atomic reads and DistributionStat snapshots — a scrape never
      * holds a lock a request thread contends beyond one histogram
      * copy.
@@ -234,8 +238,6 @@ class Server
         std::unique_ptr<ScalarStat> rejected;
         std::unique_ptr<ScalarStat> completed;
         std::unique_ptr<ScalarStat> errors;
-        std::unique_ptr<ScalarStat> cacheHits;
-        std::unique_ptr<ScalarStat> cacheMisses;
         std::unique_ptr<DistributionStat> latencyUs;
     };
 
@@ -274,7 +276,8 @@ class Server
         Protocol protocol = Protocol::Sniffing;
         std::string rxBuffer;
         FrameDecoder decoder;
-        bool wantWrite = false; ///< EPOLLOUT currently armed
+        bool wantWrite = false;  ///< EPOLLOUT currently armed
+        bool readPaused = false; ///< EPOLLIN disarmed: tx backlog
         std::uint64_t nextSyntheticStream = 1; ///< NDJSON cancel keys
 
         /** Buffered output; the loop flushes, handlers only append. */
@@ -326,8 +329,9 @@ class Server
     void closeConn(std::map<int, std::shared_ptr<Conn>> &connsByFd,
                    const std::shared_ptr<Conn> &conn);
     void flushConn(const std::shared_ptr<Conn> &conn);
-    void updateWriteInterest(const std::shared_ptr<Conn> &conn,
-                             bool want);
+    /** Arm EPOLLOUT / pause EPOLLIN for @p unsent buffered bytes. */
+    void updateInterest(const std::shared_ptr<Conn> &conn,
+                        std::size_t unsent);
     void drainWakeups();
     void flushAllBeforeExit(
         std::map<int, std::shared_ptr<Conn>> &connsByFd);
@@ -364,8 +368,6 @@ class Server
                          std::string_view outcome, bool binary,
                          std::uint64_t receiptUs, std::uint64_t startUs,
                          std::uint64_t endUs, double timeoutMs,
-                         std::uint64_t cacheHits,
-                         std::uint64_t cacheMisses,
                          std::uint64_t compressUs,
                          const RequestObs &obs);
 
@@ -431,7 +433,6 @@ class Server
     std::unique_ptr<ScalarStat> framesTruncated;
     std::unique_ptr<ScalarStat> streamsCancelled;
     ThreadPoolStats poolStats;
-    EncodeCacheStats cacheStats;
 
     mutable Mutex spansMutex{lock_rank::serveSpans};
     std::vector<RequestSpan> requestSpans

@@ -18,8 +18,7 @@
  *                               chunkTargetNnz entries (last one short)
  *     [directoryOffset, ...)    chunkCount packed CbmChunkInfo records
  *
- * The content hash is FNV-1a over the packed triplet bytes — the very
- * same fingerprint the encode cache uses for tile streams — so a
+ * The content hash is FNV-1a over the packed triplet bytes, so a
  * container, a sweep journal and an in-memory matrix can all agree on
  * identity without a byte-for-byte compare (see common/fnv.hh). The
  * epoch is a caller-chosen generation number carried alongside the

@@ -10,7 +10,7 @@
  * non-zero count fits a configurable budget, and emits exactly the
  * Tiles the in-memory path would: same canonical nonzero streams,
  * same eagerly-installed SparseView/TileStats, byte-identical inputs
- * to all 14 codecs and the encode cache.
+ * to all 14 codecs.
  *
  * Memory contract (documented in DESIGN.md §12): one pass buffers at
  * most max(maxBufferedNnz, heaviest single strip) triplets, plus an

@@ -6,8 +6,8 @@
  * tracing was off, the histogram only says *that* something was slow.
  * The flight recorder closes that gap by always retaining the last N
  * wide events — one compact JSON object per finished request
- * (endpoint, trace id, deadline budget vs used, queue wait, cache
- * activity, outcome) — in a bounded ring, pre-serialised at record
+ * (endpoint, trace id, deadline budget vs used, queue wait, memo
+ * hit, outcome) — in a bounded ring, pre-serialised at record
  * time so a dump never has to consult live server state.
  *
  * dump() writes one JSON document combining the wide-event ring with

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,6 +143,53 @@ TEST(Compress, FuzzMixedContent)
             b = std::byte(rng() % alphabet);
         for (const StreamCompressor *compressor : families())
             expectRoundtrip(*compressor, input);
+    }
+}
+
+/** Compress @p input on a thread that has compressed nothing else. */
+std::vector<std::byte>
+compressOnFreshThread(const StreamCompressor &compressor,
+                      const std::vector<std::byte> &input)
+{
+    std::vector<std::byte> out;
+    std::thread([&] { compressor.compress(input, out); }).join();
+    return out;
+}
+
+TEST(Compress, OutputIsIndependentOfEarlierBlocks)
+{
+    // Each thread keeps its match table across blocks; what it
+    // compressed before must never change the bytes of the next block.
+    // The blocks are typed streams of real encodings, compressed in
+    // turn on one thread and then each on a fresh thread.
+    const FormatRegistry &registry = defaultRegistry();
+    Rng rng(0x5EED);
+    const TripletMatrix random = randomMatrix(64, 0.08, rng);
+    const TripletMatrix band = bandMatrix(64, 3, rng);
+    std::vector<std::vector<std::byte>> blocks;
+    for (const TripletMatrix *matrix : {&random, &band}) {
+        for (const Tile &tile : partition(*matrix, 16).tiles) {
+            for (FormatKind kind : {FormatKind::CSR, FormatKind::COO,
+                                    FormatKind::SELLCS}) {
+                for (const TypedStream &stream :
+                     registry.codec(kind).encode(tile)->typedStreams())
+                    blocks.push_back(stream.bytes);
+            }
+        }
+    }
+    for (const StreamCompressor *compressor : families()) {
+        std::vector<std::vector<std::byte>> inTurn(blocks.size());
+        std::thread([&] {
+            for (std::size_t i = 0; i < blocks.size(); ++i)
+                compressor->compress(blocks[i], inTurn[i]);
+        }).join();
+        std::size_t differing = 0;
+        for (std::size_t i = 0; i < blocks.size(); ++i)
+            differing += compressOnFreshThread(*compressor, blocks[i]) !=
+                         inTurn[i];
+        EXPECT_EQ(differing, 0u)
+            << "family " << compressionFamilyName(compressor->family())
+            << ": of " << blocks.size() << " blocks";
     }
 }
 

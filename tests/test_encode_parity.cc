@@ -8,8 +8,7 @@
  * `StudyResult::writeCsv` against golden CSVs generated from the seed
  * dense-scan implementation (commit 1e2eed7), across random matrices
  * spanning the paper's density range, band matrices, catalog
- * surrogates, every format, p in {8, 16, 32} and jobs in {1, 4}, with
- * the encode cache both on and off.
+ * surrogates, every format, p in {8, 16, 32} and jobs in {1, 4}.
  *
  * Regenerate the goldens (only ever from a known-good tree) with
  *   COPERNICUS_REGEN_GOLDEN=1 ./test_encode_parity
@@ -25,7 +24,6 @@
 
 #include "common/rng.hh"
 #include "core/study.hh"
-#include "formats/encode_cache.hh"
 #include "workloads/generators.hh"
 #include "workloads/suite_catalog.hh"
 
@@ -138,16 +136,6 @@ TEST(EncodeParity, StudyCsvMatchesSeedGoldenParallel)
     if (regenRequested())
         GTEST_SKIP() << "regen mode";
     expectCsvEqual(runParityCsv(4), loadGolden());
-}
-
-TEST(EncodeParity, StudyCsvMatchesSeedGoldenCacheDisabled)
-{
-    if (regenRequested())
-        GTEST_SKIP() << "regen mode";
-    EncodeCache::global().setEnabled(false);
-    const std::string csv = runParityCsv(1);
-    EncodeCache::global().setEnabled(true);
-    expectCsvEqual(csv, loadGolden());
 }
 
 } // namespace

@@ -4,9 +4,7 @@
  * format's encoding in a format-specific way (swapped row pointers,
  * unsorted COO tuples, dirty ELL padding, misaligned BCSR blocks,
  * out-of-range DIA offsets, broken permutations, ...) and assert the
- * validator reports the exact format and offending invariant id. Also
- * covers the EncodeCache verified-hit path: a cached encoding that
- * fails validation is bypassed with a fresh encode, never trusted.
+ * validator reports the exact format and offending invariant id.
  *
  * The seeded-defect suite at the bottom does the same for the deep
  * analyzer passes: inject a narrowing cast, an over-subscribed
@@ -38,7 +36,6 @@
 #include "formats/dok_format.hh"
 #include "formats/ell_format.hh"
 #include "formats/ellcoo_format.hh"
-#include "formats/encode_cache.hh"
 #include "formats/jds_format.hh"
 #include "formats/lil_format.hh"
 #include "formats/registry.hh"
@@ -268,53 +265,6 @@ TEST(GrammarMutationTest, EllCooUnsortedOverflow)
     std::swap(hybrid.overflowValues[0], hybrid.overflowValues[1]);
     expectViolation(*encoded, FormatKind::ELLCOO,
                     "ellcoo.overflow.order");
-}
-
-/** Restores the validation toggle even if an assertion bails out. */
-class ValidationGuard
-{
-  public:
-    ValidationGuard() { setGrammarValidationEnabled(true); }
-    ~ValidationGuard() { setGrammarValidationEnabled(false); }
-};
-
-TEST(EncodeCacheValidationTest, CorruptedCachedTileIsBypassed)
-{
-    const ValidationGuard guard;
-    EncodeCache cache;
-    const FormatRegistry registry;
-    const Tile tile = mutationTile();
-
-    // Miss: the cache stores (and returns a pointer aliasing) the
-    // fresh encoding. Corrupt the resident copy through that alias,
-    // the way a buggy codec or stray write would.
-    const auto first = cache.encode(registry, FormatKind::COO, tile);
-    auto &coo = const_cast<CooEncoded &>(
-        static_cast<const CooEncoded &>(*first));
-    // The first two tuples are (0,0) and (0,1): swapping the columns
-    // breaks the row-major order invariant.
-    std::swap(coo.colInx[0], coo.colInx[1]);
-    ASSERT_FALSE(validateEncodedTile(*first).ok());
-
-    // Verified hit: the validator rejects the cached encoding, the
-    // cache re-encodes instead of trusting it, and counts the bypass.
-    const auto second = cache.encode(registry, FormatKind::COO, tile);
-    EXPECT_EQ(cache.stats().validationBypasses, 1u);
-    EXPECT_TRUE(validateEncodedTile(*second).ok());
-    EXPECT_EQ(registry.codec(FormatKind::COO).decode(*second), tile);
-}
-
-TEST(EncodeCacheValidationTest, CleanHitsAreNotBypassed)
-{
-    const ValidationGuard guard;
-    EncodeCache cache;
-    const FormatRegistry registry;
-    const Tile tile = mutationTile();
-    cache.encode(registry, FormatKind::CSR, tile);
-    cache.encode(registry, FormatKind::CSR, tile);
-    const EncodeCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.validationBypasses, 0u);
 }
 
 // ---------------------------------------------------------------- //

@@ -1,9 +1,8 @@
 /**
  * @file
  * Determinism contract of the parallel sweep engine: Study::run() and
- * planFormats() must produce bit-identical results at any jobs setting
- * and with the encode cache on or off, and the cache is genuinely
- * shared between the study and the scheduler.
+ * planFormats() must produce bit-identical results at any jobs setting,
+ * and a sweep with second-stage compression on repeats exactly.
  */
 
 #include <vector>
@@ -13,7 +12,6 @@
 #include "common/rng.hh"
 #include "core/scheduler.hh"
 #include "core/study.hh"
-#include "formats/encode_cache.hh"
 #include "matrix/partitioner.hh"
 #include "workloads/generators.hh"
 
@@ -59,62 +57,42 @@ expectRowsIdentical(const std::vector<StudyRow> &a,
 }
 
 StudyResult
-runStudy(unsigned jobs)
+runStudy(unsigned jobs, bool compress = false)
 {
     Rng rngRandom(11);
     Rng rngBand(12);
     StudyConfig cfg;
     cfg.partitionSizes = {8, 16};
     cfg.jobs = jobs;
+    cfg.hls.secondStageCompression = compress;
     Study study(cfg);
     study.addWorkload("random", randomMatrix(96, 0.05, rngRandom));
     study.addWorkload("band", bandMatrix(96, 4, rngBand));
     return study.run();
 }
 
-class ParallelStudyTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        EncodeCache::global().setEnabled(true);
-        EncodeCache::global().clear();
-    }
-
-    void
-    TearDown() override
-    {
-        EncodeCache::global().setEnabled(true);
-        EncodeCache::global().clear();
-    }
-};
-
 } // namespace
 
-TEST_F(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
+TEST(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
 {
     const StudyResult serial = runStudy(1);
     const StudyResult parallel = runStudy(4);
     expectRowsIdentical(serial.rows, parallel.rows);
 }
 
-TEST_F(ParallelStudyTest, RunIsBitIdenticalWithCacheOnAndOff)
+TEST(ParallelStudyTest, CompressedRunRepeatsExactly)
 {
-    const StudyResult cached = runStudy(1);
-    // Every (tile, format) is distinct within one sweep, so the run
-    // populates the cache without hitting it; hits across components
-    // are asserted by CacheIsSharedBetweenStudyAndScheduler.
-    EXPECT_GT(EncodeCache::global().stats().misses, 0u);
-    EXPECT_GT(EncodeCache::global().stats().entries, 0u);
-
-    EncodeCache::global().setEnabled(false);
-    EncodeCache::global().clear();
-    const StudyResult uncached = runStudy(1);
-    expectRowsIdentical(cached.rows, uncached.rows);
+    // The stored bytes of a tile must not depend on what its pool lane
+    // compressed before, so two parallel sweeps and a serial one agree
+    // on every row, totalBytes and memoryCycles included.
+    const StudyResult first = runStudy(4, /*compress=*/true);
+    const StudyResult second = runStudy(4, /*compress=*/true);
+    const StudyResult serial = runStudy(1, /*compress=*/true);
+    expectRowsIdentical(first.rows, second.rows);
+    expectRowsIdentical(first.rows, serial.rows);
 }
 
-TEST_F(ParallelStudyTest, PlanFormatsIsBitIdenticalAcrossJobsSettings)
+TEST(ParallelStudyTest, PlanFormatsIsBitIdenticalAcrossJobsSettings)
 {
     Rng rng(21);
     const TripletMatrix matrix = randomMatrix(128, 0.08, rng);
@@ -128,25 +106,4 @@ TEST_F(ParallelStudyTest, PlanFormatsIsBitIdenticalAcrossJobsSettings)
                     HlsConfig(), defaultRegistry(), 4);
     EXPECT_EQ(serial.perTile, parallel.perTile);
     EXPECT_EQ(serial.histogram, parallel.histogram);
-}
-
-TEST_F(ParallelStudyTest, CacheIsSharedBetweenStudyAndScheduler)
-{
-    Rng rng(31);
-    const TripletMatrix matrix = randomMatrix(96, 0.05, rng);
-    const Partitioning parts = partition(matrix, 16);
-
-    // The study's run warms the cache...
-    StudyConfig cfg;
-    cfg.partitionSizes = {16};
-    cfg.jobs = 1;
-    Study study(cfg);
-    study.addWorkload("m", matrix);
-    study.run();
-
-    // ...and the scheduler's scoring of the same tiles hits it.
-    const auto before = EncodeCache::global().stats();
-    planFormats(parts, paperFormats());
-    const auto after = EncodeCache::global().stats();
-    EXPECT_GT(after.hits, before.hits);
 }

@@ -15,14 +15,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -48,6 +53,24 @@ testSocketPath(const std::string &tag)
     static int counter = 0;
     return "/tmp/copernicus_test_" + std::to_string(::getpid()) + "_" +
            tag + "_" + std::to_string(counter++) + ".sock";
+}
+
+/** A bare nonblocking Unix-socket connection, or -1. */
+int
+rawConnect(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
 }
 
 /** Start a quiet server; drain it on teardown. */
@@ -283,6 +306,99 @@ TEST_F(ServeTest, OverloadIsRejectedExplicitlyNeverHung)
     }
     EXPECT_TRUE(sawQueueFull);
     sleeper.join();
+}
+
+TEST_F(ServeTest, NonReadingPipelinerIsPausedThenAnsweredInOrder)
+{
+    // The only admission slot sleeps, so each ping below is answered
+    // at once, in request order, with queue_full.
+    startServer(/*queueCapacity=*/1);
+    const int sleeper = rawConnect(server->options().socketPath);
+    ASSERT_GE(sleeper, 0);
+    const std::string sleep =
+        "{\"op\": \"sleep\", \"params\": {\"ms\": 60000}}\n";
+    ASSERT_EQ(::send(sleeper, sleep.data(), sleep.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sleep.size()));
+    const auto admitDeadline = std::chrono::steady_clock::now() +
+                               std::chrono::seconds(10);
+    while (server->statsJson().find("\"queue_depth\": 1") ==
+               std::string::npos &&
+           std::chrono::steady_clock::now() < admitDeadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+    // The peer pipelines pings and never reads. Once the daemon holds
+    // more unsent answers than its high-water mark it stops reading
+    // too, so the peer's socket fills up and stays unwritable.
+    const int peer = rawConnect(server->options().socketPath);
+    ASSERT_GE(peer, 0);
+    const std::size_t maxRequests = 200000;
+    std::size_t requests = 0;
+    std::string pending;
+    bool stalled = false;
+    while (!stalled && (!pending.empty() || requests < maxRequests)) {
+        if (pending.empty())
+            pending = "{\"id\": " + std::to_string(++requests) +
+                      ", \"op\": \"ping\"}\n";
+        const ssize_t n =
+            ::send(peer, pending.data(), pending.size(), MSG_NOSIGNAL);
+        if (n > 0) {
+            pending.erase(0, static_cast<std::size_t>(n));
+            continue;
+        }
+        ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK ||
+                    errno == EINTR)
+            << std::strerror(errno);
+        pollfd writable{peer, POLLOUT, 0};
+        stalled = ::poll(&writable, 1, 1000) == 0;
+    }
+    EXPECT_TRUE(stalled) << "the daemon read all " << requests
+                         << " pipelined requests";
+
+    // Once the peer drains, every request is answered, in order.
+    std::size_t next = 1;
+    std::string rx;
+    const auto drainDeadline = std::chrono::steady_clock::now() +
+                               std::chrono::seconds(60);
+    while (next <= requests &&
+           std::chrono::steady_clock::now() < drainDeadline) {
+        pollfd ready{peer,
+                     static_cast<short>(pending.empty()
+                                            ? POLLIN
+                                            : POLLIN | POLLOUT),
+                     0};
+        if (::poll(&ready, 1, 1000) <= 0)
+            continue;
+        if ((ready.revents & POLLOUT) != 0) {
+            const ssize_t n = ::send(peer, pending.data(), pending.size(),
+                                     MSG_NOSIGNAL);
+            if (n > 0)
+                pending.erase(0, static_cast<std::size_t>(n));
+        }
+        char buf[65536];
+        const ssize_t n = ::recv(peer, buf, sizeof(buf), 0);
+        if (n == 0)
+            break;
+        if (n < 0)
+            continue;
+        rx.append(buf, static_cast<std::size_t>(n));
+        std::size_t start = 0;
+        for (std::size_t end; (end = rx.find('\n', start)) !=
+                              std::string::npos;
+             start = end + 1) {
+            JsonValue response;
+            ASSERT_TRUE(
+                parseJson(rx.substr(start, end - start), response));
+            ASSERT_EQ(response.numberOr("id", 0),
+                      static_cast<double>(next));
+            ASSERT_EQ(response.stringOr("error", ""), "queue_full");
+            ++next;
+        }
+        rx.erase(0, start);
+    }
+    EXPECT_EQ(next, requests + 1);
+    ::close(peer);
+    // Hanging up cancels the sleep, so the fixture drains at once.
+    ::close(sleeper);
 }
 
 TEST_F(ServeTest, DeadlineCancelsSleepCooperatively)
