@@ -19,12 +19,12 @@ Tile
 makeTile(Index p, double density)
 {
     Rng rng(0xBEEF + static_cast<std::uint64_t>(density * 1000));
-    Tile t(p);
+    TileBuilder t(p);
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             if (rng.chance(density))
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
-    return t;
+                t.set(r, c, static_cast<Value>(rng.range(0.5, 1.5)));
+    return t.build();
 }
 
 FormatKind

@@ -51,14 +51,14 @@ describeSegments(const ScheduleSpec &spec)
 Tile
 representativeTile()
 {
-    Tile tile(16);
+    TileBuilder tile(16);
     for (Index r = 0; r < 16; ++r) {
-        tile(r, r) = Value(1) + Value(r);
+        tile.set(r, r, Value(1) + Value(r));
         if (r + 1 < 16)
-            tile(r, r + 1) = Value(2);
+            tile.set(r, r + 1, Value(2));
     }
-    tile(13, 2) = Value(7);
-    return tile;
+    tile.set(13, 2, Value(7));
+    return tile.build();
 }
 
 } // namespace

@@ -18,7 +18,8 @@
  *    high-water mark; destruction rewinds to it, so everything
  *    allocated inside the scope is reclaimed at once. Scopes nest
  *    (LIFO), matching the codecs' call structure.
- *  - encodeArena() is the thread-local arena the codecs and the
+ *  - encodeArena() is the thread-local arena the codecs, tile
+ *    construction (TileBuilder's sort, the TileStats pass) and the
  *    second-stage compressor share. It is confined to its thread:
  *    arena pointers must not escape the enclosing ArenaScope or cross
  *    threads. Each pool worker gets its own arena, so the parallel

@@ -83,7 +83,8 @@ BcsrCodec::decode(const EncodedTile &encoded) const
     const Index p = bcsr.tileSize();
     const Index b = bcsr.blockSize();
     const Index grid = p / b;
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(bcsr.nnz());
     for (Index br = 0; br < grid; ++br) {
         for (Index i = bcsr.blockRowStart(br); i < bcsr.blockRowEnd(br);
              ++i) {
@@ -91,10 +92,10 @@ BcsrCodec::decode(const EncodedTile &encoded) const
             const auto &flat = bcsr.values[i];
             // Listing 2: drows[j / b][col0 + j mod b] = values[i][j].
             for (Index j = 0; j < b * b; ++j)
-                tile.cell(br * b + j / b, col0 + j % b) = flat[j];
+                tile.set(br * b + j / b, col0 + j % b, flat[j]);
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

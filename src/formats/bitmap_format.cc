@@ -25,13 +25,14 @@ BitmapCodec::decode(const EncodedTile &encoded) const
     const auto &bitmap = encodedAs<BitmapEncoded>(encoded,
                                                   FormatKind::BITMAP);
     const Index p = bitmap.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(bitmap.nnz());
     std::size_t next = 0;
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             if (bitmap.test(r, c))
-                tile.cell(r, c) = bitmap.values[next++];
-    return tile;
+                tile.set(r, c, bitmap.values[next++]);
+    return tile.build();
 }
 
 } // namespace copernicus

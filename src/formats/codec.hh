@@ -35,10 +35,12 @@ class FormatCodec
     virtual std::unique_ptr<EncodedTile> encode(const Tile &tile) const = 0;
 
     /**
-     * Reconstruct the dense tile.
+     * Reconstruct the tile.
      *
      * @param encoded Must have been produced by this codec's encode();
-     *        a kind() mismatch is a panic.
+     *        a kind() mismatch is a panic, and so is an index array
+     *        that places a value outside the tile or writes one cell
+     *        twice.
      */
     virtual Tile decode(const EncodedTile &encoded) const = 0;
 };

@@ -26,10 +26,11 @@ Tile
 CooCodec::decode(const EncodedTile &encoded) const
 {
     const auto &coo = encodedAs<CooEncoded>(encoded, FormatKind::COO);
-    Tile tile(coo.tileSize());
+    TileBuilder tile(coo.tileSize());
+    tile.reserve(coo.nnz());
     for (std::size_t i = 0; i < coo.values.size(); ++i)
-        tile.cell(coo.rowInx[i], coo.colInx[i]) = coo.values[i];
-    return tile;
+        tile.set(coo.rowInx[i], coo.colInx[i], coo.values[i]);
+    return tile.build();
 }
 
 } // namespace copernicus

@@ -35,11 +35,12 @@ CscCodec::decode(const EncodedTile &encoded) const
 {
     const auto &csc = encodedAs<CscEncoded>(encoded, FormatKind::CSC);
     const Index p = csc.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(csc.nnz());
     for (Index c = 0; c < p; ++c)
         for (Index i = csc.colStart(c); i < csc.colEnd(c); ++i)
-            tile.cell(csc.rowInx[i], c) = csc.values[i];
-    return tile;
+            tile.set(csc.rowInx[i], c, csc.values[i]);
+    return tile.build();
 }
 
 } // namespace copernicus

@@ -29,11 +29,12 @@ CsrCodec::decode(const EncodedTile &encoded) const
 {
     const auto &csr = encodedAs<CsrEncoded>(encoded, FormatKind::CSR);
     const Index p = csr.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(csr.nnz());
     for (Index r = 0; r < p; ++r)
         for (Index i = csr.rowStart(r); i < csr.rowEnd(r); ++i)
-            tile.cell(r, csr.colInx[i]) = csr.values[i];
-    return tile;
+            tile.set(r, csr.colInx[i], csr.values[i]);
+    return tile.build();
 }
 
 } // namespace copernicus

@@ -5,8 +5,11 @@ namespace copernicus {
 std::unique_ptr<EncodedTile>
 DenseCodec::encode(const Tile &tile) const
 {
-    return std::make_unique<DenseEncoded>(tile.size(), tile.nnz(),
-                                          tile.data());
+    const Index p = tile.size();
+    std::vector<Value> values(static_cast<std::size_t>(p) * p, Value(0));
+    for (const TileNonzero &e : tile.nonzeros())
+        values[static_cast<std::size_t>(e.row) * p + e.col] = e.value;
+    return std::make_unique<DenseEncoded>(p, tile.nnz(), std::move(values));
 }
 
 Tile
@@ -15,12 +18,13 @@ DenseCodec::decode(const EncodedTile &encoded) const
     const auto &dense = encodedAs<DenseEncoded>(encoded,
                                                 FormatKind::Dense);
     const Index p = dense.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(dense.nnz());
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
-            tile.cell(r, c) =
-                dense.values[static_cast<std::size_t>(r) * p + c];
-    return tile;
+            tile.set(r, c,
+                     dense.values[static_cast<std::size_t>(r) * p + c]);
+    return tile.build();
 }
 
 } // namespace copernicus

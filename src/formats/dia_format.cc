@@ -51,7 +51,8 @@ DiaCodec::decode(const EncodedTile &encoded) const
 {
     const auto &dia = encodedAs<DiaEncoded>(encoded, FormatKind::DIA);
     const Index p = dia.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(dia.nnz());
     // Listing 7: for each row, scan every stored diagonal.
     for (Index row = 0; row < p; ++row) {
         for (const auto &diag : dia.diagonals) {
@@ -59,11 +60,11 @@ DiaCodec::decode(const EncodedTile &encoded) const
                 continue;
             const Index col = static_cast<Index>(
                 static_cast<std::int32_t>(row) + diag.number);
-            tile.cell(row, col) = diag.values[DiaEncoded::slotForRow(
-                row, diag.number)];
+            tile.set(row, col,
+                     diag.values[DiaEncoded::slotForRow(row, diag.number)]);
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

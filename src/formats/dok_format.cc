@@ -48,13 +48,14 @@ Tile
 DokCodec::decode(const EncodedTile &encoded) const
 {
     const auto &dok = encodedAs<DokEncoded>(encoded, FormatKind::DOK);
-    Tile tile(dok.tileSize());
+    TileBuilder tile(dok.tileSize());
+    tile.reserve(dok.nnz());
     for (const auto &[key, value] : dok.table) {
         const Index row = static_cast<Index>(key >> 32);
         const Index col = static_cast<Index>(key & 0xffffffffULL);
-        tile.cell(row, col) = value;
+        tile.set(row, col, value);
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

@@ -42,16 +42,17 @@ EllCodec::decode(const EncodedTile &encoded) const
 {
     const auto &ell = encodedAs<EllEncoded>(encoded, FormatKind::ELL);
     const Index p = ell.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(ell.nnz());
     for (Index r = 0; r < p; ++r) {
         for (Index slot = 0; slot < ell.width(); ++slot) {
             const Index col = ell.colAt(r, slot);
             if (col == EllEncoded::padMarker)
                 break;
-            tile.cell(r, col) = ell.valueAt(r, slot);
+            tile.set(r, col, ell.valueAt(r, slot));
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

@@ -43,20 +43,21 @@ EllCooCodec::decode(const EncodedTile &encoded) const
     const auto &hybrid = encodedAs<EllCooEncoded>(encoded,
                                                   FormatKind::ELLCOO);
     const Index p = hybrid.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(hybrid.nnz());
     for (Index r = 0; r < p; ++r) {
         for (Index slot = 0; slot < hybrid.width(); ++slot) {
             const Index col = hybrid.colAt(r, slot);
             if (col == EllCooEncoded::padMarker)
                 break;
-            tile.cell(r, col) = hybrid.valueAt(r, slot);
+            tile.set(r, col, hybrid.valueAt(r, slot));
         }
     }
     for (std::size_t i = 0; i < hybrid.overflowValues.size(); ++i) {
-        tile.cell(hybrid.overflowRows[i], hybrid.overflowCols[i]) =
-            hybrid.overflowValues[i];
+        tile.set(hybrid.overflowRows[i], hybrid.overflowCols[i],
+                 hybrid.overflowValues[i]);
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

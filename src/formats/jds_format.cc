@@ -81,7 +81,8 @@ JdsCodec::decode(const EncodedTile &encoded) const
 {
     const auto &jds = encodedAs<JdsEncoded>(encoded, FormatKind::JDS);
     const Index p = jds.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(jds.nnz());
     const std::span<const Index> jd = jds.jdPtr();
     const std::span<const Index> perm = jds.perm();
     const std::span<const Index> cols = jds.colInx();
@@ -92,10 +93,10 @@ JdsCodec::decode(const EncodedTile &encoded) const
         // Diagonal j covers the first (end - begin) sorted rows.
         for (Index i = begin; i < end; ++i) {
             const Index row = perm[i - begin];
-            tile.cell(row, cols[i]) = jds.values[i];
+            tile.set(row, cols[i], jds.values[i]);
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

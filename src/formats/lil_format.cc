@@ -54,16 +54,17 @@ LilCodec::decode(const EncodedTile &encoded) const
 {
     const auto &lil = encodedAs<LilEncoded>(encoded, FormatKind::LIL);
     const Index p = lil.tileSize();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(lil.nnz());
     for (Index c = 0; c < p; ++c) {
         for (Index level = 0; level < lil.height(); ++level) {
             const Index row = lil.rowAt(level, c);
             if (row == LilEncoded::endMarker)
                 break;
-            tile.cell(row, c) = lil.valueAt(level, c);
+            tile.set(row, c, lil.valueAt(level, c));
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

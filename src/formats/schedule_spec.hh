@@ -214,8 +214,8 @@ const ScheduleSpec &scheduleSpec(FormatKind kind);
  * spec can reference.
  *
  * @param encoded The encoded tile (any format).
- * @param decoded The reconstructed dense tile; supplies the non-zero
- *        row counts the paper's Eq. 1 uses.
+ * @param decoded The reconstructed tile; its TileStats supply the
+ *        non-zero row count the paper's Eq. 1 uses, in O(1).
  */
 TileFeatures extractScheduleFeatures(const EncodedTile &encoded,
                                      const Tile &decoded);

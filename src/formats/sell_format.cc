@@ -49,7 +49,8 @@ SellCodec::decode(const EncodedTile &encoded) const
     const auto &sell = encodedAs<SellEncoded>(encoded, FormatKind::SELL);
     const Index p = sell.tileSize();
     const Index c = sell.sliceHeight();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(sell.nnz());
     for (std::size_t s = 0; s < sell.slices.size(); ++s) {
         const auto &slice = sell.slices[s];
         const Index base = static_cast<Index>(s) * c;
@@ -60,11 +61,11 @@ SellCodec::decode(const EncodedTile &encoded) const
                 const Index col = slice.colInx[at];
                 if (col == SellEncoded::padMarker)
                     break;
-                tile.cell(base + r, col) = slice.values[at];
+                tile.set(base + r, col, slice.values[at]);
             }
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

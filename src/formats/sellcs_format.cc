@@ -93,7 +93,8 @@ SellCsCodec::decode(const EncodedTile &encoded) const
                                                FormatKind::SELLCS);
     const Index p = scs.tileSize();
     const Index height = scs.sliceHeight();
-    Tile tile(p);
+    TileBuilder tile(p);
+    tile.reserve(scs.nnz());
     for (std::size_t s = 0; s < scs.slices.size(); ++s) {
         const auto &slice = scs.slices[s];
         const Index base = static_cast<Index>(s) * height;
@@ -105,11 +106,11 @@ SellCsCodec::decode(const EncodedTile &encoded) const
                 const Index col = slice.colInx[at];
                 if (col == SellCsEncoded::padMarker)
                     break;
-                tile.cell(row, col) = slice.values[at];
+                tile.set(row, col, slice.values[at]);
             }
         }
     }
-    return tile;
+    return tile.build();
 }
 
 } // namespace copernicus

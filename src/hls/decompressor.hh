@@ -34,7 +34,10 @@ struct DecompressResult
     /** Rows fed to the dot engine (Eq. 1's nnz_rows term). */
     Index rowsProduced = 0;
 
-    /** The reconstructed dense tile (for functional verification). */
+    /**
+     * The reconstructed tile, compared against the source tile's
+     * nonzero stream for functional verification.
+     */
     Tile decoded;
 };
 

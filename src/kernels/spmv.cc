@@ -1,5 +1,7 @@
 #include "kernels/spmv.hh"
 
+#include <algorithm>
+
 #include "common/status.hh"
 #include "formats/bcsr_format.hh"
 #include "formats/bitmap_format.hh"
@@ -261,10 +263,13 @@ spmvDense(const Tile &tile, std::span<const Value> x)
     checkOperand(tile.size(), x, "spmvDense");
     const Index p = tile.size();
     std::vector<Value> y(p, Value(0));
+    const std::vector<TileNonzero> &nz = tile.nonzeros();
+    const std::vector<Index> &rowStart = tile.features().rowStart;
     std::vector<Value> row(p);
     for (Index r = 0; r < p; ++r) {
-        for (Index c = 0; c < p; ++c)
-            row[c] = tile(r, c);
+        std::fill(row.begin(), row.end(), Value(0));
+        for (Index i = rowStart[r]; i < rowStart[r + 1]; ++i)
+            row[nz[i].col] = nz[i].value;
         y[r] = treeDot(row, x);
     }
     return y;

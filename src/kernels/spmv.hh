@@ -24,9 +24,10 @@
 namespace copernicus {
 
 /**
- * y = tile * x for a dense tile (reference).
+ * y = tile * x, one full p-wide dot per row as the dense engine computes
+ * it (the reference the compressed-domain kernels are tested against).
  *
- * @param tile p x p dense tile.
+ * @param tile Any tile.
  * @param x Input segment of length p.
  * @return Output segment of length p.
  */

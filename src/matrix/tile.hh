@@ -4,29 +4,27 @@
  *
  * The paper applies every compression format to fixed-size partitions of
  * the original matrix (Section 4.1), never to the full matrix, so the
- * format codecs and decompressor models all operate on Tiles. Partition
- * sizes are small (8, 16 or 32), which keeps a dense p x p store cheap as
- * the exchange representation for decode and equality — but the *encode*
- * hot path is density-proportional: every tile carries a canonical
- * sorted-nonzero view (row-major (row, col, value) triplets) plus a
- * one-shot TileStats bundle (per-row/column histograms, maxima,
- * diagonal population) that the codecs, the size model and the schedule
- * feature extraction all share, so no consumer rescans the p^2 cells.
+ * format codecs and decompressor models all operate on Tiles.
  *
- * The view is built once — eagerly by the partitioner (from the already
- * sorted triplet stream, O(nnz)) or lazily on first use (one dense scan)
- * — and cached. Concurrent const access is safe: the lazy build installs
- * the view with a compare-exchange, so racing readers agree on one
- * instance. Mutation through a non-const accessor invalidates the cache;
- * mutating a tile while other threads read it is a data race, exactly as
- * for any standard container.
+ * A Tile is an immutable value that holds only its canonical nonzero
+ * stream (row-major (row, col, value) triplets) and the TileStats bundle
+ * computed from it at construction (per-row/column histograms, maxima,
+ * diagonal population). The codecs, the size model, schedule feature
+ * extraction and the decode check all read those two, so every use costs
+ * O(nnz + p): no tile holds a dense p x p plane, and nothing is built
+ * lazily, so concurrent const access needs no synchronisation.
+ *
+ * Tiles come from two places. The partitioners hand over a stream that
+ * is already canonical. Everything that writes elements one at a time
+ * (the decoders, tests) goes through TileBuilder, which canonicalizes
+ * the writes and whose range and duplicate checks stay on in every
+ * build, because decoders face malformed encodings.
  */
 
 #ifndef COPERNICUS_MATRIX_TILE_HH
 #define COPERNICUS_MATRIX_TILE_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -86,88 +84,23 @@ class Tile
 {
   public:
     /**
-     * Construct a zero tile.
+     * Construct from the canonical nonzero stream (the partitioners'
+     * O(nnz) path; element-by-element writers use TileBuilder): @p nz
+     * must be sorted row-major with in-range coordinates and non-zero
+     * values. Without @p nz the tile is all zero.
      *
      * @param size Partition edge length p (8, 16 or 32 in the paper).
      * @param tileRow Partition-grid row coordinate.
      * @param tileCol Partition-grid column coordinate.
+     * @param nz Canonical nonzero stream.
      */
-    explicit Tile(Index size, Index tileRow = 0, Index tileCol = 0)
-        : p(size), tRow(tileRow), tCol(tileCol),
-          store(static_cast<std::size_t>(size) * size, Value(0))
+    explicit Tile(Index size, Index tileRow = 0, Index tileCol = 0,
+                  std::vector<TileNonzero> nz = {})
+        : p(size), tRow(tileRow), tCol(tileCol), nz(std::move(nz))
     {
-        fatalIf(size == 0, "Tile size must be positive");
-    }
-
-    /**
-     * Construct directly from the canonical nonzero stream (the
-     * partitioner's O(nnz) path): @p nz must be sorted row-major with
-     * in-range coordinates and non-zero values. The sparse view and
-     * features are installed immediately — no dense rescan ever runs
-     * for a tile built this way.
-     */
-    Tile(Index size, Index tileRow, Index tileCol,
-         std::vector<TileNonzero> nz)
-        : Tile(size, tileRow, tileCol)
-    {
-        for (const TileNonzero &e : nz) {
-            COPERNICUS_DCHECK(e.row < p && e.col < p,
-                              "Tile nonzero out of range");
-            COPERNICUS_DCHECK(e.value != Value(0),
-                              "Tile nonzero stream holds a zero");
-            store[static_cast<std::size_t>(e.row) * p + e.col] = e.value;
-        }
-        cachedView.store(new SparseView(buildFeatures(p, std::move(nz))),
-                         std::memory_order_release);
-    }
-
-    ~Tile() { delete cachedView.load(std::memory_order_relaxed); }
-
-    Tile(const Tile &other)
-        : p(other.p), tRow(other.tRow), tCol(other.tCol),
-          store(other.store)
-    {
-        const SparseView *v =
-            other.cachedView.load(std::memory_order_acquire);
-        if (v != nullptr)
-            cachedView.store(new SparseView(*v),
-                             std::memory_order_release);
-    }
-
-    Tile(Tile &&other) noexcept
-        : p(other.p), tRow(other.tRow), tCol(other.tCol),
-          store(std::move(other.store))
-    {
-        cachedView.store(
-            other.cachedView.exchange(nullptr,
-                                      std::memory_order_acq_rel),
-            std::memory_order_release);
-    }
-
-    Tile &
-    operator=(const Tile &other)
-    {
-        if (this != &other) {
-            Tile copy(other);
-            *this = std::move(copy);
-        }
-        return *this;
-    }
-
-    Tile &
-    operator=(Tile &&other) noexcept
-    {
-        if (this != &other) {
-            p = other.p;
-            tRow = other.tRow;
-            tCol = other.tCol;
-            store = std::move(other.store);
-            delete cachedView.exchange(
-                other.cachedView.exchange(nullptr,
-                                          std::memory_order_acq_rel),
-                std::memory_order_acq_rel);
-        }
-        return *this;
+        if (size == 0)
+            fatal("Tile size must be positive");
+        feat = computeStats(p, this->nz);
     }
 
     /** Partition edge length p. */
@@ -179,194 +112,153 @@ class Tile
     /** Partition-grid column coordinate of this tile. */
     Index tileCol() const { return tCol; }
 
-    /** Mutable element access, bounds-checked. */
-    Value &
-    operator()(Index row, Index col)
-    {
-        panicIf(row >= p || col >= p, "Tile access out of range");
-        invalidateView();
-        return store[static_cast<std::size_t>(row) * p + col];
-    }
-
-    /** Const element access, bounds-checked. */
+    /**
+     * Element read, bounds-checked: a binary search of the row's slice
+     * of the nonzero stream.
+     */
     Value
     operator()(Index row, Index col) const
     {
-        panicIf(row >= p || col >= p, "Tile access out of range");
-        return store[static_cast<std::size_t>(row) * p + col];
-    }
-
-    /**
-     * Mutable element access for decode inner loops: bounds are
-     * checked in debug builds only (COPERNICUS_DCHECK).
-     */
-    Value &
-    cell(Index row, Index col)
-    {
-        COPERNICUS_DCHECK(row < p && col < p,
-                          "Tile access out of range");
-        invalidateView();
-        return store[static_cast<std::size_t>(row) * p + col];
-    }
-
-    /** Const element access, debug-checked only. */
-    Value
-    cell(Index row, Index col) const
-    {
-        COPERNICUS_DCHECK(row < p && col < p,
-                          "Tile access out of range");
-        return store[static_cast<std::size_t>(row) * p + col];
+        if (row >= p || col >= p)
+            panic("Tile access out of range");
+        const auto first = nz.begin() + feat.rowStart[row];
+        const auto last = nz.begin() + feat.rowStart[row + 1];
+        const auto it = std::lower_bound(
+            first, last, col,
+            [](const TileNonzero &e, Index c) { return e.col < c; });
+        return it != last && it->col == col ? it->value : Value(0);
     }
 
     /**
      * The canonical nonzero stream: tile-local (row, col, value)
-     * triplets sorted row-major. Built once and cached; the reference
-     * stays valid until the tile is mutated.
+     * triplets sorted row-major. Row r is the slice
+     * [features().rowStart[r], features().rowStart[r + 1]).
      */
-    const std::vector<TileNonzero> &nonzeros() const { return view().nz; }
+    const std::vector<TileNonzero> &nonzeros() const { return nz; }
 
-    /** One-shot sparsity features, computed with the nonzero view. */
-    const TileStats &features() const { return view().feat; }
+    /** Sparsity features, computed at construction. */
+    const TileStats &features() const { return feat; }
 
     /** Number of non-zero elements. */
-    Index nnz() const { return features().nnz; }
+    Index nnz() const { return feat.nnz; }
 
     /** Number of non-zero elements in @p row. */
     Index
     rowNnz(Index row) const
     {
-        panicIf(row >= p, "Tile rowNnz out of range");
-        return features().rowNnz[row];
+        if (row >= p)
+            panic("Tile rowNnz out of range");
+        return feat.rowNnz[row];
     }
 
     /** Number of non-zero elements in @p col. */
     Index
     colNnz(Index col) const
     {
-        panicIf(col >= p, "Tile colNnz out of range");
-        return features().colNnz[col];
+        if (col >= p)
+            panic("Tile colNnz out of range");
+        return feat.colNnz[col];
     }
 
     /** Number of rows with at least one non-zero. */
-    Index nnzRows() const { return features().nnzRows; }
+    Index nnzRows() const { return feat.nnzRows; }
 
     /** Length of the longest row, in non-zeros. */
-    Index maxRowNnz() const { return features().maxRowNnz; }
+    Index maxRowNnz() const { return feat.maxRowNnz; }
 
     /** Length of the longest column, in non-zeros. */
-    Index maxColNnz() const { return features().maxColNnz; }
+    Index maxColNnz() const { return feat.maxColNnz; }
 
     /** True iff the tile holds no non-zero element. */
     bool empty() const { return nnz() == 0; }
-
-    /** Raw row-major storage. */
-    const std::vector<Value> &data() const { return store; }
 
     /** Equality compares contents only, not grid coordinates. */
     friend bool
     operator==(const Tile &a, const Tile &b)
     {
-        return a.p == b.p && a.store == b.store;
+        return a.p == b.p && a.nz == b.nz;
     }
 
   private:
-    /** The cached sparse representation: nonzeros + features. */
-    struct SparseView
-    {
-        explicit SparseView(
-            std::pair<std::vector<TileNonzero>, TileStats> built)
-            : nz(std::move(built.first)), feat(std::move(built.second))
-        {}
-
-        std::vector<TileNonzero> nz;
-        TileStats feat;
-    };
-
-    /** Feature pass shared by the dense and triplet build paths. */
-    static std::pair<std::vector<TileNonzero>, TileStats>
-    buildFeatures(Index p, std::vector<TileNonzero> nz)
-    {
-        TileStats feat;
-        feat.nnz = static_cast<Index>(nz.size());
-        feat.rowNnz.assign(p, 0);
-        feat.colNnz.assign(p, 0);
-        feat.rowStart.assign(static_cast<std::size_t>(p) + 1, 0);
-        std::vector<char> diag(2 * static_cast<std::size_t>(p) - 1, 0);
-        for (const TileNonzero &e : nz) {
-            ++feat.rowNnz[e.row];
-            ++feat.colNnz[e.col];
-            diag[static_cast<std::size_t>(p) - 1 - e.row + e.col] = 1;
-        }
-        for (Index r = 0; r < p; ++r) {
-            feat.rowStart[r + 1] = feat.rowStart[r] + feat.rowNnz[r];
-            feat.maxRowNnz = std::max(feat.maxRowNnz, feat.rowNnz[r]);
-            feat.nnzRows += feat.rowNnz[r] != 0;
-        }
-        for (Index c = 0; c < p; ++c) {
-            feat.maxColNnz = std::max(feat.maxColNnz, feat.colNnz[c]);
-            feat.nnzCols += feat.colNnz[c] != 0;
-        }
-        for (char present : diag)
-            feat.nnzDiagonals += present != 0;
-        return {std::move(nz), std::move(feat)};
-    }
-
-    /** Extract the sorted nonzero stream from the dense store. */
-    std::vector<TileNonzero>
-    scanStore() const
-    {
-        std::vector<TileNonzero> nz;
-        for (Index r = 0; r < p; ++r) {
-            const std::size_t base = static_cast<std::size_t>(r) * p;
-            for (Index c = 0; c < p; ++c) {
-                const Value v = store[base + c];
-                if (v != Value(0))
-                    nz.push_back({r, c, v});
-            }
-        }
-        return nz;
-    }
-
-    /**
-     * The cached view, built on first use. Concurrent builders race
-     * benignly: both compute identical views and the compare-exchange
-     * keeps exactly one.
-     */
-    const SparseView &
-    view() const
-    {
-        const SparseView *v = cachedView.load(std::memory_order_acquire);
-        if (v != nullptr)
-            return *v;
-        auto *built = new SparseView(buildFeatures(p, scanStore()));
-        const SparseView *expected = nullptr;
-        if (cachedView.compare_exchange_strong(
-                expected, built, std::memory_order_acq_rel,
-                std::memory_order_acquire)) {
-            return *built;
-        }
-        delete built;
-        return *expected;
-    }
-
-    /**
-     * Drop the cached view before a write. Plain exchange: mutation
-     * implies exclusive ownership (concurrent readers would already
-     * race on the store itself).
-     */
-    void
-    invalidateView()
-    {
-        if (cachedView.load(std::memory_order_relaxed) != nullptr)
-            delete cachedView.exchange(nullptr,
-                                       std::memory_order_acq_rel);
-    }
+    /** The one O(nnz + p) feature pass over a canonical stream. */
+    static TileStats computeStats(Index p,
+                                  const std::vector<TileNonzero> &nz);
 
     Index p;
     Index tRow;
     Index tCol;
-    std::vector<Value> store;
-    mutable std::atomic<const SparseView *> cachedView{nullptr};
+    std::vector<TileNonzero> nz;
+    TileStats feat;
+};
+
+/**
+ * Builds a Tile from element writes in any order: the decoders' and
+ * tests' way to make tiles.
+ *
+ * Every write is range-checked in every build, and writing one cell
+ * twice is rejected, since decoders replay untrusted encodings. build()
+ * canonicalizes in O(nnz + p): writes that arrive row-major (CSR, ELL,
+ * DIA, ...) are already the result, and any other order (column-major,
+ * permuted rows, hash order) gets a stable counting sort in scratch
+ * from encodeArena().
+ */
+class TileBuilder
+{
+  public:
+    /** Start an all-zero tile; parameters as for Tile. */
+    explicit TileBuilder(Index size, Index tileRow = 0, Index tileCol = 0)
+        : p(size), tRow(tileRow), tCol(tileCol)
+    {
+        if (size == 0)
+            fatal("Tile size must be positive");
+    }
+
+    /**
+     * Pre-size for @p count writes, capped at p^2 (the most a tile
+     * holds), so an untrusted count cannot force a huge allocation.
+     */
+    void
+    reserve(std::size_t count)
+    {
+        entries.reserve(
+            std::min(count, static_cast<std::size_t>(p) * p));
+    }
+
+    /**
+     * Record A(row, col) = @p value. A zero (or -0) value adds no
+     * entry. Throws PanicError when the cell is out of range.
+     */
+    void
+    set(Index row, Index col, Value value)
+    {
+        if (row >= p || col >= p)
+            panic("Tile write out of range");
+        if (value == Value(0))
+            return;
+        if (rowMajor && !entries.empty()) {
+            const TileNonzero &last = entries.back();
+            rowMajor = last.row < row || (last.row == row && last.col < col);
+        }
+        entries.push_back({row, col, value});
+    }
+
+    /**
+     * The tile holding every write; it takes over the builder's
+     * storage, so a builder builds once. Throws PanicError when a cell
+     * was written twice or build() was called before.
+     */
+    Tile build();
+
+  private:
+    Index p;
+    Index tRow;
+    Index tCol;
+    std::vector<TileNonzero> entries;
+
+    /** Every write so far came after the previous one, row-major. */
+    bool rowMajor = true;
+
+    bool built = false;
 };
 
 } // namespace copernicus

@@ -8,9 +8,8 @@
  * makes several passes over a re-scannable TripletSource, each pass
  * covering a contiguous range of tile-row strips whose combined
  * non-zero count fits a configurable budget, and emits exactly the
- * Tiles the in-memory path would: same canonical nonzero streams,
- * same eagerly-installed SparseView/TileStats, byte-identical inputs
- * to all 14 codecs.
+ * Tiles the in-memory path would: same canonical nonzero streams and
+ * TileStats, byte-identical inputs to all 14 codecs.
  *
  * Memory contract (documented in DESIGN.md §12): one pass buffers at
  * most max(maxBufferedNnz, heaviest single strip) triplets, plus an

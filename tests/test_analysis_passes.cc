@@ -348,10 +348,11 @@ TEST(ProtocolPassTest, SkippedWithoutSurface)
 TEST(CompressPassTest, StoredNeverExceedsRawOnMixedTiles)
 {
     const FormatRegistry registry;
-    Tile tile(8);
-    tile(0, 0) = 1;
-    tile(3, 4) = 2;
-    tile(7, 7) = 3;
+    TileBuilder builder(8);
+    builder.set(0, 0, 1);
+    builder.set(3, 4, 2);
+    builder.set(7, 7, 3);
+    const Tile tile = builder.build();
     LintReport report;
     for (FormatKind kind : allFormats())
         checkTileCompression(registry, kind, tile, report);

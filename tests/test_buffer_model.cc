@@ -81,13 +81,13 @@ TEST_P(BufferBoundTest, EncodingsFitTheWorstCase)
         const Bytes budget_bits = totalBufferBits(kind, p);
         for (double density : {0.05, 0.5, 1.0}) {
             Rng rng(p + static_cast<std::uint64_t>(density * 100));
-            Tile tile(p);
+            TileBuilder tile(p);
             for (Index r = 0; r < p; ++r)
                 for (Index c = 0; c < p; ++c)
                     if (rng.chance(density))
-                        tile(r, c) =
-                            static_cast<Value>(rng.range(0.5, 1.5));
-            const auto encoded = defaultCodec(kind).encode(tile);
+                        tile.set(r, c,
+                                 static_cast<Value>(rng.range(0.5, 1.5)));
+            const auto encoded = defaultCodec(kind).encode(tile.build());
             EXPECT_LE(encoded->totalBytes() * 8, budget_bits)
                 << formatName(kind) << " p=" << p << " d=" << density;
         }

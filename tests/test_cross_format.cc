@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "common/rng.hh"
 #include "common/status.hh"
@@ -24,7 +26,12 @@ Tile
 fuzzTile(Index p, std::uint64_t seed)
 {
     Rng rng(seed);
-    Tile t(p);
+    // Patterns overlap (a row or column can be drawn twice), so stage
+    // the writes in a plane where the last one wins.
+    std::vector<Value> plane(static_cast<std::size_t>(p) * p, Value(0));
+    const auto cell = [&](Index r, Index c) -> Value & {
+        return plane[static_cast<std::size_t>(r) * p + c];
+    };
     const int pattern = static_cast<int>(rng.below(5));
     switch (pattern) {
       case 0: // uniform random at a random density
@@ -33,7 +40,7 @@ fuzzTile(Index p, std::uint64_t seed)
         for (Index r = 0; r < p; ++r)
             for (Index c = 0; c < p; ++c)
                 if (rng.chance(density))
-                    t(r, c) = static_cast<Value>(rng.range(-2.0, 2.0));
+                    cell(r, c) = static_cast<Value>(rng.range(-2.0, 2.0));
         break;
       }
       case 1: // band of random half-width
@@ -42,7 +49,7 @@ fuzzTile(Index p, std::uint64_t seed)
         for (Index r = 0; r < p; ++r)
             for (Index c = (r > half ? r - half : 0);
                  c < std::min(p, r + half + 1); ++c)
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
+                cell(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
         break;
       }
       case 2: // a few dense rows
@@ -51,7 +58,7 @@ fuzzTile(Index p, std::uint64_t seed)
         for (Index k = 0; k < rows; ++k) {
             const Index r = static_cast<Index>(rng.below(p));
             for (Index c = 0; c < p; ++c)
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
+                cell(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
         }
         break;
       }
@@ -61,18 +68,22 @@ fuzzTile(Index p, std::uint64_t seed)
         for (Index k = 0; k < cols; ++k) {
             const Index c = static_cast<Index>(rng.below(p));
             for (Index r = 0; r < p; ++r)
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
+                cell(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
         }
         break;
       }
       default: // sparse scatter
         for (Index k = 0; k < p; ++k) {
-            t(static_cast<Index>(rng.below(p)),
-              static_cast<Index>(rng.below(p))) =
-                static_cast<Value>(rng.range(-1.0, 1.0));
+            const Index r = static_cast<Index>(rng.below(p));
+            const Index c = static_cast<Index>(rng.below(p));
+            cell(r, c) = static_cast<Value>(rng.range(-1.0, 1.0));
         }
     }
-    return t;
+    TileBuilder t(p);
+    for (Index r = 0; r < p; ++r)
+        for (Index c = 0; c < p; ++c)
+            t.set(r, c, cell(r, c));
+    return t.build();
 }
 
 TEST(CrossFormatTest, AllFormatsDecodeToTheSameTile)
@@ -130,10 +141,14 @@ TEST(CrossFormatTest, DenseIsTheByteCeilingForSparseTiles)
 {
     // At low density every sparse format must undercut dense bytes.
     Rng rng(7);
-    Tile t(32);
+    std::set<std::pair<Index, Index>> cells;
     for (int k = 0; k < 8; ++k)
-        t(static_cast<Index>(rng.below(32)),
-          static_cast<Index>(rng.below(32))) = 1.0f;
+        cells.insert({static_cast<Index>(rng.below(32)),
+                      static_cast<Index>(rng.below(32))});
+    TileBuilder builder(32);
+    for (const auto &[r, c] : cells)
+        builder.set(r, c, 1.0f);
+    const Tile t = builder.build();
     const Bytes dense =
         defaultCodec(FormatKind::Dense).encode(t)->totalBytes();
     for (FormatKind kind : sparseFormats()) {
@@ -146,8 +161,9 @@ TEST(CrossFormatTest, DocumentedSizeRestrictions)
 {
     // Codecs with divisibility requirements reject odd tile sizes
     // loudly instead of mis-encoding.
-    Tile t12(12);
-    t12(0, 0) = 1.0f;
+    TileBuilder builder12(12);
+    builder12.set(0, 0, 1.0f);
+    const Tile t12 = builder12.build();
     // 12 % 4 == 0: BCSR and SELL accept.
     EXPECT_NO_THROW(defaultCodec(FormatKind::BCSR).encode(t12));
     EXPECT_NO_THROW(defaultCodec(FormatKind::SELL).encode(t12));
@@ -155,8 +171,9 @@ TEST(CrossFormatTest, DocumentedSizeRestrictions)
     EXPECT_THROW(defaultCodec(FormatKind::SELLCS).encode(t12),
                  FatalError);
 
-    Tile t6(6);
-    t6(0, 0) = 1.0f;
+    TileBuilder builder6(6);
+    builder6.set(0, 0, 1.0f);
+    const Tile t6 = builder6.build();
     EXPECT_THROW(defaultCodec(FormatKind::BCSR).encode(t6),
                  FatalError);
     // Formats without divisibility requirements accept any size.

@@ -36,13 +36,13 @@ namespace {
 Tile
 exampleTile()
 {
-    Tile t(4);
-    t(0, 0) = 1;
-    t(0, 2) = 2;
-    t(2, 1) = 3;
-    t(3, 0) = 4;
-    t(3, 3) = 5;
-    return t;
+    TileBuilder t(4);
+    t.set(0, 0, 1);
+    t.set(0, 2, 2);
+    t.set(2, 1, 3);
+    t.set(3, 0, 4);
+    t.set(3, 3, 5);
+    return t.build();
 }
 
 TEST(FormatKindTest, NamesRoundTrip)
@@ -104,10 +104,10 @@ TEST(CscFormatTest, LayoutMatchesHandEncoding)
 
 TEST(BcsrFormatTest, SingleBlockLayout)
 {
-    Tile t(8);
-    t(0, 0) = 1;
-    t(2, 3) = 2; // same top-left 4x4 block
-    const auto encoded = BcsrCodec(4).encode(t);
+    TileBuilder t(8);
+    t.set(0, 0, 1);
+    t.set(2, 3, 2); // same top-left 4x4 block
+    const auto encoded = BcsrCodec(4).encode(t.build());
     const auto &bcsr = encodedAs<BcsrEncoded>(*encoded, FormatKind::BCSR);
     EXPECT_EQ(bcsr.offsets, (std::vector<Index>{1, 1}));
     ASSERT_EQ(bcsr.values.size(), 1u);
@@ -120,9 +120,9 @@ TEST(BcsrFormatTest, SingleBlockLayout)
 
 TEST(BcsrFormatTest, BlockColumnIndexIsFirstColumn)
 {
-    Tile t(8);
-    t(5, 6) = 9; // block row 1, block col 1
-    const auto encoded = BcsrCodec(4).encode(t);
+    TileBuilder t(8);
+    t.set(5, 6, 9); // block row 1, block col 1
+    const auto encoded = BcsrCodec(4).encode(t.build());
     const auto &bcsr = encodedAs<BcsrEncoded>(*encoded, FormatKind::BCSR);
     EXPECT_EQ(bcsr.offsets, (std::vector<Index>{0, 1}));
     EXPECT_EQ(bcsr.colInx[0], 4u);
@@ -136,9 +136,9 @@ TEST(BcsrFormatTest, BlockSizeMustDivideTile)
 
 TEST(BcsrFormatTest, InBlockZerosAreOverheadBytes)
 {
-    Tile t(8);
-    t(0, 0) = 1;
-    const auto encoded = BcsrCodec(4).encode(t);
+    TileBuilder t(8);
+    t.set(0, 0, 1);
+    const auto encoded = BcsrCodec(4).encode(t.build());
     EXPECT_EQ(encoded->usefulBytes(), 4u);
     // 15 in-block zeros + 1 column index + 2 offsets.
     EXPECT_EQ(encoded->metadataBytes(), (15u + 1u + 2u) * 4u);
@@ -202,21 +202,21 @@ TEST(LilFormatTest, CompactListsCrossTheWire)
 TEST(EllFormatTest, WidthFloorsAtMinClampedToTile)
 {
     EllCodec codec(6);
-    Tile small(4);
-    small(0, 0) = 1;
-    EXPECT_EQ(codec.widthFor(small), 4u); // min(6, p=4)
-    Tile wide(16);
-    wide(0, 0) = 1;
-    EXPECT_EQ(codec.widthFor(wide), 6u); // floor 6
+    TileBuilder small(4);
+    small.set(0, 0, 1);
+    EXPECT_EQ(codec.widthFor(small.build()), 4u); // min(6, p=4)
+    TileBuilder wide(16);
+    wide.set(0, 0, 1);
+    EXPECT_EQ(codec.widthFor(wide.build()), 6u); // floor 6
 }
 
 TEST(EllFormatTest, WidthGrowsToLongestRow)
 {
     EllCodec codec(6);
-    Tile t(16);
+    TileBuilder t(16);
     for (Index c = 0; c < 10; ++c)
-        t(3, c) = 1;
-    EXPECT_EQ(codec.widthFor(t), 10u);
+        t.set(3, c, 1);
+    EXPECT_EQ(codec.widthFor(t.build()), 10u);
 }
 
 TEST(EllFormatTest, RowsPushedLeftWithPadding)
@@ -233,11 +233,11 @@ TEST(EllFormatTest, RowsPushedLeftWithPadding)
 
 TEST(SellFormatTest, PerSliceWidths)
 {
-    Tile t(8);
+    TileBuilder t(8);
     for (Index c = 0; c < 5; ++c)
-        t(0, c) = 1; // slice 0 width 5
-    t(6, 1) = 2;     // slice 1 width 1
-    const auto encoded = SellCodec(4).encode(t);
+        t.set(0, c, 1); // slice 0 width 5
+    t.set(6, 1, 2);     // slice 1 width 1
+    const auto encoded = SellCodec(4).encode(t.build());
     const auto &sell = encodedAs<SellEncoded>(*encoded, FormatKind::SELL);
     ASSERT_EQ(sell.slices.size(), 2u);
     EXPECT_EQ(sell.slices[0].width, 5u);
@@ -254,11 +254,12 @@ TEST(SellFormatTest, SmallerThanEllForSkewedRows)
 {
     // One long row forces plain ELL to a global width; SELL pays it in
     // one slice only.
-    Tile t(16);
+    TileBuilder builder(16);
     for (Index c = 0; c < 12; ++c)
-        t(0, c) = 1;
+        builder.set(0, c, 1);
     for (Index r = 1; r < 16; ++r)
-        t(r, 0) = 1;
+        builder.set(r, 0, 1);
+    const Tile t = builder.build();
     const auto ell = EllCodec(6).encode(t);
     const auto sell = SellCodec(4).encode(t);
     EXPECT_LT(sell->totalBytes(), ell->totalBytes());
@@ -286,10 +287,10 @@ TEST(DiaFormatTest, PureDiagonalUtilizationApproachesOne)
     // Section 6.3: DIA's utilization for a diagonal matrix is p/(p+1),
     // approaching 1 as the partition grows.
     for (Index p : {8u, 16u, 32u}) {
-        Tile t(p);
+        TileBuilder t(p);
         for (Index i = 0; i < p; ++i)
-            t(i, i) = 1;
-        const auto encoded = DiaCodec().encode(t);
+            t.set(i, i, 1);
+        const auto encoded = DiaCodec().encode(t.build());
         EXPECT_DOUBLE_EQ(encoded->bandwidthUtilization(),
                          double(p) / (p + 1));
     }
@@ -320,10 +321,10 @@ TEST(JdsFormatTest, PermutationSortsByRowLength)
 
 TEST(EllCooFormatTest, OverflowSpillsToCoo)
 {
-    Tile t(8);
+    TileBuilder t(8);
     for (Index c = 0; c < 5; ++c)
-        t(2, c) = Value(c + 1);
-    const auto encoded = EllCooCodec(2).encode(t);
+        t.set(2, c, Value(c + 1));
+    const auto encoded = EllCooCodec(2).encode(t.build());
     const auto &hybrid =
         encodedAs<EllCooEncoded>(*encoded, FormatKind::ELLCOO);
     EXPECT_EQ(hybrid.width(), 2u);
@@ -336,11 +337,11 @@ TEST(SellCsFormatTest, WindowedSortKeepsPermutationLocal)
 {
     // One long row at the bottom: global JDS would move it to the top,
     // SELL-C-sigma may only move it within its sigma-window.
-    Tile t(16);
+    TileBuilder t(16);
     for (Index c = 0; c < 10; ++c)
-        t(12, c) = 1;
-    t(2, 5) = 2;
-    const auto encoded = SellCsCodec(4, 8).encode(t);
+        t.set(12, c, 1);
+    t.set(2, 5, 2);
+    const auto encoded = SellCsCodec(4, 8).encode(t.build());
     const auto &scs = encodedAs<SellCsEncoded>(*encoded,
                                                FormatKind::SELLCS);
     ASSERT_EQ(scs.perm.size(), 16u);
@@ -357,12 +358,13 @@ TEST(SellCsFormatTest, WindowedSortKeepsPermutationLocal)
 TEST(SellCsFormatTest, NoWiderThanSell)
 {
     // Windowed sorting can only shrink per-slice widths.
-    Tile t(16);
+    TileBuilder builder(16);
     Rng rng(5);
     for (Index r = 0; r < 16; ++r)
         for (Index c = 0; c < 16; ++c)
             if (rng.chance(0.2))
-                t(r, c) = 1;
+                builder.set(r, c, 1);
+    const Tile t = builder.build();
     const auto sell = SellCodec(4).encode(t);
     const auto scs = SellCsCodec(4, 8).encode(t);
     // Compare payload bytes minus the perm overhead scs carries.
@@ -393,9 +395,9 @@ TEST(BitmapFormatTest, FixedMetadataBytes)
 {
     // The mask costs p*p/8 bytes regardless of sparsity.
     for (Index p : {8u, 16u, 32u}) {
-        Tile t(p);
-        t(0, 0) = 1;
-        const auto encoded = BitmapCodec().encode(t);
+        TileBuilder t(p);
+        t.set(0, 0, 1);
+        const auto encoded = BitmapCodec().encode(t.build());
         EXPECT_EQ(encoded->metadataBytes(), Bytes(p) * p / 8);
     }
 }
@@ -404,12 +406,13 @@ TEST(BitmapFormatTest, BeatsCooUtilizationOnModerateTiles)
 {
     // The extension's selling point: above ~1 nnz per 16 cells the
     // bitmap's fixed mask beats COO's two-indices-per-value.
-    Tile t(16);
+    TileBuilder builder(16);
     Rng rng(6);
     for (Index r = 0; r < 16; ++r)
         for (Index c = 0; c < 16; ++c)
             if (rng.chance(0.2))
-                t(r, c) = 1;
+                builder.set(r, c, 1);
+    const Tile t = builder.build();
     const auto bitmap = BitmapCodec().encode(t);
     const auto coo = CooCodec().encode(t);
     EXPECT_GT(bitmap->bandwidthUtilization(),

@@ -54,15 +54,15 @@ namespace {
 Tile
 mutationTile()
 {
-    Tile t(8);
+    TileBuilder t(8);
     for (Index r = 0; r < 8; ++r) {
-        t(r, r) = Value(1) + Value(r);
+        t.set(r, r, Value(1) + Value(r));
         if (r + 1 < 8)
-            t(r, r + 1) = 2;
+            t.set(r, r + 1, 2);
     }
-    t(5, 1) = 7;
-    t(3, 0) = 5;
-    return t;
+    t.set(5, 1, 7);
+    t.set(3, 0, 5);
+    return t.build();
 }
 
 /** Encode mutationTile() as @p kind and hand back the concrete type. */
@@ -265,6 +265,66 @@ TEST(GrammarMutationTest, EllCooUnsortedOverflow)
     std::swap(hybrid.overflowValues[0], hybrid.overflowValues[1]);
     expectViolation(*encoded, FormatKind::ELLCOO,
                     "ellcoo.overflow.order");
+}
+
+/**
+ * Decode replays untrusted index arrays, so a coordinate equal to p must
+ * throw in every build instead of landing in a neighbouring cell, or
+ * past the tile, once NDEBUG drops the debug-only checks.
+ */
+void
+expectDecodeRejects(const EncodedTile &encoded)
+{
+    EXPECT_THROW(defaultCodec(encoded.kind()).decode(encoded), PanicError)
+        << formatName(encoded.kind());
+}
+
+constexpr Index mutationP = 8;
+
+TEST(GrammarMutationTest, CsrColumnAtTileSizeFailsDecode)
+{
+    auto encoded = encodeTile<CsrEncoded>(FormatKind::CSR);
+    static_cast<CsrEncoded &>(*encoded).colInx[0] = mutationP;
+    expectDecodeRejects(*encoded);
+}
+
+TEST(GrammarMutationTest, CscRowAtTileSizeFailsDecode)
+{
+    auto encoded = encodeTile<CscEncoded>(FormatKind::CSC);
+    static_cast<CscEncoded &>(*encoded).rowInx[0] = mutationP;
+    expectDecodeRejects(*encoded);
+}
+
+TEST(GrammarMutationTest, CooRowAtTileSizeFailsDecode)
+{
+    auto encoded = encodeTile<CooEncoded>(FormatKind::COO);
+    static_cast<CooEncoded &>(*encoded).rowInx[0] = mutationP;
+    expectDecodeRejects(*encoded);
+}
+
+TEST(GrammarMutationTest, DokKeyAtTileSizeFailsDecode)
+{
+    auto encoded = encodeTile<DokEncoded>(FormatKind::DOK);
+    auto &dok = static_cast<DokEncoded &>(*encoded);
+    auto stray = dok.table.begin();
+    const Value v = stray->second;
+    dok.table.erase(stray);
+    dok.table[DokEncoded::key(0, mutationP)] = v;
+    expectDecodeRejects(*encoded);
+}
+
+TEST(GrammarMutationTest, EllColumnAtTileSizeFailsDecode)
+{
+    auto encoded = encodeTile<EllEncoded>(FormatKind::ELL);
+    static_cast<EllEncoded &>(*encoded).colAt(0, 0) = mutationP;
+    expectDecodeRejects(*encoded);
+}
+
+TEST(GrammarMutationTest, LilRowAtTileSizeFailsDecode)
+{
+    auto encoded = encodeTile<LilEncoded>(FormatKind::LIL);
+    static_cast<LilEncoded &>(*encoded).rowAt(0, 0) = mutationP;
+    expectDecodeRejects(*encoded);
 }
 
 // ---------------------------------------------------------------- //

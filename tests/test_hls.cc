@@ -22,12 +22,12 @@ Tile
 randomTile(Index p, double density, std::uint64_t seed)
 {
     Rng rng(seed);
-    Tile t(p);
+    TileBuilder t(p);
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             if (rng.chance(density))
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
-    return t;
+                t.set(r, c, static_cast<Value>(rng.range(0.5, 1.5)));
+    return t.build();
 }
 
 DecompressResult
@@ -316,13 +316,13 @@ TEST(DecompressorTest, EllSigmaIndependentOfSparsityPattern)
     // Section 6.1: ELL processes the whole compressed square no matter
     // where the non-zeros sit.
     HlsConfig cfg;
-    Tile a(16), b(16);
-    a(0, 0) = 1;
-    a(5, 3) = 2;
-    b(15, 15) = 1;
-    b(8, 2) = 2;
-    const auto ra = simulate(FormatKind::ELL, a, cfg);
-    const auto rb = simulate(FormatKind::ELL, b, cfg);
+    TileBuilder a(16), b(16);
+    a.set(0, 0, 1);
+    a.set(5, 3, 2);
+    b.set(15, 15, 1);
+    b.set(8, 2, 2);
+    const auto ra = simulate(FormatKind::ELL, a.build(), cfg);
+    const auto rb = simulate(FormatKind::ELL, b.build(), cfg);
     EXPECT_EQ(ra.decompressCycles, rb.decompressCycles);
     EXPECT_EQ(ra.rowsProduced, 16u);
 }
@@ -344,50 +344,50 @@ TEST(DecompressorTest, EllSigmaDecreasesWithPartitionSize)
 TEST(DecompressorTest, CsrLatencyScalesWithRowPopulation)
 {
     HlsConfig cfg;
-    Tile sparse(16), full(16);
-    sparse(3, 3) = 1;
+    TileBuilder sparse(16), full(16);
+    sparse.set(3, 3, 1);
     for (Index r = 0; r < 16; ++r)
         for (Index c = 0; c < 16; ++c)
-            full(r, c) = 1;
-    EXPECT_LT(simulate(FormatKind::CSR, sparse, cfg).decompressCycles,
-              simulate(FormatKind::CSR, full, cfg).decompressCycles);
+            full.set(r, c, 1);
+    EXPECT_LT(simulate(FormatKind::CSR, sparse.build(), cfg).decompressCycles,
+              simulate(FormatKind::CSR, full.build(), cfg).decompressCycles);
 }
 
 TEST(DecompressorTest, BcsrProcessesWholeBlockRows)
 {
     // One non-zero in one block still pushes 4 rows through the dot
     // engine (Listing 2's "whether they are all zero or not").
-    Tile t(16);
-    t(5, 5) = 1;
-    const auto result = simulate(FormatKind::BCSR, t);
+    TileBuilder t(16);
+    t.set(5, 5, 1);
+    const auto result = simulate(FormatKind::BCSR, t.build());
     EXPECT_EQ(result.rowsProduced, 4u);
 }
 
 TEST(DecompressorTest, DiaCostScalesWithDiagonalCount)
 {
     HlsConfig cfg;
-    Tile one_diag(16), many_diags(16);
+    TileBuilder one_diag(16), many_diags(16);
     for (Index i = 0; i < 16; ++i)
-        one_diag(i, i) = 1;
+        one_diag.set(i, i, 1);
     // Same nnz scattered over many diagonals (Listing 7 discussion).
     for (Index i = 0; i < 16; ++i)
-        many_diags(i, (i * 7) % 16) = 1;
-    EXPECT_LT(simulate(FormatKind::DIA, one_diag, cfg).decompressCycles,
-              simulate(FormatKind::DIA, many_diags, cfg)
-                  .decompressCycles);
+        many_diags.set(i, (i * 7) % 16, 1);
+    EXPECT_LT(
+        simulate(FormatKind::DIA, one_diag.build(), cfg).decompressCycles,
+        simulate(FormatKind::DIA, many_diags.build(), cfg).decompressCycles);
 }
 
 TEST(DecompressorTest, LilBoundByLongestColumn)
 {
     HlsConfig cfg;
-    Tile spread(16), stacked(16);
+    TileBuilder spread(16), stacked(16);
     // Same nnz: spread across columns vs stacked in one column.
     for (Index i = 0; i < 8; ++i)
-        spread(i, i) = 1;
+        spread.set(i, i, 1);
     for (Index i = 0; i < 8; ++i)
-        stacked(i, 0) = 1;
-    const auto rs = simulate(FormatKind::LIL, spread, cfg);
-    const auto rt = simulate(FormatKind::LIL, stacked, cfg);
+        stacked.set(i, 0, 1);
+    const auto rs = simulate(FormatKind::LIL, spread.build(), cfg);
+    const auto rt = simulate(FormatKind::LIL, stacked.build(), cfg);
     EXPECT_LE(rs.decompressCycles, rt.decompressCycles);
 }
 

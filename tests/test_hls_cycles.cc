@@ -26,11 +26,11 @@ cyclesFor(FormatKind kind, const Tile &tile)
 Tile
 threeEntryTile()
 {
-    Tile t(8);
-    t(0, 0) = 1;
-    t(0, 5) = 2;
-    t(3, 0) = 3;
-    return t;
+    TileBuilder t(8);
+    t.set(0, 0, 1);
+    t.set(0, 5, 2);
+    t.set(3, 0, 3);
+    return t.build();
 }
 
 TEST(ExactCyclesTest, Dense)
@@ -85,9 +85,9 @@ TEST(ExactCyclesTest, Ell)
     // One pipelined sweep over all 8 rows: 4 + 7 = 11, independent of
     // the entries.
     EXPECT_EQ(cyclesFor(FormatKind::ELL, threeEntryTile()), 11u);
-    Tile other(8);
-    other(7, 7) = 9;
-    EXPECT_EQ(cyclesFor(FormatKind::ELL, other), 11u);
+    TileBuilder other(8);
+    other.set(7, 7, 9);
+    EXPECT_EQ(cyclesFor(FormatKind::ELL, other.build()), 11u);
 }
 
 TEST(ExactCyclesTest, Sell)
@@ -123,11 +123,11 @@ TEST(ExactCyclesTest, EllCoo)
     // Width 2, no row exceeds 2 entries: ELL sweep only = 11.
     EXPECT_EQ(cyclesFor(FormatKind::ELLCOO, threeEntryTile()), 11u);
     // Force 3 entries in one row: overflow loop adds 4 + (1-1).
-    Tile overflow(8);
-    overflow(2, 0) = 1;
-    overflow(2, 3) = 2;
-    overflow(2, 6) = 3;
-    EXPECT_EQ(cyclesFor(FormatKind::ELLCOO, overflow), 11u + 4u);
+    TileBuilder overflow(8);
+    overflow.set(2, 0, 1);
+    overflow.set(2, 3, 2);
+    overflow.set(2, 6, 3);
+    EXPECT_EQ(cyclesFor(FormatKind::ELLCOO, overflow.build()), 11u + 4u);
 }
 
 TEST(ExactCyclesTest, Bitmap)
@@ -150,11 +150,11 @@ TEST(ExactCyclesTest, EmptyTilesAreFreeForRowSkippingFormats)
 TEST(ExactCyclesTest, FullTileCsr)
 {
     // 64 entries, 8 non-zero rows: 2 + 4 + 64 + 7 = 77.
-    Tile full(8);
+    TileBuilder full(8);
     for (Index r = 0; r < 8; ++r)
         for (Index c = 0; c < 8; ++c)
-            full(r, c) = 1;
-    EXPECT_EQ(cyclesFor(FormatKind::CSR, full), 77u);
+            full.set(r, c, 1);
+    EXPECT_EQ(cyclesFor(FormatKind::CSR, full.build()), 77u);
 }
 
 TEST(ExactCyclesTest, ConfigScalesCsr)

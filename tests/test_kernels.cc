@@ -23,12 +23,12 @@ Tile
 randomTile(Index p, double density, std::uint64_t seed)
 {
     Rng rng(seed);
-    Tile t(p);
+    TileBuilder t(p);
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             if (rng.chance(density))
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
-    return t;
+                t.set(r, c, static_cast<Value>(rng.range(0.5, 1.5)));
+    return t.build();
 }
 
 std::vector<Value>
@@ -82,11 +82,11 @@ TEST(DotEngineTest, TreeDotLengthMismatchIsFatal)
 
 TEST(SpmvDenseTest, IdentityTile)
 {
-    Tile t(8);
+    TileBuilder t(8);
     for (Index i = 0; i < 8; ++i)
-        t(i, i) = 1.0f;
+        t.set(i, i, 1.0f);
     const auto x = randomVector(8, 1);
-    const auto y = spmvDense(t, x);
+    const auto y = spmvDense(t.build(), x);
     for (Index i = 0; i < 8; ++i)
         EXPECT_FLOAT_EQ(y[i], x[i]);
 }

@@ -182,10 +182,11 @@ TEST(LintTest, ContractPassWarnsOnNonPowerOfTwoPartition)
 TEST(LintTest, TilePassAcceptsRealEncodings)
 {
     const FormatRegistry registry;
-    Tile tile(8);
-    tile(0, 0) = 1;
-    tile(2, 5) = 2;
-    tile(7, 7) = 3;
+    TileBuilder builder(8);
+    builder.set(0, 0, 1);
+    builder.set(2, 5, 2);
+    builder.set(7, 7, 3);
+    const Tile tile = builder.build();
     LintReport report;
     for (FormatKind kind : allFormats())
         checkTile(registry, kind, tile, HlsConfig(), true, true,
@@ -201,20 +202,20 @@ TEST(LintTest, StreamsPassCoversLegacyTotalsForEveryFormat)
     const FormatRegistry registry;
     std::vector<Tile> tiles;
     tiles.emplace_back(8);
-    Tile sparse(8);
-    sparse(0, 0) = 1;
-    sparse(2, 5) = 2;
-    sparse(7, 7) = 3;
-    tiles.push_back(sparse);
-    Tile diag(8);
+    TileBuilder sparse(8);
+    sparse.set(0, 0, 1);
+    sparse.set(2, 5, 2);
+    sparse.set(7, 7, 3);
+    tiles.push_back(sparse.build());
+    TileBuilder diag(8);
     for (Index i = 0; i < 8; ++i)
-        diag(i, i) = static_cast<Value>(i + 1);
-    tiles.push_back(diag);
-    Tile dense(8);
+        diag.set(i, i, static_cast<Value>(i + 1));
+    tiles.push_back(diag.build());
+    TileBuilder dense(8);
     for (Index r = 0; r < 8; ++r)
         for (Index c = 0; c < 8; ++c)
-            dense(r, c) = static_cast<Value>(r * 8 + c + 1);
-    tiles.push_back(dense);
+            dense.set(r, c, static_cast<Value>(r * 8 + c + 1));
+    tiles.push_back(dense.build());
 
     LintReport report;
     for (const Tile &tile : tiles)

@@ -24,11 +24,11 @@ namespace {
 Tile
 threeEntryTile()
 {
-    Tile t(8);
-    t(0, 0) = 1;
-    t(0, 5) = 2;
-    t(3, 0) = 3;
-    return t;
+    TileBuilder t(8);
+    t.set(0, 0, 1);
+    t.set(0, 5, 2);
+    t.set(3, 0, 3);
+    return t.build();
 }
 
 TileFeatures

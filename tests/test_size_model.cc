@@ -16,12 +16,12 @@ Tile
 randomTile(Index p, double density, std::uint64_t seed)
 {
     Rng rng(seed);
-    Tile t(p);
+    TileBuilder t(p);
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             if (rng.chance(density))
-                t(r, c) = static_cast<Value>(rng.range(0.5, 1.5));
-    return t;
+                t.set(r, c, static_cast<Value>(rng.range(0.5, 1.5)));
+    return t.build();
 }
 
 using Params = std::tuple<FormatKind, Index, double>;
@@ -80,12 +80,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SizeModelTest, MeasureTileStatistics)
 {
-    Tile t(8);
-    t(0, 0) = 1;
-    t(0, 1) = 2;
-    t(3, 3) = 3;
-    t(7, 0) = 4;
-    const auto shape = measureTile(t);
+    TileBuilder t(8);
+    t.set(0, 0, 1);
+    t.set(0, 1, 2);
+    t.set(3, 3, 3);
+    t.set(7, 0, 4);
+    const auto shape = measureTile(t.build());
     EXPECT_EQ(shape.p, 8u);
     EXPECT_EQ(shape.nnz, 4u);
     EXPECT_EQ(shape.maxRowNnz, 2u);
@@ -112,10 +112,10 @@ TEST(SizeModelTest, CustomParamsRespected)
 
 TEST(SizeModelTest, DiagonalTilePredictions)
 {
-    Tile t(16);
+    TileBuilder t(16);
     for (Index i = 0; i < 16; ++i)
-        t(i, i) = 1;
-    const auto shape = measureTile(t);
+        t.set(i, i, 1);
+    const auto shape = measureTile(t.build());
     EXPECT_EQ(shape.nnzDiagonals, 1u);
     EXPECT_EQ(predictedBytes(shape, FormatKind::DIA), (16u + 1u) * 4u);
     EXPECT_DOUBLE_EQ(predictedUtilization(shape, FormatKind::DIA),

@@ -3,7 +3,9 @@
  * Unit tests for Tile and the partitioner.
  */
 
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <random>
 
 #include "common/rng.hh"
 #include "kernels/spmv.hh"
@@ -17,34 +19,41 @@ namespace {
 
 TEST(TileTest, ConstructionAndAccess)
 {
-    Tile t(4, 2, 3);
-    EXPECT_EQ(t.size(), 4u);
+    const Tile empty(4, 2, 3);
+    EXPECT_EQ(empty.size(), 4u);
+    EXPECT_EQ(empty.tileRow(), 2u);
+    EXPECT_EQ(empty.tileCol(), 3u);
+    EXPECT_TRUE(empty.empty());
+    TileBuilder b(4, 2, 3);
+    b.set(1, 2, 5.0f);
+    const Tile t = b.build();
     EXPECT_EQ(t.tileRow(), 2u);
     EXPECT_EQ(t.tileCol(), 3u);
-    EXPECT_TRUE(t.empty());
-    t(1, 2) = 5.0f;
     EXPECT_FLOAT_EQ(t(1, 2), 5.0f);
+    EXPECT_FLOAT_EQ(t(1, 1), 0.0f);
     EXPECT_FALSE(t.empty());
 }
 
 TEST(TileTest, ZeroSizeRejected)
 {
     EXPECT_THROW(Tile(0), FatalError);
+    EXPECT_THROW(TileBuilder(0), FatalError);
 }
 
 TEST(TileTest, BoundsChecked)
 {
-    Tile t(4);
+    const Tile t = TileBuilder(4).build();
     EXPECT_THROW(t(4, 0), PanicError);
     EXPECT_THROW(t(0, 4), PanicError);
 }
 
 TEST(TileTest, RowAndColumnStatistics)
 {
-    Tile t(4);
-    t(0, 0) = 1.0f;
-    t(0, 3) = 2.0f;
-    t(2, 0) = 3.0f;
+    TileBuilder b(4);
+    b.set(0, 0, 1.0f);
+    b.set(0, 3, 2.0f);
+    b.set(2, 0, 3.0f);
+    const Tile t = b.build();
     EXPECT_EQ(t.nnz(), 3u);
     EXPECT_EQ(t.rowNnz(0), 2u);
     EXPECT_EQ(t.rowNnz(1), 0u);
@@ -56,12 +65,154 @@ TEST(TileTest, RowAndColumnStatistics)
 
 TEST(TileTest, EqualityIgnoresGridCoordinates)
 {
-    Tile a(2, 0, 0), b(2, 5, 7);
-    a(0, 0) = 1.0f;
-    b(0, 0) = 1.0f;
-    EXPECT_TRUE(a == b);
-    b(1, 1) = 2.0f;
-    EXPECT_FALSE(a == b);
+    TileBuilder a(2, 0, 0), b(2, 5, 7), c(2, 5, 7);
+    a.set(0, 0, 1.0f);
+    b.set(0, 0, 1.0f);
+    c.set(0, 0, 1.0f);
+    c.set(1, 1, 2.0f);
+    const Tile ta = a.build();
+    EXPECT_TRUE(ta == b.build());
+    EXPECT_FALSE(ta == c.build());
+}
+
+/** Every TileStats field and the nonzero stream agree. */
+void
+expectSameTile(const Tile &got, const Tile &want)
+{
+    EXPECT_EQ(got.nonzeros(), want.nonzeros());
+    const TileStats &g = got.features();
+    const TileStats &w = want.features();
+    EXPECT_EQ(g.nnz, w.nnz);
+    EXPECT_EQ(g.rowNnz, w.rowNnz);
+    EXPECT_EQ(g.colNnz, w.colNnz);
+    EXPECT_EQ(g.rowStart, w.rowStart);
+    EXPECT_EQ(g.maxRowNnz, w.maxRowNnz);
+    EXPECT_EQ(g.maxColNnz, w.maxColNnz);
+    EXPECT_EQ(g.nnzRows, w.nnzRows);
+    EXPECT_EQ(g.nnzCols, w.nnzCols);
+    EXPECT_EQ(g.nnzDiagonals, w.nnzDiagonals);
+}
+
+/** The one tile partition() makes of a random 16 x 16 matrix. */
+Tile
+partitionedTile()
+{
+    Rng rng(2024);
+    const auto m = randomMatrix(16, 0.3, rng);
+    const auto parts = partition(m, 16);
+    EXPECT_EQ(parts.tiles.size(), 1u);
+    return parts.tiles.front();
+}
+
+/** Replay @p order through a builder. */
+Tile
+buildFrom(const std::vector<TileNonzero> &order)
+{
+    TileBuilder b(16);
+    for (const TileNonzero &e : order)
+        b.set(e.row, e.col, e.value);
+    return b.build();
+}
+
+TEST(TileBuilderTest, RowMajorEmissionMatchesPartition)
+{
+    const Tile want = partitionedTile();
+    expectSameTile(buildFrom(want.nonzeros()), want);
+}
+
+TEST(TileBuilderTest, ColumnMajorEmissionMatchesPartition)
+{
+    // CSC and LIL decode column by column.
+    const Tile want = partitionedTile();
+    std::vector<TileNonzero> order = want.nonzeros();
+    std::stable_sort(order.begin(), order.end(),
+                     [](const TileNonzero &a, const TileNonzero &b) {
+                         return a.col < b.col;
+                     });
+    expectSameTile(buildFrom(order), want);
+}
+
+TEST(TileBuilderTest, PermutedRowEmissionMatchesPartition)
+{
+    // JDS and SELL-C-sigma decode whole rows, longest row first.
+    const Tile want = partitionedTile();
+    std::vector<TileNonzero> order = want.nonzeros();
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const TileNonzero &a, const TileNonzero &b) {
+                         return want.rowNnz(a.row) > want.rowNnz(b.row);
+                     });
+    ASSERT_NE(order, want.nonzeros());
+    expectSameTile(buildFrom(order), want);
+}
+
+TEST(TileBuilderTest, ArbitraryEmissionMatchesPartition)
+{
+    // DOK decodes in hash-table order: columns within a row arrive out
+    // of order too.
+    const Tile want = partitionedTile();
+    std::vector<TileNonzero> order = want.nonzeros();
+    std::mt19937 shuffle(7);
+    std::shuffle(order.begin(), order.end(), shuffle);
+    bool colsOutOfOrder = false;
+    for (std::size_t i = 0; i < order.size(); ++i)
+        for (std::size_t j = i + 1; j < order.size(); ++j)
+            colsOutOfOrder = colsOutOfOrder ||
+                             (order[j].row == order[i].row &&
+                              order[j].col < order[i].col);
+    ASSERT_TRUE(colsOutOfOrder);
+    expectSameTile(buildFrom(order), want);
+}
+
+TEST(TileBuilderTest, ZeroWritesAddNoEntry)
+{
+    TileBuilder b(4);
+    b.set(1, 1, 0.0f);
+    b.set(2, 3, -0.0f);
+    b.set(0, 2, 4.0f);
+    b.set(0, 0, -0.0f);
+    const Tile t = b.build();
+    ASSERT_EQ(t.nnz(), 1u);
+    EXPECT_EQ(t.nonzeros().front(), (TileNonzero{0, 2, 4.0f}));
+    EXPECT_EQ(t.nnzRows(), 1u);
+    EXPECT_EQ(t.features().nnzDiagonals, 1u);
+    EXPECT_TRUE(TileBuilder(4).build() == [] {
+        TileBuilder zeros(4);
+        zeros.set(3, 3, -0.0f);
+        return zeros.build();
+    }());
+}
+
+TEST(TileBuilderTest, WritesAreRangeChecked)
+{
+    TileBuilder b(4);
+    EXPECT_THROW(b.set(4, 0, 1.0f), PanicError);
+    EXPECT_THROW(b.set(0, 4, 1.0f), PanicError);
+    EXPECT_THROW(b.set(4, 4, 0.0f), PanicError);
+    EXPECT_TRUE(b.build().empty());
+}
+
+TEST(TileBuilderTest, BuildsOnce)
+{
+    TileBuilder b(4);
+    b.set(1, 1, 1.0f);
+    EXPECT_EQ(b.build().nnz(), 1u);
+    EXPECT_THROW(b.build(), PanicError);
+}
+
+TEST(TileBuilderTest, RepeatedCellThrows)
+{
+    // Row-major, out of row order, and out of column order within a row.
+    const std::vector<std::vector<TileNonzero>> orders = {
+        {{1, 1, 1.0f}, {1, 1, 2.0f}},
+        {{3, 0, 1.0f}, {1, 1, 1.0f}, {3, 0, 2.0f}},
+        {{0, 5, 1.0f}, {0, 2, 1.0f}, {0, 5, 3.0f}},
+    };
+    for (const auto &order : orders) {
+        TileBuilder b(8);
+        for (const TileNonzero &e : order)
+            b.set(e.row, e.col, e.value);
+        EXPECT_THROW(b.build(), PanicError);
+    }
 }
 
 TEST(PartitionerTest, ExactGridNoPadding)
