@@ -6,10 +6,10 @@
  * insights (Section 8) immediately suggest the next step an architect
  * would take — pick the format per partition, since a matrix's tiles
  * differ wildly in density and structure (Figure 3). The scheduler
- * scores each candidate format on each non-zero tile with the same
- * models the characterization uses (AXI transfer cycles, decompressor
- * cycles) and picks the per-tile argmin of the selected objective; the
- * mixed pipeline then streams the result.
+ * prices each candidate format on each non-zero tile with
+ * timePartition(), the rule the pipelines stream by, and picks the
+ * per-tile argmin of the selected objective; the mixed pipeline then
+ * streams the result.
  */
 
 #ifndef COPERNICUS_CORE_SCHEDULER_HH

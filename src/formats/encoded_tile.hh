@@ -16,7 +16,6 @@
 #ifndef COPERNICUS_FORMATS_ENCODED_TILE_HH
 #define COPERNICUS_FORMATS_ENCODED_TILE_HH
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -44,10 +43,7 @@ class EncodedTile
 
     virtual ~EncodedTile() = default;
 
-    EncodedTile(const EncodedTile &other)
-        : p(other.p), _nnz(other._nnz),
-          cachedTotal(other.cachedTotal.load(std::memory_order_relaxed))
-    {}
+    EncodedTile(const EncodedTile &) = default;
 
     EncodedTile &operator=(const EncodedTile &) = delete;
 
@@ -82,23 +78,15 @@ class EncodedTile
     Bytes usefulBytes() const { return Bytes(_nnz) * valueBytes; }
 
     /**
-     * All bytes crossing the memory interface. The sum is memoized:
-     * streams() allocates a fresh vector per call, and the pipeline
-     * asks for totalBytes(), metadataBytes() and
-     * bandwidthUtilization() against immutable encodings. A racing
-     * first call computes the same sum twice and stores it twice —
-     * benign.
+     * All bytes crossing the memory interface: the sum of streams(),
+     * recomputed on every call so it always reflects the arrays.
      */
     Bytes
     totalBytes() const
     {
-        Bytes total = cachedTotal.load(std::memory_order_relaxed);
-        if (total == unknownBytes) {
-            total = 0;
-            for (Bytes s : streams())
-                total += s;
-            cachedTotal.store(total, std::memory_order_relaxed);
-        }
+        Bytes total = 0;
+        for (Bytes s : streams())
+            total += s;
         return total;
     }
 
@@ -118,12 +106,6 @@ class EncodedTile
   protected:
     Index p;
     Index _nnz;
-
-  private:
-    /** Sentinel: the sum of streams() has not been computed yet. */
-    static constexpr Bytes unknownBytes = ~Bytes(0);
-
-    mutable std::atomic<Bytes> cachedTotal{unknownBytes};
 };
 
 /**

@@ -14,11 +14,13 @@
  * invariant id ("csr.offsets.monotone") that copernicus_lint and the
  * mutation tests key on.
  *
- * runPipeline and planFormats validate every tile they encode when
- * grammarValidationEnabled() — a process-wide toggle
- * (COPERNICUS_VALIDATE=1 or setGrammarValidationEnabled) that defaults
- * off so the hot sweep paths pay nothing. The daemon's validate_tile
- * endpoint always validates.
+ * timePartition (pipeline/stream_pipeline.hh), which prices every
+ * partition for runPipeline, runEventSim, runParallel and planFormats,
+ * validates every tile it encodes when grammarValidationEnabled() — a
+ * process-wide toggle (COPERNICUS_VALIDATE=1 or
+ * setGrammarValidationEnabled) that defaults off so the hot sweep
+ * paths pay nothing. The daemon's validate_tile endpoint always
+ * validates.
  */
 
 #ifndef COPERNICUS_FORMATS_VALIDATE_HH
@@ -68,7 +70,7 @@ struct GrammarReport
 GrammarReport validateEncodedTile(const EncodedTile &encoded);
 
 /**
- * Whether the hot paths (runPipeline, planFormats) should validate.
+ * Whether timePartition should validate the tiles it encodes.
  * Defaults to the COPERNICUS_VALIDATE environment toggle (unset/0 =
  * off); setGrammarValidationEnabled overrides it.
  */

@@ -54,7 +54,10 @@ struct HlsConfig
      * compressed-partition bytes), so this defaults off; enabling it
      * models a platform without an on-chip vector cache. The extra
      * bytes affect memory latency only, never bandwidth utilization,
-     * matching the paper's metric definitions.
+     * matching the paper's metric definitions. timePartition applies
+     * it, so the stream pipeline, the event sim, the multi-PE model
+     * and planFormats all see it; the multi-PE model's shared-channel
+     * byte count leaves the segment out.
      */
     bool streamVectorOperand = false;
 
@@ -65,8 +68,10 @@ struct HlsConfig
      * model sees it, so transfer latency and total bytes reflect the
      * post-compression sizes. Useful bytes are unchanged — the metric
      * still charges what the kernel consumes — so enabling this can
-     * only raise bandwidth utilization. Off by default: the paper's
-     * numbers are first-stage only.
+     * only raise bandwidth utilization. timePartition applies it, so
+     * the stream pipeline, the event sim, the multi-PE model and
+     * planFormats all see it. Off by default: the paper's numbers are
+     * first-stage only.
      */
     bool secondStageCompression = false;
 

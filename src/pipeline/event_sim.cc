@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "compress/second_stage.hh"
-#include "hls/axi.hh"
-#include "hls/decompressor.hh"
-
 namespace copernicus {
 
 EventSimResult
@@ -19,7 +15,7 @@ runEventSim(const Partitioning &parts, FormatKind kind,
     result.format = kind;
     result.partitionSize = parts.partitionSize;
 
-    TraceSink *trace = sink != nullptr ? sink : activeTraceSink();
+    TraceSink *trace = resolveTraceSink(sink);
     if (trace != nullptr) {
         trace->beginScope("event_sim." +
                           std::string(formatName(kind)) + ".p" +
@@ -27,26 +23,13 @@ runEventSim(const Partitioning &parts, FormatKind kind,
     }
 
     const FormatCodec &codec = registry.codec(kind);
-    const Bytes out_bytes = Bytes(parts.partitionSize) * valueBytes;
 
     Cycles prev_read_end = 0;
     Cycles prev_compute_end = 0;
     Cycles prev_write_end = 0;
 
     for (const Tile &tile : parts.tiles) {
-        const auto encoded = codec.encode(tile);
-        const auto decomp = simulateDecompression(*encoded, config);
-
-        std::vector<Bytes> streams = encoded->streams();
-        Bytes stored_bytes = encoded->totalBytes();
-        if (config.secondStageCompression) {
-            const TileCompression comp = compressTile(*encoded);
-            streams = comp.storedStreamBytes();
-            stored_bytes = comp.storedBytes();
-        }
-        const Cycles read_cost = transferCycles(streams, config);
-        const Cycles compute_cost = computeCycles(decomp, config);
-        const Cycles write_cost = writebackCycles(out_bytes, config);
+        const PartitionTiming timing = timePartition(tile, codec, config);
 
         TileSchedule slot;
         // Buffering: reading tile i reuses the slot tile
@@ -59,15 +42,15 @@ runEventSim(const Partitioning &parts, FormatKind kind,
                               .computeEnd;
         }
         slot.readStart = std::max(prev_read_end, buffer_free);
-        slot.readEnd = slot.readStart + read_cost;
+        slot.readEnd = slot.readStart + timing.memoryCycles;
         slot.computeStart = std::max(slot.readEnd, prev_compute_end);
-        slot.computeEnd = slot.computeStart + compute_cost;
+        slot.computeEnd = slot.computeStart + timing.computeCycles;
         slot.writeStart = std::max(slot.computeEnd, prev_write_end);
-        slot.writeEnd = slot.writeStart + write_cost;
+        slot.writeEnd = slot.writeStart + timing.writeCycles;
 
-        result.readBusy += read_cost;
-        result.computeBusy += compute_cost;
-        result.writeBusy += write_cost;
+        result.readBusy += timing.memoryCycles;
+        result.computeBusy += timing.computeCycles;
+        result.writeBusy += timing.writeCycles;
         result.readStall += slot.readStart - prev_read_end;
         if (!result.schedule.empty())
             result.computeStall += slot.computeStart - prev_compute_end;
@@ -87,13 +70,11 @@ runEventSim(const Partitioning &parts, FormatKind kind,
                                  slot.writeEnd);
             trace->counterEvent(
                 "bw_util", slot.readEnd,
-                stored_bytes == 0
+                timing.totalBytes == 0
                     ? 0.0
-                    : static_cast<double>(encoded->usefulBytes()) /
-                          static_cast<double>(stored_bytes));
-            trace->counterEvent(
-                "sigma", slot.computeEnd,
-                sigmaOverhead(decomp, parts.partitionSize, config));
+                    : static_cast<double>(timing.usefulBytes) /
+                          static_cast<double>(timing.totalBytes));
+            trace->counterEvent("sigma", slot.computeEnd, timing.sigma);
         }
 
         result.schedule.push_back(slot);

@@ -69,10 +69,9 @@ struct EventSimResult
  *        stages: the read of partition i waits for the compute of
  *        partition i - inputBuffers to release its slot (2 = the
  *        classic ping-pong double buffer).
- * @param sink Timeline sink; null falls back to activeTraceSink()
- *        (null again = tracing off). Emits read/compute/write duration
- *        events per partition plus bw_util and sigma counters; never
- *        affects the returned cycles.
+ * @param sink Timeline sink, resolved by resolveTraceSink(). Emits
+ *        read/compute/write duration events per partition plus bw_util
+ *        and sigma counters; never affects the returned cycles.
  */
 EventSimResult runEventSim(const Partitioning &parts, FormatKind kind,
                            const HlsConfig &config = HlsConfig(),

@@ -5,42 +5,79 @@
 
 #include "common/math.hh"
 #include "common/status.hh"
-#include "compress/second_stage.hh"
-#include "hls/axi.hh"
-#include "hls/decompressor.hh"
 
 namespace copernicus {
 
 namespace {
 
-/** Timing of one tile, reused for scheduling and per-PE accounting. */
-struct TileCost
-{
-    Cycles memory = 0;
-    Cycles compute = 0;
-    Cycles write = 0;
-    Bytes bytes = 0;
-
-    Cycles
-    bottleneck() const
-    {
-        return std::max(memory, std::max(compute, write));
-    }
-};
-
 /**
- * Body of runParallel with the sink fully resolved; the recursive
- * single-PE baseline call passes null so speedup bookkeeping never
- * emits a second timeline.
+ * End-to-end cycles (fill/drain included) of each of @p peCount PEs
+ * after assigning the priced tiles by @p schedule. With a non-null
+ * @p trace, each assigned tile occupies its steady-state slot on its
+ * PE's lane.
  */
+std::vector<Cycles>
+peCyclesOf(const std::vector<PartitionTiming> &timings, Index peCount,
+           ScheduleKind schedule, TraceSink *trace)
+{
+    std::vector<Cycles> pe_steady(peCount, 0);
+    std::vector<Cycles> pe_first_mem(peCount, 0);
+    std::vector<Cycles> pe_last_write(peCount, 0);
+    std::vector<bool> pe_used(peCount, false);
+
+    auto assign = [&](std::size_t tile_index, Index pe) {
+        const PartitionTiming &timing = timings[tile_index];
+        if (!pe_used[pe]) {
+            pe_used[pe] = true;
+            pe_first_mem[pe] = timing.memoryCycles;
+        }
+        if (trace != nullptr) {
+            trace->durationEvent(
+                "pe" + std::to_string(pe),
+                "p" + std::to_string(tile_index), pe_steady[pe],
+                pe_steady[pe] + timing.bottleneckCycles());
+        }
+        pe_steady[pe] += timing.bottleneckCycles();
+        pe_last_write[pe] = timing.writeCycles;
+    };
+
+    if (schedule == ScheduleKind::RoundRobin) {
+        for (std::size_t i = 0; i < timings.size(); ++i)
+            assign(i, static_cast<Index>(i % peCount));
+    } else {
+        // Longest-processing-time: sort tiles by bottleneck descending
+        // and always feed the least-loaded PE.
+        std::vector<std::size_t> order(timings.size());
+        std::iota(order.begin(), order.end(), std::size_t(0));
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return timings[a].bottleneckCycles() >
+                             timings[b].bottleneckCycles();
+                  });
+        for (std::size_t i : order) {
+            const Index pe = static_cast<Index>(
+                std::min_element(pe_steady.begin(), pe_steady.end()) -
+                pe_steady.begin());
+            assign(i, pe);
+        }
+    }
+
+    // An idle PE stays at 0: it has no first read or last write.
+    for (Index pe = 0; pe < peCount; ++pe)
+        pe_steady[pe] += pe_first_mem[pe] + pe_last_write[pe];
+    return pe_steady;
+}
+
+} // namespace
+
 ParallelResult
-runParallelImpl(const Partitioning &parts, FormatKind kind,
-                Index peCount, ScheduleKind schedule,
-                const HlsConfig &config, const FormatRegistry &registry,
-                TraceSink *trace)
+runParallel(const Partitioning &parts, FormatKind kind, Index peCount,
+            ScheduleKind schedule, const HlsConfig &config,
+            const FormatRegistry &registry, TraceSink *sink)
 {
     fatalIf(peCount == 0, "runParallel needs at least one PE");
 
+    TraceSink *trace = resolveTraceSink(sink);
     if (trace != nullptr) {
         trace->beginScope("parallel." +
                           std::string(formatName(kind)) + ".p" +
@@ -53,93 +90,28 @@ runParallelImpl(const Partitioning &parts, FormatKind kind,
     result.partitionSize = parts.partitionSize;
     result.peCount = peCount;
     result.schedule = schedule;
-    result.peCycles.assign(peCount, 0);
 
     const FormatCodec &codec = registry.codec(kind);
     const Bytes out_bytes = Bytes(parts.partitionSize) * valueBytes;
 
-    std::vector<TileCost> costs;
-    costs.reserve(parts.tiles.size());
+    std::vector<PartitionTiming> timings;
+    timings.reserve(parts.tiles.size());
     Bytes total_bytes = 0;
     for (const Tile &tile : parts.tiles) {
-        const auto encoded = codec.encode(tile);
-        const auto decomp = simulateDecompression(*encoded, config);
-        TileCost cost;
-        std::vector<Bytes> streams = encoded->streams();
-        Bytes stored_bytes = encoded->totalBytes();
-        if (config.secondStageCompression) {
-            const TileCompression comp = compressTile(*encoded);
-            streams = comp.storedStreamBytes();
-            stored_bytes = comp.storedBytes();
-        }
-        cost.memory = transferCycles(streams, config);
-        cost.compute = computeCycles(decomp, config);
-        cost.write = writebackCycles(out_bytes, config);
-        cost.bytes = stored_bytes + out_bytes;
-        total_bytes += cost.bytes;
-        costs.push_back(cost);
+        timings.push_back(timePartition(tile, codec, config));
+        total_bytes += timings.back().totalBytes + out_bytes;
     }
 
-    // Assign tiles to PEs.
-    std::vector<Cycles> pe_steady(peCount, 0);
-    std::vector<Cycles> pe_first_mem(peCount, 0);
-    std::vector<Cycles> pe_last_write(peCount, 0);
-    std::vector<bool> pe_used(peCount, false);
-
-    auto assign = [&](std::size_t tile_index, Index pe) {
-        const TileCost &cost = costs[tile_index];
-        if (!pe_used[pe]) {
-            pe_used[pe] = true;
-            pe_first_mem[pe] = cost.memory;
-        }
-        if (trace != nullptr) {
-            // One lane per PE: each assigned tile occupies its
-            // steady-state slot on that lane.
-            trace->durationEvent(
-                "pe" + std::to_string(pe),
-                "p" + std::to_string(tile_index), pe_steady[pe],
-                pe_steady[pe] + cost.bottleneck());
-        }
-        pe_steady[pe] += cost.bottleneck();
-        pe_last_write[pe] = cost.write;
-    };
-
-    if (schedule == ScheduleKind::RoundRobin) {
-        for (std::size_t i = 0; i < costs.size(); ++i)
-            assign(i, static_cast<Index>(i % peCount));
-    } else {
-        // Longest-processing-time: sort tiles by bottleneck descending
-        // and always feed the least-loaded PE.
-        std::vector<std::size_t> order(costs.size());
-        std::iota(order.begin(), order.end(), std::size_t(0));
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return costs[a].bottleneck() >
-                             costs[b].bottleneck();
-                  });
-        for (std::size_t i : order) {
-            const Index pe = static_cast<Index>(
-                std::min_element(pe_steady.begin(), pe_steady.end()) -
-                pe_steady.begin());
-            assign(i, pe);
-        }
-    }
-
-    for (Index pe = 0; pe < peCount; ++pe) {
-        result.peCycles[pe] = pe_used[pe]
-                                  ? pe_steady[pe] + pe_first_mem[pe] +
-                                        pe_last_write[pe]
-                                  : 0;
-        result.computeBoundCycles =
-            std::max(result.computeBoundCycles, result.peCycles[pe]);
-    }
+    result.peCycles = peCyclesOf(timings, peCount, schedule, trace);
+    result.computeBoundCycles =
+        *std::max_element(result.peCycles.begin(), result.peCycles.end());
 
     // Shared DDR3 channel: every byte (in and out) crosses it once.
     const Bytes channel_bytes_per_cycle =
         config.laneBytesPerCycle() * config.streamlines;
     result.memoryBoundCycles =
         ceilDiv(total_bytes, channel_bytes_per_cycle) +
-        (costs.empty() ? 0 : config.burstSetupCycles);
+        (timings.empty() ? 0 : config.burstSetupCycles);
 
     result.totalCycles = std::max(result.computeBoundCycles,
                                   result.memoryBoundCycles);
@@ -148,27 +120,19 @@ runParallelImpl(const Partitioning &parts, FormatKind kind,
     result.seconds = static_cast<double>(result.totalCycles) *
                      config.secondsPerCycle();
 
-    if (peCount == 1 || costs.empty()) {
+    if (peCount == 1 || timings.empty()) {
         result.speedup = 1.0;
     } else {
-        const ParallelResult single = runParallelImpl(
-            parts, kind, 1, schedule, config, registry, nullptr);
-        result.speedup = static_cast<double>(single.totalCycles) /
-                         static_cast<double>(result.totalCycles);
+        // The same timings on one PE, untraced; the shared channel
+        // moves the same bytes.
+        const Cycles single_pe =
+            peCyclesOf(timings, 1, schedule, nullptr).front();
+        result.speedup =
+            static_cast<double>(
+                std::max(single_pe, result.memoryBoundCycles)) /
+            static_cast<double>(result.totalCycles);
     }
     return result;
-}
-
-} // namespace
-
-ParallelResult
-runParallel(const Partitioning &parts, FormatKind kind, Index peCount,
-            ScheduleKind schedule, const HlsConfig &config,
-            const FormatRegistry &registry, TraceSink *sink)
-{
-    return runParallelImpl(parts, kind, peCount, schedule, config,
-                           registry,
-                           sink != nullptr ? sink : activeTraceSink());
 }
 
 } // namespace copernicus

@@ -66,12 +66,12 @@ struct ParallelResult
  * @param schedule Tile-assignment policy.
  * @param config Platform parameters (shared by every PE).
  * @param registry Codec source.
- * @param sink Timeline sink; null falls back to activeTraceSink()
- *        (null again = tracing off). Emits one lane track per PE
- *        ("pe0", "pe1", ...) with each assigned tile as a slot of its
- *        bottleneck cycles; the internal single-PE baseline run used
- *        for the speedup figure is never traced. Never affects the
- *        returned cycles.
+ * @param sink Timeline sink, resolved by resolveTraceSink(). Emits
+ *        one lane track per PE ("pe0", "pe1", ...) with each assigned
+ *        tile as a slot of its bottleneck cycles; the single-PE
+ *        baseline behind the speedup figure reuses the same tile
+ *        timings and is never traced. Never affects the returned
+ *        cycles.
  */
 ParallelResult runParallel(const Partitioning &parts, FormatKind kind,
                            Index peCount,

@@ -11,6 +11,46 @@
 
 namespace copernicus {
 
+PartitionTiming
+timePartition(const Tile &tile, const FormatCodec &codec,
+              const HlsConfig &config)
+{
+    const auto encoded = codec.encode(tile);
+    if (grammarValidationEnabled()) {
+        const GrammarReport report = validateEncodedTile(*encoded);
+        panicIf(!report.ok(),
+                "pipeline: encoded tile violates its format "
+                "grammar:\n" +
+                    report.toString());
+    }
+    const auto decomp = simulateDecompression(*encoded, config);
+    panicIf(!(decomp.decoded == tile),
+            "pipeline: decompressor model corrupted a tile");
+
+    // The DDR interface sees post-compression stream images; useful
+    // bytes are untouched, so utilization can only rise.
+    std::vector<Bytes> streams =
+        config.secondStageCompression
+            ? compressTile(*encoded).storedStreamBytes()
+            : encoded->streams();
+    PartitionTiming timing;
+    for (Bytes bytes : streams)
+        timing.totalBytes += bytes;
+    // One p-element segment: the vector operand in, the partial output
+    // vector back.
+    const Bytes segment_bytes = Bytes(tile.size()) * valueBytes;
+    if (config.streamVectorOperand)
+        streams.push_back(segment_bytes);
+    timing.memoryCycles = transferCycles(streams, config);
+    timing.decompressCycles = decomp.decompressCycles;
+    timing.rowsProduced = decomp.rowsProduced;
+    timing.computeCycles = computeCycles(decomp, config);
+    timing.writeCycles = writebackCycles(segment_bytes, config);
+    timing.sigma = sigmaOverhead(decomp, tile.size(), config);
+    timing.usefulBytes = encoded->usefulBytes();
+    return timing;
+}
+
 namespace {
 
 /** Shared core: stream tiles with a per-tile format lookup. */
@@ -22,10 +62,6 @@ runImpl(const Partitioning &parts,
     PipelineResult result;
     result.partitionSize = parts.partitionSize;
 
-    const Index p = parts.partitionSize;
-    // The partial output vector streamed back per partition.
-    const Bytes out_bytes = Bytes(p) * valueBytes;
-
     double balance_sum = 0;
     double sigma_sum = 0;
     Cycles fill_first = 0;
@@ -34,38 +70,8 @@ runImpl(const Partitioning &parts,
     // exposed, then each partition's slot advances by its bottleneck.
     Cycles trace_clock = 0;
     for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
-        const Tile &tile = parts.tiles[i];
-        const auto encoded = registry.codec(perTile[i]).encode(tile);
-        if (grammarValidationEnabled()) {
-            const GrammarReport report = validateEncodedTile(*encoded);
-            panicIf(!report.ok(),
-                    "pipeline: encoded tile violates its format "
-                    "grammar:\n" +
-                        report.toString());
-        }
-        const auto decomp = simulateDecompression(*encoded, config);
-        panicIf(!(decomp.decoded == tile),
-                "pipeline: decompressor model corrupted a tile");
-
-        PartitionTiming timing;
-        auto streams = encoded->streams();
-        timing.totalBytes = encoded->totalBytes();
-        if (config.secondStageCompression) {
-            // The DDR interface sees post-compression stream images;
-            // useful bytes are untouched, so utilization can only rise.
-            const TileCompression comp = compressTile(*encoded);
-            streams = comp.storedStreamBytes();
-            timing.totalBytes = comp.storedBytes();
-        }
-        if (config.streamVectorOperand)
-            streams.push_back(Bytes(p) * valueBytes);
-        timing.memoryCycles = transferCycles(streams, config);
-        timing.decompressCycles = decomp.decompressCycles;
-        timing.rowsProduced = decomp.rowsProduced;
-        timing.computeCycles = computeCycles(decomp, config);
-        timing.writeCycles = writebackCycles(out_bytes, config);
-        timing.sigma = sigmaOverhead(decomp, p, config);
-        timing.usefulBytes = encoded->usefulBytes();
+        const PartitionTiming timing = timePartition(
+            parts.tiles[i], registry.codec(perTile[i]), config);
 
         result.totalMemoryCycles += timing.memoryCycles;
         result.totalComputeCycles += timing.computeCycles;
@@ -141,9 +147,7 @@ runPipeline(const Partitioning &parts, FormatKind kind,
             const HlsConfig &config, const FormatRegistry &registry,
             TraceSink *sink)
 {
-    TraceSink *trace = sink != nullptr ? sink : activeTraceSink();
-    if (trace == &noTraceSink())
-        trace = nullptr;
+    TraceSink *trace = resolveTraceSink(sink);
     if (trace != nullptr) {
         trace->beginScope("pipeline." +
                           std::string(formatName(kind)) + ".p" +
@@ -164,9 +168,7 @@ runPipelineMixed(const Partitioning &parts,
 {
     fatalIf(perTile.size() != parts.tiles.size(),
             "runPipelineMixed: one format per non-zero tile required");
-    TraceSink *trace = sink != nullptr ? sink : activeTraceSink();
-    if (trace == &noTraceSink())
-        trace = nullptr;
+    TraceSink *trace = resolveTraceSink(sink);
     if (trace != nullptr) {
         trace->beginScope("pipeline.mixed.p" +
                           std::to_string(parts.partitionSize));

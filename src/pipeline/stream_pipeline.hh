@@ -60,6 +60,21 @@ struct PartitionTiming
     }
 };
 
+/**
+ * Price one partition: the single pricing rule every pipeline model
+ * (runPipeline, runEventSim, runParallel) and planFormats share.
+ *
+ * Encodes @p tile with @p codec, checks its grammar when
+ * grammarValidationEnabled(), runs the decompressor model (a decoded
+ * tile that differs from @p tile is a panic) and times the read of the
+ * first-stage streams, or of their second-stage images under
+ * `secondStageCompression`, plus the vector segment under
+ * `streamVectorOperand`. totalBytes covers the partition's streams
+ * only, never the vector segment.
+ */
+PartitionTiming timePartition(const Tile &tile, const FormatCodec &codec,
+                              const HlsConfig &config);
+
 /** Aggregate result of streaming one matrix through the platform. */
 struct PipelineResult
 {
@@ -111,15 +126,13 @@ struct PipelineResult
  * @param kind Compression format under study.
  * @param config Platform parameters.
  * @param registry Codec source (paper defaults).
- * @param sink Timeline sink; null falls back to activeTraceSink()
- *        (null again = tracing off), and `&noTraceSink()` forces
- *        tracing off — the parallel sweep paths pass it so workers
- *        never touch the single-threaded writer. The analytic model
- *        has no exact
- *        event times, so partitions are laid out on a steady-state
- *        clock — each slot advances by its bottleneck stage — with
- *        sigma and bw_util counters per partition. Never affects the
- *        returned metrics.
+ * @param sink Timeline sink, resolved by resolveTraceSink() — the
+ *        parallel sweep paths pass `&noTraceSink()` so workers never
+ *        touch the single-threaded writer. The analytic model has no
+ *        exact event times, so partitions are laid out on a
+ *        steady-state clock — each slot advances by its bottleneck
+ *        stage — with sigma and bw_util counters per partition. Never
+ *        affects the returned metrics.
  * @return Aggregate and per-partition metrics.
  */
 PipelineResult runPipeline(const Partitioning &parts, FormatKind kind,

@@ -42,4 +42,11 @@ noTraceSink()
     return sink;
 }
 
+TraceSink *
+resolveTraceSink(TraceSink *sink)
+{
+    TraceSink *resolved = sink != nullptr ? sink : activeTraceSink();
+    return resolved == &noTraceSink() ? nullptr : resolved;
+}
+
 } // namespace copernicus

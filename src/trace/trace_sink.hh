@@ -4,12 +4,12 @@
  * pipeline simulators publish their timelines through.
  *
  * The simulators (event_sim, stream_pipeline, parallel_pipeline) take
- * an optional `TraceSink *`; when it is null and no global sink is
- * installed they skip every emission — a single pointer test per
- * partition — and their numeric results are bit-identical either way
- * (asserted by tests/test_trace.cc). TraceWriter is the standard
- * implementation, serialising to Chrome trace_event JSON; tests
- * install tiny in-memory sinks instead.
+ * an optional `TraceSink *` and resolve it with resolveTraceSink();
+ * when that yields null they skip every emission — a single pointer
+ * test per partition — and their numeric results are bit-identical
+ * either way (asserted by tests/test_trace.cc). TraceWriter is the
+ * standard implementation, serialising to Chrome trace_event JSON;
+ * tests install tiny in-memory sinks instead.
  *
  * This header depends only on common/types.hh so every layer can
  * accept a sink without linking the trace library.
@@ -70,13 +70,21 @@ void setActiveTraceSink(TraceSink *sink);
 /**
  * Sentinel sink meaning "force tracing off for this call". Passing
  * `&noTraceSink()` as an explicit sink argument suppresses the
- * activeTraceSink() fallback; the simulators recognise the address and
- * skip emission entirely. The parallel sweep paths use this: the
- * per-partition timeline of interleaved workers is meaningless, and
- * TraceWriter is single-threaded by design (worker activity is instead
- * reported as pool lanes, see ThreadPool::setLaneRecording).
+ * activeTraceSink() fallback: resolveTraceSink() maps its address to
+ * null, so every simulator skips emission entirely. The parallel sweep
+ * paths use this: the per-partition timeline of interleaved workers is
+ * meaningless, and TraceWriter is single-threaded by design (worker
+ * activity is instead reported as pool lanes, see
+ * ThreadPool::setLaneRecording).
  */
 TraceSink &noTraceSink();
+
+/**
+ * The sink a simulator run emits to: @p sink if non-null, else
+ * activeTraceSink(); null when that is unset or is `&noTraceSink()`
+ * (tracing off).
+ */
+TraceSink *resolveTraceSink(TraceSink *sink);
 
 } // namespace copernicus
 

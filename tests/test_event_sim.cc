@@ -4,6 +4,10 @@
  * that tie it to the analytic steady-state model.
  */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -19,6 +23,20 @@ sampleParts(double density = 0.08)
 {
     Rng rng(21);
     return partition(randomMatrix(128, density, rng), 16);
+}
+
+/** The default platform, one streaming the vector, one compressing. */
+std::vector<std::pair<std::string, HlsConfig>>
+pricingConfigs()
+{
+    HlsConfig vector;
+    vector.streamlines = 1; // the vector segment cannot ride a free lane
+    vector.streamVectorOperand = true;
+    HlsConfig compressed;
+    compressed.secondStageCompression = true;
+    return {{"default", HlsConfig()},
+            {"vector", vector},
+            {"second stage", compressed}};
 }
 
 TEST(EventSimTest, EmptyMatrix)
@@ -91,11 +109,15 @@ TEST_P(EventSimBoundsTest, BracketsAnalyticModel)
 
 TEST_P(EventSimBoundsTest, BusyTotalsMatchAnalyticStageSums)
 {
+    // Both models price partitions alike on every platform.
     const auto parts = sampleParts();
-    const auto event = runEventSim(parts, GetParam());
-    const auto analytic = runPipeline(parts, GetParam());
-    EXPECT_EQ(event.readBusy, analytic.totalMemoryCycles);
-    EXPECT_EQ(event.computeBusy, analytic.totalComputeCycles);
+    for (const auto &[name, config] : pricingConfigs()) {
+        const auto event = runEventSim(parts, GetParam(), config);
+        const auto analytic = runPipeline(parts, GetParam(), config);
+        EXPECT_EQ(event.readBusy, analytic.totalMemoryCycles) << name;
+        EXPECT_EQ(event.computeBusy, analytic.totalComputeCycles)
+            << name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, EventSimBoundsTest,

@@ -93,6 +93,19 @@ TEST(CsrFormatTest, ByteAccounting)
     EXPECT_EQ(encoded->streams().size(), 3u);
 }
 
+TEST(CsrFormatTest, TotalBytesFollowsEditedArrays)
+{
+    // The encoded arrays are public (the mutation tests edit them), so
+    // totalBytes() must reflect them on every call, not a stale sum.
+    const auto encoded = CsrCodec().encode(exampleTile());
+    auto &csr = static_cast<CsrEncoded &>(*encoded);
+    const Bytes before = encoded->totalBytes();
+    csr.colInx.push_back(1);
+    csr.values.push_back(6);
+    ++csr.offsets.back();
+    EXPECT_EQ(encoded->totalBytes(), before + indexBytes + valueBytes);
+}
+
 TEST(CscFormatTest, LayoutMatchesHandEncoding)
 {
     const auto encoded = CscCodec().encode(exampleTile());

@@ -3,6 +3,10 @@
  * Tests for the coarse-grained multi-PE aggregation model.
  */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -20,6 +24,20 @@ sampleParts(Index n = 128, double density = 0.05, Index p = 16)
     return partition(randomMatrix(n, density, rng), p);
 }
 
+/** The default platform, one streaming the vector, one compressing. */
+std::vector<std::pair<std::string, HlsConfig>>
+pricingConfigs()
+{
+    HlsConfig vector;
+    vector.streamlines = 1; // the vector segment cannot ride a free lane
+    vector.streamVectorOperand = true;
+    HlsConfig compressed;
+    compressed.secondStageCompression = true;
+    return {{"default", HlsConfig()},
+            {"vector", vector},
+            {"second stage", compressed}};
+}
+
 TEST(ParallelPipelineTest, SinglePeMatchesItself)
 {
     const auto parts = sampleParts();
@@ -30,6 +48,22 @@ TEST(ParallelPipelineTest, SinglePeMatchesItself)
     EXPECT_EQ(result.totalCycles,
               std::max(result.computeBoundCycles,
                        result.memoryBoundCycles));
+}
+
+TEST(ParallelPipelineTest, SinglePeMatchesPipeline)
+{
+    // One PE is one Figure-2 pipeline: its compute bound is the
+    // analytic model's end-to-end cycles on every platform.
+    const auto parts = sampleParts();
+    for (const auto &[name, config] : pricingConfigs()) {
+        for (FormatKind kind : paperFormats()) {
+            const auto single = runParallel(
+                parts, kind, 1, ScheduleKind::RoundRobin, config);
+            EXPECT_EQ(single.computeBoundCycles,
+                      runPipeline(parts, kind, config).totalCycles)
+                << name << " " << formatName(kind);
+        }
+    }
 }
 
 TEST(ParallelPipelineTest, ZeroPesIsFatal)

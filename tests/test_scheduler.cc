@@ -4,6 +4,13 @@
  * pipeline.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -19,6 +26,30 @@ sampleParts(double density = 0.05)
 {
     Rng rng(77);
     return partition(randomMatrix(128, density, rng), 16);
+}
+
+/** The default platform and one with second-stage compression. */
+std::vector<std::pair<std::string, HlsConfig>>
+planConfigs()
+{
+    HlsConfig compressed;
+    compressed.secondStageCompression = true;
+    return {{"default", HlsConfig()}, {"second stage", compressed}};
+}
+
+/** What @p objective minimizes, read off the pipeline's own timing. */
+std::uint64_t
+objectiveScore(const PartitionTiming &timing, SchedulerObjective objective)
+{
+    switch (objective) {
+      case SchedulerObjective::Bottleneck:
+        return timing.bottleneckCycles();
+      case SchedulerObjective::Compute:
+        return timing.computeCycles;
+      case SchedulerObjective::Bytes:
+        return timing.totalBytes;
+    }
+    return 0;
 }
 
 TEST(MixedPipelineTest, LengthMismatchIsFatal)
@@ -79,20 +110,41 @@ TEST(PlanFormatsTest, HistogramSumsToTileCount)
 
 TEST(PlanFormatsTest, BytesObjectivePicksSmallestEncoding)
 {
-    const auto parts = sampleParts();
-    const auto plan = planFormats(parts, paperFormats(),
-                                  SchedulerObjective::Bytes);
-    for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
-        const Bytes chosen = defaultCodec(plan.perTile[i])
-                                 .encode(parts.tiles[i])
-                                 ->totalBytes();
-        for (FormatKind kind : paperFormats()) {
-            const Bytes other =
-                defaultCodec(kind).encode(parts.tiles[i])->totalBytes();
-            EXPECT_LE(chosen, other)
-                << "tile " << i << " chose " << formatName(
-                       plan.perTile[i]) << " but " << formatName(kind)
-                << " is smaller";
+    // Under every objective (bytes included) and platform, each tile's
+    // choice scores minimal in runPipeline's own per-partition timing.
+    Rng rng(21);
+    const std::vector<std::pair<std::string, Partitioning>> inputs = {
+        {"random 0.05", sampleParts()},
+        {"random 0.2", sampleParts(0.2)},
+        {"band 2", partition(bandMatrix(128, 2, rng), 16)}};
+    for (const auto &[config_name, config] : planConfigs()) {
+        for (const auto &[input_name, parts] : inputs) {
+            std::map<FormatKind, PipelineResult> fixed;
+            for (FormatKind kind : paperFormats())
+                fixed.emplace(kind, runPipeline(parts, kind, config));
+            for (SchedulerObjective objective :
+                 {SchedulerObjective::Bottleneck,
+                  SchedulerObjective::Compute,
+                  SchedulerObjective::Bytes}) {
+                const auto plan = planFormats(parts, paperFormats(),
+                                              objective, config);
+                for (std::size_t i = 0; i < parts.tiles.size(); ++i) {
+                    std::uint64_t best = UINT64_MAX;
+                    for (const auto &[kind, result] : fixed) {
+                        best = std::min(
+                            best, objectiveScore(result.partitions[i],
+                                                 objective));
+                    }
+                    EXPECT_EQ(objectiveScore(fixed.at(plan.perTile[i])
+                                                 .partitions[i],
+                                             objective),
+                              best)
+                        << config_name << ", " << input_name
+                        << ", objective " << static_cast<int>(objective)
+                        << ": tile " << i << " chose "
+                        << formatName(plan.perTile[i]);
+                }
+            }
         }
     }
 }
@@ -101,14 +153,19 @@ TEST(AdaptiveTest, NeverWorseThanEveryFixedChoice)
 {
     // The adaptive bottleneck plan must beat-or-match the best fixed
     // format on total steady cycles (it optimizes exactly that,
-    // tile by tile).
-    for (double density : {0.02, 0.2}) {
-        const auto parts = sampleParts(density);
-        const auto adaptive = runAdaptive(parts, paperFormats());
-        for (FormatKind kind : paperFormats()) {
-            const auto fixed = runPipeline(parts, kind);
-            EXPECT_LE(adaptive.totalCycles, fixed.totalCycles)
-                << "density " << density << " vs " << formatName(kind);
+    // tile by tile), with or without the second stage.
+    for (const auto &[name, config] : planConfigs()) {
+        for (double density : {0.02, 0.2}) {
+            const auto parts = sampleParts(density);
+            const auto adaptive =
+                runAdaptive(parts, paperFormats(),
+                            SchedulerObjective::Bottleneck, config);
+            for (FormatKind kind : paperFormats()) {
+                const auto fixed = runPipeline(parts, kind, config);
+                EXPECT_LE(adaptive.totalCycles, fixed.totalCycles)
+                    << name << ", density " << density << " vs "
+                    << formatName(kind);
+            }
         }
     }
 }
