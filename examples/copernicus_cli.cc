@@ -31,7 +31,7 @@
  *                          Forwards the analyzer flags: --list-passes,
  *                          --passes=a,b, --json, --sarif=PATH,
  *                          --baseline=PATH, --werror, --no-oracle,
- *                          --no-grammar, --no-streams
+ *                          --no-grammar
  *
  * Client mode (talks to a running copernicus_serve daemon instead of
  * characterizing in-process):
@@ -67,7 +67,8 @@
  *
  * Prints the full format x partition metric table, the Figure-3
  * partition statistics, the adaptive per-tile plan, and the advisor's
- * per-goal recommendations.
+ * per-goal recommendations. An unknown flag, a malformed partition-size
+ * list or any other FatalError is reported on stderr with exit 1.
  */
 
 #include <chrono>
@@ -105,19 +106,6 @@
 using namespace copernicus;
 
 namespace {
-
-std::vector<Index>
-parsePartitionSizes(const std::string &arg)
-{
-    std::vector<Index> sizes;
-    std::istringstream in(arg);
-    std::string token;
-    while (std::getline(in, token, ','))
-        sizes.push_back(static_cast<Index>(std::stoul(token)));
-    fatalIf(sizes.empty(), "no partition sizes parsed from '" + arg +
-                               "'");
-    return sizes;
-}
 
 /** Flags plus the surviving positional arguments, in order. */
 struct CliOptions
@@ -167,8 +155,6 @@ parseArgs(int argc, char **argv)
             opts.lintDriver.lint.runOracle = false;
         } else if (arg == "--no-grammar") {
             opts.lintDriver.lint.runGrammar = false;
-        } else if (arg == "--no-streams") {
-            opts.lintDriver.lint.runStreams = false;
         } else if (arg.rfind("--passes=", 0) == 0) {
             std::istringstream names(arg.substr(9));
             std::string token;
@@ -228,6 +214,8 @@ parseArgs(int argc, char **argv)
             opts.topIters = std::strtol(argv[++i], nullptr, 10);
             fatalIf(opts.topIters < 1,
                     "--iters wants a positive count");
+        } else if (arg.rfind("--", 0) == 0) {
+            fatal("unknown option '" + arg + "'");
         } else {
             opts.positional.push_back(arg);
         }
@@ -390,10 +378,8 @@ runTop(ServeClient &client, const CliOptions &opts)
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+cliMain(int argc, char **argv)
 {
     const CliOptions opts = parseArgs(argc, argv);
     if (!opts.checkExpositionPath.empty())
@@ -591,4 +577,21 @@ main(int argc, char **argv)
         ProfileStats().dump(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A FatalError is the caller's mistake (an unknown flag, a
+    // malformed partition-size list, an unreadable matrix): report it
+    // and exit 1 instead of aborting.
+    try {
+        return cliMain(argc, argv);
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "copernicus_cli: error: %s\n",
+                     error.what());
+        return 1;
+    }
 }

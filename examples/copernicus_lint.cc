@@ -12,17 +12,17 @@
  *   copernicus_lint --werror         # warnings fail the build
  *   copernicus_lint --no-oracle      # skip the model-vs-walker oracle
  *   copernicus_lint --no-grammar     # skip encoded-tile validation
- *   copernicus_lint --no-streams     # skip typed-stream coverage
  *   copernicus_lint --no-store      # skip .cbm container integrity
  *   copernicus_lint --cbm=PATH      # also lint a real .cbm artifact
  *
  * Runs every analyzer pass over the full format registry: schedule-spec
  * structure, hlsc decoder-body cross-checks, hyperparameter contracts,
- * encoded-tile grammar, the closed-form-vs-walker cycle oracle, typed-
- * stream coverage, symbolic overflow analysis of the cycle/byte
- * accounting, BRAM capacity dataflow, thread-safety contracts, serve
- * protocol conformance, and the compression size invariant. Exit code:
- * 0 clean, 1 errors (or warnings with --werror), 2 warnings.
+ * encoded-tile grammar, the closed-form-vs-walker cycle oracle,
+ * symbolic overflow analysis of the cycle/byte accounting, BRAM
+ * capacity dataflow, thread-safety contracts, serve protocol
+ * conformance, the compression size invariant and .cbm container
+ * integrity. Exit code: 0 clean, 1 errors (or warnings with --werror,
+ * or an unknown flag or malformed partition-size list), 2 warnings.
  */
 
 #include <cstdio>
@@ -38,19 +38,6 @@ using namespace copernicus;
 
 namespace {
 
-std::vector<Index>
-parsePartitionSizes(const std::string &arg)
-{
-    std::vector<Index> sizes;
-    std::istringstream in(arg);
-    std::string token;
-    while (std::getline(in, token, ','))
-        sizes.push_back(static_cast<Index>(std::stoul(token)));
-    fatalIf(sizes.empty(),
-            "no partition sizes parsed from '" + arg + "'");
-    return sizes;
-}
-
 std::vector<std::string>
 splitNames(const std::string &arg)
 {
@@ -63,10 +50,8 @@ splitNames(const std::string &arg)
     return names;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+lintMain(int argc, char **argv)
 {
     LintDriverOptions options;
     for (int i = 1; i < argc; ++i) {
@@ -75,8 +60,6 @@ main(int argc, char **argv)
             options.lint.runOracle = false;
         else if (arg == "--no-grammar")
             options.lint.runGrammar = false;
-        else if (arg == "--no-streams")
-            options.lint.runStreams = false;
         else if (arg == "--no-store")
             options.lint.runStore = false;
         else if (arg.rfind("--cbm=", 0) == 0)
@@ -93,6 +76,8 @@ main(int argc, char **argv)
             options.sarifPath = arg.substr(8);
         else if (arg.rfind("--baseline=", 0) == 0)
             options.baselinePath = arg.substr(11);
+        else if (arg.rfind("--", 0) == 0)
+            fatal("unknown option '" + arg + "'");
         else
             options.lint.partitionSizes = parsePartitionSizes(arg);
     }
@@ -107,4 +92,20 @@ main(int argc, char **argv)
         std::printf("copernicus_lint — multi-pass schedule/format "
                     "analyzer\n");
     return runLintDriver(options, std::cout);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A FatalError is a usage error (an unknown flag, a malformed
+    // partition-size list): report it and exit 1 instead of aborting.
+    try {
+        return lintMain(argc, argv);
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "copernicus_lint: error: %s\n",
+                     error.what());
+        return 1;
+    }
 }

@@ -130,8 +130,8 @@ lintRuleDescription(const std::string &id)
         {"COP030", "encoded tile violates its format grammar"},
         {"COP040", "closed-form cycle bound != dynamic walker"},
         {"COP041", "IR produced-rows != walker rows"},
-        {"COP050", "typed streams and legacy streams() disagree on "
-                   "bytes"},
+        {"COP050", "retired: each format declares its streams once, "
+                   "so typed and wire sizes cannot disagree"},
         {"COP060", "accounting type narrower than 64 bits"},
         {"COP061", "cycle accounting can overflow uint64 within the "
                    "workload envelope"},

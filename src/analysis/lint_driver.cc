@@ -1,11 +1,14 @@
 #include "analysis/lint_driver.hh"
 
+#include <charconv>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "analysis/baseline.hh"
 #include "analysis/emitters.hh"
 #include "analysis/pass_manager.hh"
+#include "common/status.hh"
 
 namespace copernicus {
 
@@ -91,6 +94,25 @@ runLintDriver(const LintDriverOptions &options, std::ostream &out)
             << report.warningCount() << " warning(s)\n";
     }
     return lintExitCode(report, options.werror);
+}
+
+std::vector<Index>
+parsePartitionSizes(const std::string &arg)
+{
+    const std::string malformed =
+        "malformed partition-size list '" + arg + "'";
+    std::vector<Index> sizes;
+    std::istringstream in(arg);
+    std::string token;
+    while (std::getline(in, token, ',')) {
+        Index size = 0;
+        const char *end = token.data() + token.size();
+        const auto [stop, ec] = std::from_chars(token.data(), end, size);
+        fatalIf(ec != std::errc() || stop != end, malformed);
+        sizes.push_back(size);
+    }
+    fatalIf(sizes.empty(), malformed);
+    return sizes;
 }
 
 } // namespace copernicus

@@ -42,6 +42,14 @@ struct LintDriverOptions
  */
 int runLintDriver(const LintDriverOptions &options, std::ostream &out);
 
+/**
+ * Parse a comma-separated partition-size list such as "8,16,32", the
+ * positional argument of copernicus_lint and copernicus_cli. A
+ * malformed list (an entry that is not an unsigned 32-bit number, or
+ * no entry at all) is a FatalError.
+ */
+std::vector<Index> parsePartitionSizes(const std::string &arg);
+
 } // namespace copernicus
 
 #endif // COPERNICUS_ANALYSIS_LINT_DRIVER_HH

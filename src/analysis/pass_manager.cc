@@ -46,17 +46,17 @@ runContractPass(const LintOptions &options, LintReport &report)
                    report);
 }
 
-/** Grammar, oracle and streams share checkTile's one encode per tile. */
+/** Grammar and oracle share checkTile's one encode per tile. */
 void
 runTilePasses(const LintOptions &options, bool grammar, bool oracle,
-              bool streams, LintReport &report)
+              LintReport &report)
 {
     const FormatRegistry registry(options.params);
     forEachLintTile(options.partitionSizes,
                     [&](Index, const Tile &tile) {
                         for (FormatKind kind : allFormats())
                             checkTile(registry, kind, tile, options.hls,
-                                      grammar, oracle, streams, report);
+                                      grammar, oracle, report);
                     });
 }
 
@@ -84,7 +84,7 @@ buildStandard()
                  true,
                  [](const LintOptions &o) { return o.runGrammar; },
                  [](const LintOptions &o, LintReport &r) {
-                     runTilePasses(o, true, false, false, r);
+                     runTilePasses(o, true, false, r);
                  }});
     manager.add({"oracle",
                  "closed-form cycle model vs the dynamic walker",
@@ -92,15 +92,7 @@ buildStandard()
                  true,
                  [](const LintOptions &o) { return o.runOracle; },
                  [](const LintOptions &o, LintReport &r) {
-                     runTilePasses(o, false, true, false, r);
-                 }});
-    manager.add({"streams",
-                 "typed streams cover the legacy stream bytes exactly",
-                 {"COP050"},
-                 true,
-                 [](const LintOptions &o) { return o.runStreams; },
-                 [](const LintOptions &o, LintReport &r) {
-                     runTilePasses(o, false, false, true, r);
+                     runTilePasses(o, false, true, r);
                  }});
     manager.add({"overflow",
                  "uint64 accounting proven against the workload "

@@ -266,38 +266,8 @@ checkTile(const FormatRegistry &registry, FormatKind kind,
           const Tile &tile, const HlsConfig &config, bool grammar,
           bool oracle, LintReport &report)
 {
-    checkTile(registry, kind, tile, config, grammar, oracle, true,
-              report);
-}
-
-void
-checkTile(const FormatRegistry &registry, FormatKind kind,
-          const Tile &tile, const HlsConfig &config, bool grammar,
-          bool oracle, bool streams, LintReport &report)
-{
     const std::string name(formatName(kind));
     const auto encoded = registry.codec(kind).encode(tile);
-
-    if (streams) {
-        // Typed-stream coverage: the typed payloads must account for
-        // exactly the bytes the legacy streams() API charges — the
-        // transfer model and the second-stage compressor must agree
-        // on what crosses the memory interface.
-        Bytes legacyTotal = 0;
-        for (const Bytes b : encoded->streams())
-            legacyTotal += b;
-        const Bytes typedTotal =
-            typedStreamBytes(encoded->typedStreams());
-        if (typedTotal != legacyTotal)
-            report.error("COP050", "streams", name,
-                         "typed streams serialize " +
-                             std::to_string(typedTotal) +
-                             " bytes but streams() reports " +
-                             std::to_string(legacyTotal) +
-                             " on a p=" + std::to_string(tile.size()) +
-                             " tile with " +
-                             std::to_string(tile.nnz()) + " non-zeros");
-    }
 
     if (grammar) {
         const GrammarReport check = validateEncodedTile(*encoded);

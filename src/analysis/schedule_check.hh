@@ -19,10 +19,10 @@
  *    hls_config.hh and the requested partition sizes (BCSR block /
  *    SELL slice / SELL-C-sigma window divisibility, ELL width clamps,
  *    knob sanity).
- *  - Grammar + oracle + streams (COP030, COP040-041, COP050) over
- *    synthetic workloads: every encoded tile must satisfy its format
- *    grammar (formats/validate), and the closed-form cycle bound from
- *    the schedule IR must equal the dynamic walker exactly (the
+ *  - Grammar + oracle (COP030, COP040-041) over synthetic workloads:
+ *    every encoded tile must satisfy its format grammar
+ *    (formats/validate), and the closed-form cycle bound from the
+ *    schedule IR must equal the dynamic walker exactly (the
  *    model-vs-walker oracle).
  *
  * The deeper passes live beside this file (overflow_pass, capacity_pass,
@@ -66,14 +66,6 @@ struct LintOptions
 
     /** Run the model-vs-walker oracle over synthetic tiles. */
     bool runOracle = true;
-
-    /**
-     * Run the typed-stream coverage pass over synthetic tiles: every
-     * format's typedStreams() must cover its legacy streams() total
-     * exactly (no bytes dropped or double-counted by the typed-stream
-     * migration).
-     */
-    bool runStreams = true;
 
     /** Run the symbolic range/overflow pass (COP060-063). */
     bool runOverflow = true;
@@ -155,18 +147,13 @@ void checkContracts(const FormatParams &params, const HlsConfig &config,
  */
 void checkTile(const FormatRegistry &registry, FormatKind kind,
                const Tile &tile, const HlsConfig &config, bool grammar,
-               bool oracle, bool streams, LintReport &report);
-
-/** Back-compat overload: runs the streams pass. */
-void checkTile(const FormatRegistry &registry, FormatKind kind,
-               const Tile &tile, const HlsConfig &config, bool grammar,
                bool oracle, LintReport &report);
 
 /**
  * Invoke @p fn for every tile of the synthetic lint workload set
  * (random, band, diagonal, stencil, plus the all-zero tile) at each
- * partition size — the shared tile sweep behind the grammar, oracle,
- * streams and compress passes. Deterministic (fixed seed).
+ * partition size — the shared tile sweep behind the grammar, oracle
+ * and compress passes. Deterministic (fixed seed).
  */
 void forEachLintTile(const std::vector<Index> &partitionSizes,
                      const std::function<void(Index, const Tile &)> &fn);

@@ -80,14 +80,21 @@ TileCompression::storedBytes() const
     return total;
 }
 
+WireBytes
+TileCompression::storedWireBytes() const
+{
+    WireBytes sizes;
+    for (const CompressedStream &s : streams)
+        sizes.add(s.wire, s.storedBytes());
+    return sizes;
+}
+
 std::vector<Bytes>
 TileCompression::storedStreamBytes() const
 {
-    std::vector<Bytes> sizes;
-    sizes.reserve(streams.size());
-    for (const CompressedStream &s : streams)
-        sizes.push_back(s.storedBytes());
-    return sizes;
+    const WireBytes sizes = storedWireBytes();
+    const std::span<const Bytes> wires = sizes.wires();
+    return std::vector<Bytes>(wires.begin(), wires.end());
 }
 
 TileCompression
@@ -107,6 +114,7 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
         CompressedStream out;
         out.cls = stream.cls;
         out.name = stream.name;
+        out.wire = stream.wire;
         out.rawBytes = stream.size();
         out.family = CompressionFamily::Store;
         out.payloadBytes = out.rawBytes;

@@ -17,7 +17,9 @@
  *
  * Accounting contract: a STORE stream ships the raw serialized bytes
  * unchanged, so storedBytes() <= rawBytes() always, and disabling the
- * second stage is exactly the all-STORE policy. Compressed streams
+ * second stage is exactly the all-STORE policy: stored sizes are
+ * summed per first-stage wire, so an all-STORE tile presents the AXI
+ * model the same wires as the uncompressed one. Compressed streams
  * pay a fixed per-stream container header (family + raw size) so the
  * model never undercounts framing.
  */
@@ -68,6 +70,7 @@ struct CompressedStream
 {
     StreamClass cls = StreamClass::Value;
     const char *name = "";
+    Wire wire = 0;
     CompressionFamily family = CompressionFamily::Store;
 
     /** Serialized (pre-compression) payload size. */
@@ -101,7 +104,10 @@ struct TileCompression
     Bytes rawBytes() const;
     Bytes storedBytes() const;
 
-    /** Per-stream stored sizes, for the AXI streamline model. */
+    /** Stored sizes summed per first-stage wire, for the AXI model. */
+    WireBytes storedWireBytes() const;
+
+    /** storedWireBytes() as one entry per wire. */
     std::vector<Bytes> storedStreamBytes() const;
 };
 

@@ -26,31 +26,22 @@ class BcsrEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::BCSR; }
 
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
         // values is the longest stream and defines the memory latency
         // (Listing 2 discussion).
         Bytes value_bytes = 0;
         for (const auto &blk : values)
             value_bytes += Bytes(blk.size()) * valueBytes;
-        return {value_bytes, Bytes(colInx.size()) * indexBytes,
-                Bytes(offsets.size()) * indexBytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        TypedStream values_stream{StreamClass::Value, "values", {}};
-        for (const auto &blk : values)
-            appendScalarBytes(values_stream.bytes, blk.data(),
-                              blk.size());
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values_stream));
-        out.push_back(scalarStream(StreamClass::Index, "colInx", colInx));
-        out.push_back(
-            scalarStream(StreamClass::Offset, "offsets", offsets));
-        return out;
+        declare.image(StreamClass::Value, "values", 0, value_bytes,
+                      [this](auto &out) {
+                          for (const auto &blk : values)
+                              appendScalarBytes(out, blk.data(),
+                                                blk.size());
+                      });
+        declare.array(StreamClass::Index, "colInx", 1, colInx);
+        declare.array(StreamClass::Offset, "offsets", 2, offsets);
     }
 
     /** Block edge length b. */

@@ -32,28 +32,19 @@ class BitmapEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::BITMAP; }
 
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        // The bitmap is packed: p*p bits of metadata.
-        const Bytes mask_bytes =
-            (Bytes(p) * p + 7) / 8;
-        return {Bytes(values.size()) * valueBytes, mask_bytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        TypedStream mask_stream{StreamClass::Index, "mask", {}};
-        appendScalarBytes(mask_stream.bytes, mask.data(), mask.size());
+        declare.array(StreamClass::Value, "values", 0, values);
         // The wire image is the packed p*p bits, not the backing
         // words: truncate the tail padding the words add.
-        mask_stream.bytes.resize((std::size_t(p) * p + 7) / 8);
-        std::vector<TypedStream> out;
-        out.push_back(
-            scalarStream(StreamClass::Value, "values", values));
-        out.push_back(std::move(mask_stream));
-        return out;
+        const Bytes mask_bytes = (Bytes(p) * p + 7) / 8;
+        declare.image(StreamClass::Index, "mask", 1, mask_bytes,
+                      [&](auto &out) {
+                          appendScalarBytes(out, mask.data(),
+                                            mask.size());
+                          out.resize(mask_bytes);
+                      });
     }
 
     /** True iff cell (row, col) is occupied. */

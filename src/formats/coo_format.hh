@@ -22,21 +22,16 @@ class CooEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::COO; }
 
-    std::vector<Bytes>
-    streams() const override
+    /**
+     * The (row, col, value) tuples travel interleaved on one wire;
+     * their payloads are the planar arrays (SoA).
+     */
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        // Tuples travel together as one interleaved stream.
-        return {Bytes(values.size()) *
-                (valueBytes + 2 * indexBytes)};
-    }
-
-    /** The interleaved tuples split into planar streams (SoA). */
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "rowInx", rowInx),
-                scalarStream(StreamClass::Index, "colInx", colInx)};
+        declare.array(StreamClass::Value, "values", 0, values);
+        declare.array(StreamClass::Index, "rowInx", 0, rowInx);
+        declare.array(StreamClass::Index, "colInx", 0, colInx);
     }
 
     std::vector<Index> rowInx;

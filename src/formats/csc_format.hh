@@ -22,20 +22,12 @@ class CscEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::CSC; }
 
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        return {Bytes(values.size()) * valueBytes,
-                Bytes(rowInx.size()) * indexBytes,
-                Bytes(offsets.size()) * indexBytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "rowInx", rowInx),
-                scalarStream(StreamClass::Offset, "offsets", offsets)};
+        declare.array(StreamClass::Value, "values", 0, values);
+        declare.array(StreamClass::Index, "rowInx", 1, rowInx);
+        declare.array(StreamClass::Offset, "offsets", 2, offsets);
     }
 
     /** Cumulative non-zero count through each column; length p. */

@@ -27,20 +27,12 @@ class CsrEncoded : public EncodedTile
      * Streams per Listing 1's discussion: offsets and column indices
      * travel on parallel streamlines with the values.
      */
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        return {Bytes(values.size()) * valueBytes,
-                Bytes(colInx.size()) * indexBytes,
-                Bytes(offsets.size()) * indexBytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx),
-                scalarStream(StreamClass::Offset, "offsets", offsets)};
+        declare.array(StreamClass::Value, "values", 0, values);
+        declare.array(StreamClass::Index, "colInx", 1, colInx);
+        declare.array(StreamClass::Offset, "offsets", 2, offsets);
     }
 
     /** Cumulative non-zero count through each row; length p. */

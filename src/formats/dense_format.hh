@@ -23,16 +23,10 @@ class DenseEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::Dense; }
 
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        return {Bytes(values.size()) * valueBytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values)};
+        declare.array(StreamClass::Value, "values", 0, values);
     }
 
     /** Row-major p*p values including zeros. */

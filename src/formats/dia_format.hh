@@ -37,28 +37,26 @@ class DiaEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::DIA; }
 
-    std::vector<Bytes>
-    streams() const override
+    /**
+     * One wire: each diagonal row is p+1 words, the header number
+     * followed by the padded value slots. The payloads split the
+     * numbers from the values.
+     */
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        // Each diagonal row is p+1 words (header + padded values).
-        return {Bytes(diagonals.size()) * (p + 1) * valueBytes};
-    }
-
-    /** Header numbers and padded value slots as planar streams. */
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        TypedStream values{StreamClass::Value, "values", {}};
-        TypedStream headers{StreamClass::Offset, "headers", {}};
-        for (const DiaDiagonal &d : diagonals) {
-            appendScalarBytes(headers.bytes, &d.number, 1);
-            appendScalarBytes(values.bytes, d.values.data(),
-                              d.values.size());
-        }
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values));
-        out.push_back(std::move(headers));
-        return out;
+        const Bytes rows = diagonals.size();
+        declare.image(StreamClass::Value, "values", 0,
+                      rows * p * valueBytes, [this](auto &out) {
+                          for (const DiaDiagonal &d : diagonals)
+                              appendScalarBytes(out, d.values.data(),
+                                                d.values.size());
+                      });
+        declare.image(StreamClass::Offset, "headers", 0,
+                      rows * sizeof(std::int32_t), [this](auto &out) {
+                          for (const DiaDiagonal &d : diagonals)
+                              appendScalarBytes(out, &d.number, 1);
+                      });
     }
 
     /**

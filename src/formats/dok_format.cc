@@ -4,6 +4,28 @@
 
 namespace copernicus {
 
+namespace {
+
+/** Visit @p table's entries as (row, col, value) in sorted order. */
+template <typename Fn>
+void
+forEachSorted(const std::unordered_map<std::uint64_t, Value> &table,
+              Fn &&fn)
+{
+    // The packed key sorts row-major, so one sort of the keys yields
+    // the canonical COO ordering.
+    std::vector<std::uint64_t> keys;
+    keys.reserve(table.size());
+    for (const auto &[key, value] : table)
+        keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    for (const std::uint64_t key : keys)
+        fn(static_cast<Index>(key >> 32),
+           static_cast<Index>(key & 0xffffffffULL), table.at(key));
+}
+
+} // namespace
+
 std::unique_ptr<EncodedTile>
 DokCodec::encode(const Tile &tile) const
 {
@@ -15,33 +37,28 @@ DokCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-std::vector<TypedStream>
-DokEncoded::typedStreams() const
+void
+DokEncoded::declareStreams(StreamDeclarer &declare) const
 {
-    // Sorted (row, col) order: the packed key sorts row-major, so one
-    // sort of the keys yields the canonical COO ordering.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(table.size());
-    for (const auto &[key, value] : table)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-
-    TypedStream values{StreamClass::Value, "values", {}};
-    TypedStream rows{StreamClass::Index, "rowInx", {}};
-    TypedStream cols{StreamClass::Index, "colInx", {}};
-    for (const std::uint64_t key : keys) {
-        const Index row = static_cast<Index>(key >> 32);
-        const Index col = static_cast<Index>(key & 0xffffffffULL);
-        const Value value = table.at(key);
-        appendScalarBytes(values.bytes, &value, 1);
-        appendScalarBytes(rows.bytes, &row, 1);
-        appendScalarBytes(cols.bytes, &col, 1);
-    }
-    std::vector<TypedStream> out;
-    out.push_back(std::move(values));
-    out.push_back(std::move(rows));
-    out.push_back(std::move(cols));
-    return out;
+    const Bytes entries = table.size();
+    declare.image(StreamClass::Value, "values", 0, entries * valueBytes,
+                  [this](auto &out) {
+                      forEachSorted(table, [&](Index, Index, Value v) {
+                          appendScalarBytes(out, &v, 1);
+                      });
+                  });
+    declare.image(StreamClass::Index, "rowInx", 0, entries * indexBytes,
+                  [this](auto &out) {
+                      forEachSorted(table, [&](Index row, Index, Value) {
+                          appendScalarBytes(out, &row, 1);
+                      });
+                  });
+    declare.image(StreamClass::Index, "colInx", 0, entries * indexBytes,
+                  [this](auto &out) {
+                      forEachSorted(table, [&](Index, Index col, Value) {
+                          appendScalarBytes(out, &col, 1);
+                      });
+                  });
 }
 
 Tile

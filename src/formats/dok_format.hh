@@ -25,19 +25,12 @@ class DokEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::DOK; }
 
-    std::vector<Bytes>
-    streams() const override
-    {
-        // Same wire image as COO: (row, col, value) per entry.
-        return {Bytes(table.size()) * (valueBytes + 2 * indexBytes)};
-    }
-
     /**
-     * COO's planar wire image in sorted (row, col) order — the hash
-     * table's iteration order is not deterministic, the serialized
-     * streams must be.
+     * COO's wire image, one interleaved wire, in sorted (row, col)
+     * order — the hash table's iteration order is not deterministic,
+     * the serialized streams must be.
      */
-    std::vector<TypedStream> typedStreams() const override;
+    void declareStreams(StreamDeclarer &declare) const override;
 
     /** Pack (row, col) into one hash key. */
     static std::uint64_t

@@ -32,18 +32,11 @@ class EllEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::ELL; }
 
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        return {Bytes(values.size()) * valueBytes,
-                Bytes(colInx.size()) * indexBytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx)};
+        declare.array(StreamClass::Value, "values", 0, values);
+        declare.array(StreamClass::Index, "colInx", 1, colInx);
     }
 
     /** Compressed row width (padding included). */

@@ -30,26 +30,18 @@ class EllCooEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::ELLCOO; }
 
-    std::vector<Bytes>
-    streams() const override
+    /** The ELL part and the COO overflow tuples ride one wire each. */
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        return {Bytes(values.size()) * valueBytes +
-                    Bytes(colInx.size()) * indexBytes,
-                Bytes(overflowValues.size()) *
-                    (valueBytes + 2 * indexBytes)};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx),
-                scalarStream(StreamClass::Value, "overflowValues",
-                             overflowValues),
-                scalarStream(StreamClass::Index, "overflowRows",
-                             overflowRows),
-                scalarStream(StreamClass::Index, "overflowCols",
-                             overflowCols)};
+        declare.array(StreamClass::Value, "values", 0, values);
+        declare.array(StreamClass::Index, "colInx", 0, colInx);
+        declare.array(StreamClass::Value, "overflowValues", 1,
+                      overflowValues);
+        declare.array(StreamClass::Index, "overflowRows", 1,
+                      overflowRows);
+        declare.array(StreamClass::Index, "overflowCols", 1,
+                      overflowCols);
     }
 
     /** Fixed ELL-part width. */

@@ -10,12 +10,16 @@
  * Byte accounting follows Section 4.2: "useful" bytes are the non-zero
  * values; everything else that crosses the memory interface — indices,
  * offsets, headers, and padding or in-block zeros — is overhead. The
- * bandwidth-utilization metric is usefulBytes()/totalBytes().
+ * bandwidth-utilization metric is usefulBytes()/totalBytes(). Each
+ * format states its memory streams once, in declareStreams(); the
+ * per-wire sizes, the serialized payloads and every byte total are
+ * views of that declaration (typed_stream.hh).
  */
 
 #ifndef COPERNICUS_FORMATS_ENCODED_TILE_HH
 #define COPERNICUS_FORMATS_ENCODED_TILE_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,22 +55,47 @@ class EncodedTile
     virtual FormatKind kind() const = 0;
 
     /**
-     * Byte count of each memory stream of this encoding.
-     *
-     * The AXI transfer model assigns streams to the available
-     * streamlines; the longest streamline defines memory latency
-     * (Section 5.2, CSR discussion).
+     * Declare every memory stream of this encoding once: its class,
+     * name, first-stage wire, byte size and serialization.
      */
-    virtual std::vector<Bytes> streams() const = 0;
+    virtual void declareStreams(StreamDeclarer &declare) const = 0;
+
+    /** Per-wire byte sizes, without allocating or serializing. */
+    WireBytes
+    wireBytes() const
+    {
+        WireBytes sizes;
+        StreamDeclarer declare(sizes);
+        declareStreams(declare);
+        return sizes;
+    }
 
     /**
-     * The same bytes as streams(), split into labeled, classed,
-     * serialized payloads for second-stage compression (see
-     * typed_stream.hh). Implementations must cover the streams()
-     * total exactly; copernicus_lint's `streams` pass and the tier-1
-     * tests enforce it.
+     * Byte count of each first-stage wire. The AXI transfer model
+     * assigns wires to streamlines; the longest streamline defines
+     * memory latency (Section 5.2, CSR discussion).
      */
-    virtual std::vector<TypedStream> typedStreams() const = 0;
+    std::vector<Bytes>
+    streams() const
+    {
+        const WireBytes sizes = wireBytes();
+        const std::span<const Bytes> wires = sizes.wires();
+        return std::vector<Bytes>(wires.begin(), wires.end());
+    }
+
+    /**
+     * Every declared stream serialized, in declaration order, for
+     * second-stage compression. Panics if a stream's writer emits a
+     * byte count other than its declared size.
+     */
+    std::vector<TypedStream>
+    typedStreams() const
+    {
+        std::vector<TypedStream> payloads;
+        StreamDeclarer declare(payloads);
+        declareStreams(declare);
+        return payloads;
+    }
 
     /** Edge length p of the source tile. */
     Index tileSize() const { return p; }
@@ -78,17 +107,10 @@ class EncodedTile
     Bytes usefulBytes() const { return Bytes(_nnz) * valueBytes; }
 
     /**
-     * All bytes crossing the memory interface: the sum of streams(),
-     * recomputed on every call so it always reflects the arrays.
+     * All bytes crossing the memory interface: the sum of the declared
+     * sizes, recomputed on every call so it always reflects the arrays.
      */
-    Bytes
-    totalBytes() const
-    {
-        Bytes total = 0;
-        for (Bytes s : streams())
-            total += s;
-        return total;
-    }
+    Bytes totalBytes() const { return wireBytes().total(); }
 
     /** Overhead bytes: metadata, headers, padding, in-block zeros. */
     Bytes metadataBytes() const { return totalBytes() - usefulBytes(); }

@@ -33,21 +33,14 @@ class JdsEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::JDS; }
 
-    std::vector<Bytes>
-    streams() const override
+    /** The permutation rides with the jagged-diagonal pointers. */
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        return {Bytes(values.size()) * valueBytes,
-                Bytes(colInx().size()) * indexBytes,
-                Bytes(perm().size() + jdPtr().size()) * indexBytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        return {scalarStream(StreamClass::Value, "values", values),
-                scalarStream(StreamClass::Index, "colInx", colInx()),
-                scalarStream(StreamClass::Index, "perm", perm()),
-                scalarStream(StreamClass::Offset, "jdPtr", jdPtr())};
+        declare.array(StreamClass::Value, "values", 0, values);
+        declare.array(StreamClass::Index, "colInx", 1, colInx());
+        declare.array(StreamClass::Index, "perm", 2, perm());
+        declare.array(StreamClass::Offset, "jdPtr", 2, jdPtr());
     }
 
     /** Non-zero values, jagged-diagonal-major. */

@@ -2,6 +2,31 @@
 
 namespace copernicus {
 
+namespace {
+
+/**
+ * Visit the compact wire entries of @p lil as (row, value), column by
+ * column: each column's packed list, closed by one end-marker entry
+ * with a zero value.
+ */
+template <typename Fn>
+void
+forEachWireEntry(const LilEncoded &lil, Fn &&fn)
+{
+    for (Index col = 0; col < lil.tileSize(); ++col) {
+        for (Index level = 0;; ++level) {
+            const Index row = lil.rowAt(level, col);
+            if (row == LilEncoded::endMarker) {
+                fn(row, Value(0));
+                break;
+            }
+            fn(row, lil.valueAt(level, col));
+        }
+    }
+}
+
+} // namespace
+
 std::unique_ptr<EncodedTile>
 LilCodec::encode(const Tile &tile) const
 {
@@ -22,31 +47,25 @@ LilCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-std::vector<TypedStream>
-LilEncoded::typedStreams() const
+void
+LilEncoded::declareStreams(StreamDeclarer &declare) const
 {
-    TypedStream values{StreamClass::Value, "values", {}};
-    TypedStream rows{StreamClass::Index, "rowInx", {}};
-    // Column-major: each column's packed list, closed by one
-    // end-marker entry (a zero value slot under the endMarker row).
-    for (Index col = 0; col < tileSize(); ++col) {
-        for (Index level = 0;; ++level) {
-            const Index row = rowAt(level, col);
-            if (row == endMarker) {
-                const Value sentinel = Value(0);
-                appendScalarBytes(values.bytes, &sentinel, 1);
-                appendScalarBytes(rows.bytes, &row, 1);
-                break;
-            }
-            const Value value = valueAt(level, col);
-            appendScalarBytes(values.bytes, &value, 1);
-            appendScalarBytes(rows.bytes, &row, 1);
-        }
-    }
-    std::vector<TypedStream> out;
-    out.push_back(std::move(values));
-    out.push_back(std::move(rows));
-    return out;
+    // The paper's "number of non-zero rows, the size of rows, and one
+    // additional row": one entry per non-zero plus one end marker per
+    // column. The padded 2D arrays exist only in BRAM.
+    const Bytes entries = Bytes(nnz()) + tileSize();
+    declare.image(StreamClass::Value, "values", 0, entries * valueBytes,
+                  [this](auto &out) {
+                      forEachWireEntry(*this, [&](Index, Value value) {
+                          appendScalarBytes(out, &value, 1);
+                      });
+                  });
+    declare.image(StreamClass::Index, "rowInx", 1, entries * indexBytes,
+                  [this](auto &out) {
+                      forEachWireEntry(*this, [&](Index row, Value) {
+                          appendScalarBytes(out, &row, 1);
+                      });
+                  });
 }
 
 Tile

@@ -33,24 +33,12 @@ class LilEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::LIL; }
 
-    std::vector<Bytes>
-    streams() const override
-    {
-        // The wire format is the compact column lists: one
-        // (row-index, value) entry per non-zero plus one end-marker
-        // entry per column — the paper's "number of non-zero rows, the
-        // size of rows, and one additional row". The padded 2D arrays
-        // exist only in BRAM.
-        const Bytes entries = Bytes(_nnz) + p;
-        return {entries * valueBytes, entries * indexBytes};
-    }
-
     /**
      * The compact wire image: per column, the packed (value, row)
      * entries followed by one end-marker entry — the padded BRAM
      * arrays never cross the memory interface.
      */
-    std::vector<TypedStream> typedStreams() const override;
+    void declareStreams(StreamDeclarer &declare) const override;
 
     /** Stored rows: longest column + 1 sentinel row. */
     Index height() const { return h; }

@@ -6,6 +6,35 @@
 
 namespace copernicus {
 
+void
+declareSliceStreams(StreamDeclarer &declare,
+                    const std::vector<SellSlice> &slices)
+{
+    Bytes value_bytes = 0;
+    Bytes col_bytes = 0;
+    for (const SellSlice &slice : slices) {
+        value_bytes += Bytes(slice.values.size()) * valueBytes;
+        col_bytes += Bytes(slice.colInx.size()) * indexBytes;
+    }
+    declare.image(StreamClass::Value, "values", 0, value_bytes,
+                  [&](auto &out) {
+                      for (const SellSlice &slice : slices)
+                          appendScalarBytes(out, slice.values.data(),
+                                            slice.values.size());
+                  });
+    declare.image(StreamClass::Index, "colInx", 1, col_bytes,
+                  [&](auto &out) {
+                      for (const SellSlice &slice : slices)
+                          appendScalarBytes(out, slice.colInx.data(),
+                                            slice.colInx.size());
+                  });
+    declare.image(StreamClass::Offset, "widths", 1,
+                  Bytes(slices.size()) * indexBytes, [&](auto &out) {
+                      for (const SellSlice &slice : slices)
+                          appendScalarBytes(out, &slice.width, 1);
+                  });
+}
+
 SellCodec::SellCodec(Index sliceHeight) : c(sliceHeight)
 {
     fatalIf(sliceHeight == 0, "SELL slice height must be positive");

@@ -28,6 +28,14 @@ struct SellSlice
     std::vector<Index> colInx;
 };
 
+/**
+ * Declare the streams of @p slices (SELL and SELL-C-sigma): the values
+ * on wire 0; the column indices and one width header per slice on
+ * wire 1.
+ */
+void declareSliceStreams(StreamDeclarer &declare,
+                         const std::vector<SellSlice> &slices);
+
 /** SELL-encoded tile. */
 class SellEncoded : public EncodedTile
 {
@@ -41,38 +49,10 @@ class SellEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::SELL; }
 
-    std::vector<Bytes>
-    streams() const override
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        Bytes value_bytes = 0;
-        Bytes index_bytes = 0;
-        for (const auto &slice : slices) {
-            value_bytes += Bytes(slice.values.size()) * valueBytes;
-            index_bytes += Bytes(slice.colInx.size()) * indexBytes;
-        }
-        // One width header per slice.
-        index_bytes += Bytes(slices.size()) * indexBytes;
-        return {value_bytes, index_bytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        TypedStream values{StreamClass::Value, "values", {}};
-        TypedStream colInx{StreamClass::Index, "colInx", {}};
-        TypedStream widths{StreamClass::Offset, "widths", {}};
-        for (const auto &slice : slices) {
-            appendScalarBytes(values.bytes, slice.values.data(),
-                              slice.values.size());
-            appendScalarBytes(colInx.bytes, slice.colInx.data(),
-                              slice.colInx.size());
-            appendScalarBytes(widths.bytes, &slice.width, 1);
-        }
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values));
-        out.push_back(std::move(colInx));
-        out.push_back(std::move(widths));
-        return out;
+        declareSliceStreams(declare, slices);
     }
 
     /** Slice height C. */

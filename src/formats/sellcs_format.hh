@@ -32,39 +32,12 @@ class SellCsEncoded : public EncodedTile
 
     FormatKind kind() const override { return FormatKind::SELLCS; }
 
-    std::vector<Bytes>
-    streams() const override
+    /** The permutation rides with the column indices. */
+    void
+    declareStreams(StreamDeclarer &declare) const override
     {
-        Bytes value_bytes = 0;
-        Bytes index_bytes = 0;
-        for (const auto &slice : slices) {
-            value_bytes += Bytes(slice.values.size()) * valueBytes;
-            index_bytes += Bytes(slice.colInx.size()) * indexBytes;
-        }
-        // Width header per slice plus the permutation array.
-        index_bytes += Bytes(slices.size() + perm.size()) * indexBytes;
-        return {value_bytes, index_bytes};
-    }
-
-    std::vector<TypedStream>
-    typedStreams() const override
-    {
-        TypedStream values{StreamClass::Value, "values", {}};
-        TypedStream colInx{StreamClass::Index, "colInx", {}};
-        TypedStream widths{StreamClass::Offset, "widths", {}};
-        for (const auto &slice : slices) {
-            appendScalarBytes(values.bytes, slice.values.data(),
-                              slice.values.size());
-            appendScalarBytes(colInx.bytes, slice.colInx.data(),
-                              slice.colInx.size());
-            appendScalarBytes(widths.bytes, &slice.width, 1);
-        }
-        std::vector<TypedStream> out;
-        out.push_back(std::move(values));
-        out.push_back(std::move(colInx));
-        out.push_back(std::move(widths));
-        out.push_back(scalarStream(StreamClass::Index, "perm", perm));
-        return out;
+        declareSliceStreams(declare, slices);
+        declare.array(StreamClass::Index, "perm", 1, perm);
     }
 
     /** Slice height C. */

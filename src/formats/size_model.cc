@@ -1,7 +1,6 @@
 #include "formats/size_model.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "common/status.hh"
@@ -129,110 +128,6 @@ predictedBytes(const TileShape &shape, FormatKind kind,
         return nnz * valueBytes + (p * p + 7) / 8;
     }
     panic("predictedBytes: unknown format kind");
-}
-
-StreamClassBytes
-predictedStreamBytes(const TileShape &shape, FormatKind kind,
-                     const FormatParams &params)
-{
-    const Bytes p = shape.p;
-    const Bytes nnz = shape.nnz;
-    StreamClassBytes out;
-    switch (kind) {
-      case FormatKind::Dense:
-        out.value = p * p * valueBytes;
-        return out;
-      case FormatKind::CSR:
-      case FormatKind::CSC:
-        out.value = nnz * valueBytes;
-        out.index = nnz * indexBytes;
-        out.offset = p * indexBytes;
-        return out;
-      case FormatKind::BCSR: {
-        const Bytes b = params.bcsrBlock;
-        out.value = Bytes(shape.nnzBlocks) * b * b * valueBytes;
-        out.index = Bytes(shape.nnzBlocks) * indexBytes;
-        out.offset = (p / b) * indexBytes;
-        return out;
-      }
-      case FormatKind::COO:
-      case FormatKind::DOK:
-        out.value = nnz * valueBytes;
-        out.index = nnz * 2 * indexBytes;
-        return out;
-      case FormatKind::LIL:
-        // One sentinel entry closes each column's packed list.
-        out.value = (nnz + p) * valueBytes;
-        out.index = (nnz + p) * indexBytes;
-        return out;
-      case FormatKind::ELL: {
-        const Bytes width = std::max<Bytes>(
-            std::min<Bytes>(params.ellMinWidth, p), shape.maxRowNnz);
-        out.value = p * width * valueBytes;
-        out.index = p * width * indexBytes;
-        return out;
-      }
-      case FormatKind::SELL: {
-        Bytes slots = 0;
-        for (Index width : shape.sliceWidths)
-            slots += Bytes(params.sellSlice) * width;
-        out.value = slots * valueBytes;
-        out.index = slots * indexBytes;
-        out.offset = Bytes(shape.sliceWidths.size()) * indexBytes;
-        return out;
-      }
-      case FormatKind::SELLCS: {
-        Bytes slots = 0;
-        for (Index width : shape.sortedSliceWidths)
-            slots += Bytes(params.sellSlice) * width;
-        out.value = slots * valueBytes;
-        // colInx plus the row permutation.
-        out.index = slots * indexBytes + p * indexBytes;
-        out.offset = Bytes(shape.sortedSliceWidths.size()) * indexBytes;
-        return out;
-      }
-      case FormatKind::DIA:
-        out.value = Bytes(shape.nnzDiagonals) * p * valueBytes;
-        // One 32-bit diagonal number per diagonal.
-        out.offset = Bytes(shape.nnzDiagonals) * valueBytes;
-        return out;
-      case FormatKind::JDS:
-        out.value = nnz * valueBytes;
-        // colInx plus the row permutation.
-        out.index = (nnz + p) * indexBytes;
-        out.offset = (Bytes(shape.maxRowNnz) + 1) * indexBytes;
-        return out;
-      case FormatKind::ELLCOO: {
-        const Bytes width = std::min<Bytes>(params.ellCooWidth, p);
-        const Bytes overflow = shape.ellCooOverflow;
-        out.value = (p * width + overflow) * valueBytes;
-        out.index = p * width * indexBytes +
-                    overflow * 2 * indexBytes;
-        return out;
-      }
-      case FormatKind::BITMAP:
-        out.value = nnz * valueBytes;
-        out.index = (p * p + 7) / 8;
-        return out;
-    }
-    panic("predictedStreamBytes: unknown format kind");
-}
-
-Bytes
-predictedCompressedBytes(const TileShape &shape, FormatKind kind,
-                         const StreamClassRatios &ratios,
-                         const FormatParams &params)
-{
-    const StreamClassBytes raw = predictedStreamBytes(shape, kind,
-                                                      params);
-    const auto scale = [](Bytes bytes, double ratio) {
-        const double scaled = static_cast<double>(bytes) * ratio;
-        return scaled <= 0.0 ? Bytes(0)
-                             : Bytes(std::llround(scaled));
-    };
-    return scale(raw.value, ratios.value) +
-           scale(raw.index, ratios.index) +
-           scale(raw.offset, ratios.offset);
 }
 
 double

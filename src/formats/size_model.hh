@@ -67,50 +67,6 @@ Bytes predictedBytes(const TileShape &shape, FormatKind kind,
 double predictedUtilization(const TileShape &shape, FormatKind kind,
                             const FormatParams &params = FormatParams());
 
-/**
- * Predicted wire bytes split by stream class, mirroring the codec's
- * typedStreams() decomposition (typed_stream.hh): values, indices and
- * offsets have very different second-stage compressibility, so the
- * size model exposes the same per-class split the compressor selects
- * over. Invariant (test-verified): total() == predictedBytes().
- */
-struct StreamClassBytes
-{
-    Bytes value = 0;
-    Bytes index = 0;
-    Bytes offset = 0;
-
-    Bytes total() const { return value + index + offset; }
-};
-
-/** Per-class byte prediction for @p shape in @p kind. */
-StreamClassBytes
-predictedStreamBytes(const TileShape &shape, FormatKind kind,
-                     const FormatParams &params = FormatParams());
-
-/**
- * Measured second-stage ratios (stored bytes / raw bytes) per stream
- * class, e.g. from a calibration run over a workload sample. A plain
- * struct — the size model stays independent of the compressor; 1.0
- * everywhere models the second stage off.
- */
-struct StreamClassRatios
-{
-    double value = 1.0;
-    double index = 1.0;
-    double offset = 1.0;
-};
-
-/**
- * Predicted post-second-stage wire bytes: each class scaled by its
- * measured ratio and rounded. An estimate, not exact — actual stored
- * bytes depend on the stream contents, not just their sizes.
- */
-Bytes predictedCompressedBytes(const TileShape &shape, FormatKind kind,
-                               const StreamClassRatios &ratios,
-                               const FormatParams &params =
-                                   FormatParams());
-
 } // namespace copernicus
 
 #endif // COPERNICUS_FORMATS_SIZE_MODEL_HH

@@ -1,6 +1,7 @@
 #include "hls/axi.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/math.hh"
 #include "common/status.hh"
@@ -8,7 +9,7 @@
 namespace copernicus {
 
 Cycles
-transferCycles(const std::vector<Bytes> &streams, const HlsConfig &config)
+transferCycles(std::span<const Bytes> streams, const HlsConfig &config)
 {
     fatalIf(config.streamlines == 0, "at least one streamline required");
 
@@ -24,7 +25,7 @@ transferCycles(const std::vector<Bytes> &streams, const HlsConfig &config)
     }
 
     // Longest-processing-time assignment of streams to lanes.
-    std::vector<Bytes> sorted(streams);
+    std::vector<Bytes> sorted(streams.begin(), streams.end());
     std::sort(sorted.begin(), sorted.end(), std::greater<>());
     std::vector<Bytes> lanes(config.streamlines, 0);
     for (Bytes s : sorted)

@@ -12,7 +12,7 @@
 #ifndef COPERNICUS_HLS_AXI_HH
 #define COPERNICUS_HLS_AXI_HH
 
-#include <vector>
+#include <span>
 
 #include "hls/hls_config.hh"
 
@@ -21,11 +21,13 @@ namespace copernicus {
 /**
  * Cycles to transfer a set of streams.
  *
- * @param streams Per-stream byte counts (from EncodedTile::streams()).
+ * @param streams Byte count of each first-stage wire (one entry per
+ *        wire of EncodedTile::wireBytes(), or of the second-stage
+ *        images summed per wire), plus any vector-operand segment.
  * @param config Platform parameters.
  * @return Transfer cycles including burst setup; 0 for no bytes.
  */
-Cycles transferCycles(const std::vector<Bytes> &streams,
+Cycles transferCycles(std::span<const Bytes> streams,
                       const HlsConfig &config);
 
 /**

@@ -29,19 +29,17 @@ timePartition(const Tile &tile, const FormatCodec &codec,
 
     // The DDR interface sees post-compression stream images; useful
     // bytes are untouched, so utilization can only rise.
-    std::vector<Bytes> streams =
-        config.secondStageCompression
-            ? compressTile(*encoded).storedStreamBytes()
-            : encoded->streams();
+    WireBytes wires = config.secondStageCompression
+                          ? compressTile(*encoded).storedWireBytes()
+                          : encoded->wireBytes();
     PartitionTiming timing;
-    for (Bytes bytes : streams)
-        timing.totalBytes += bytes;
-    // One p-element segment: the vector operand in, the partial output
-    // vector back.
+    timing.totalBytes = wires.total();
+    // One p-element segment: the vector operand in, on a wire of its
+    // own, and the partial output vector back.
     const Bytes segment_bytes = Bytes(tile.size()) * valueBytes;
     if (config.streamVectorOperand)
-        streams.push_back(segment_bytes);
-    timing.memoryCycles = transferCycles(streams, config);
+        wires.add(Wire(wires.wires().size()), segment_bytes);
+    timing.memoryCycles = transferCycles(wires.wires(), config);
     timing.decompressCycles = decomp.decompressCycles;
     timing.rowsProduced = decomp.rowsProduced;
     timing.computeCycles = computeCycles(decomp, config);

@@ -222,7 +222,6 @@ Server::start()
         lint.params = opts.lintParams;
         lint.runGrammar = opts.fullLint;
         lint.runOracle = opts.fullLint;
-        lint.runStreams = opts.fullLint;
         lint.runCompress = opts.fullLint;
         // The quick gate keeps the static passes (spec, body,
         // contract, overflow, capacity, thread-safety, protocol) —

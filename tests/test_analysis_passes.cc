@@ -48,7 +48,6 @@ fastOptions()
     LintOptions options;
     options.runGrammar = false;
     options.runOracle = false;
-    options.runStreams = false;
     options.runCompress = false;
     return options;
 }
@@ -568,6 +567,15 @@ TEST(LintDriverTest, MissingBaselineIsAnError)
     options.baselinePath = "/nonexistent/lint_baseline.txt";
     std::ostringstream out;
     EXPECT_EQ(runLintDriver(options, out), 1);
+}
+
+TEST(LintDriverTest, MalformedPartitionSizeListIsFatal)
+{
+    EXPECT_EQ(parsePartitionSizes("8,16,32"),
+              (std::vector<Index>{8, 16, 32}));
+    for (const char *bad :
+         {"", "8,x", "8,,16", "-8", "8x", "99999999999", "lint.txt"})
+        EXPECT_THROW(parsePartitionSizes(bad), FatalError) << bad;
 }
 
 TEST(LintDriverTest, JsonModeEmitsParseableDocument)

@@ -265,7 +265,7 @@ TEST(Compress, CompressTileNeverExceedsRawBytes)
             const TileCompression comp = compressTile(*encoded);
             // STORE passthrough bounds the loss at zero.
             EXPECT_LE(comp.storedBytes(), comp.rawBytes());
-            // Raw accounting covers the legacy stream sizes exactly.
+            // Raw accounting covers the declared wire sizes exactly.
             const auto streams = encoded->streams();
             EXPECT_EQ(comp.rawBytes(),
                       std::accumulate(streams.begin(), streams.end(),

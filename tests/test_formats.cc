@@ -5,6 +5,10 @@
  * examples), plus the byte-accounting rules the metrics depend on.
  */
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -457,6 +461,129 @@ TEST(RegistryTest, ParamsReachCodecs)
     const auto &bcsr =
         static_cast<const BcsrCodec &>(registry.codec(FormatKind::BCSR));
     EXPECT_EQ(bcsr.blockSize(), 4u);
+}
+
+/** Each declared stream as "name/class/wire", in declaration order. */
+std::vector<std::string>
+streamLayout(const EncodedTile &encoded)
+{
+    std::vector<std::string> layout;
+    for (const TypedStream &stream : encoded.typedStreams())
+        layout.push_back(std::string(stream.name) + "/" +
+                         streamClassName(stream.cls) + "/" +
+                         std::to_string(stream.wire));
+    return layout;
+}
+
+TEST(StreamDeclarationTest, WireSizesMatchPayloadsForEveryFormat)
+{
+    // Several arrays may share one first-stage wire (COO's tuples,
+    // JDS's perm with jdPtr); the layouts are pinned so a change to
+    // the AXI wiring or the second-stage classes is deliberate.
+    const std::map<FormatKind, std::vector<std::string>> pinned = {
+        {FormatKind::Dense, {"values/value/0"}},
+        {FormatKind::CSR,
+         {"values/value/0", "colInx/index/1", "offsets/offset/2"}},
+        {FormatKind::BCSR,
+         {"values/value/0", "colInx/index/1", "offsets/offset/2"}},
+        {FormatKind::CSC,
+         {"values/value/0", "rowInx/index/1", "offsets/offset/2"}},
+        {FormatKind::COO,
+         {"values/value/0", "rowInx/index/0", "colInx/index/0"}},
+        {FormatKind::DOK,
+         {"values/value/0", "rowInx/index/0", "colInx/index/0"}},
+        {FormatKind::LIL, {"values/value/0", "rowInx/index/1"}},
+        {FormatKind::ELL, {"values/value/0", "colInx/index/1"}},
+        {FormatKind::SELL,
+         {"values/value/0", "colInx/index/1", "widths/offset/1"}},
+        {FormatKind::DIA, {"values/value/0", "headers/offset/0"}},
+        {FormatKind::JDS,
+         {"values/value/0", "colInx/index/1", "perm/index/2",
+          "jdPtr/offset/2"}},
+        {FormatKind::ELLCOO,
+         {"values/value/0", "colInx/index/0", "overflowValues/value/1",
+          "overflowRows/index/1", "overflowCols/index/1"}},
+        {FormatKind::SELLCS,
+         {"values/value/0", "colInx/index/1", "widths/offset/1",
+          "perm/index/1"}},
+        {FormatKind::BITMAP, {"values/value/0", "mask/index/1"}},
+    };
+
+    // Empty, sparse, diagonal and dense 8x8 tiles, plus random tiles
+    // at p = 8, 16 and 32.
+    std::vector<Tile> tiles;
+    tiles.emplace_back(8);
+    TileBuilder sparse(8);
+    sparse.set(0, 0, 1);
+    sparse.set(2, 5, 2);
+    sparse.set(7, 7, 3);
+    tiles.push_back(sparse.build());
+    TileBuilder diag(8);
+    for (Index i = 0; i < 8; ++i)
+        diag.set(i, i, static_cast<Value>(i + 1));
+    tiles.push_back(diag.build());
+    TileBuilder dense(8);
+    for (Index r = 0; r < 8; ++r)
+        for (Index c = 0; c < 8; ++c)
+            dense.set(r, c, static_cast<Value>(r * 8 + c + 1));
+    tiles.push_back(dense.build());
+    Rng rng(0x5EED5);
+    for (Index p : {Index(8), Index(16), Index(32)}) {
+        TileBuilder random(p);
+        for (Index r = 0; r < p; ++r)
+            for (Index c = 0; c < p; ++c)
+                if (rng.chance(0.15))
+                    random.set(r, c,
+                               static_cast<Value>(rng.range(0.5, 1.5)));
+        tiles.push_back(random.build());
+    }
+
+    const FormatRegistry &registry = defaultRegistry();
+    ASSERT_EQ(pinned.size(), allFormats().size());
+    for (FormatKind kind : allFormats()) {
+        for (const Tile &tile : tiles) {
+            SCOPED_TRACE(std::string(formatName(kind)) + " p=" +
+                         std::to_string(tile.size()) + " nnz=" +
+                         std::to_string(tile.nnz()));
+            const auto encoded = registry.codec(kind).encode(tile);
+            EXPECT_EQ(streamLayout(*encoded), pinned.at(kind));
+
+            std::vector<Bytes> payloadWires;
+            for (const TypedStream &stream : encoded->typedStreams()) {
+                if (payloadWires.size() <= stream.wire)
+                    payloadWires.resize(stream.wire + 1, 0);
+                payloadWires[stream.wire] += stream.size();
+            }
+            const WireBytes sizes = encoded->wireBytes();
+            EXPECT_EQ(std::vector<Bytes>(sizes.wires().begin(),
+                                         sizes.wires().end()),
+                      payloadWires);
+        }
+    }
+}
+
+/** A declaration whose writer emits one byte less than it declares. */
+class ShortWriterTile : public EncodedTile
+{
+  public:
+    ShortWriterTile() : EncodedTile(4, 2) {}
+
+    FormatKind kind() const override { return FormatKind::Dense; }
+
+    void
+    declareStreams(StreamDeclarer &declare) const override
+    {
+        declare.image(StreamClass::Value, "values", 0, 8,
+                      [](auto &out) { out.resize(7); });
+    }
+};
+
+TEST(StreamDeclarationTest, WriterShortOfItsDeclaredSizePanics)
+{
+    const ShortWriterTile tile;
+    // The size view never runs the writer; the payload view does.
+    EXPECT_EQ(tile.totalBytes(), 8u);
+    EXPECT_THROW(tile.typedStreams(), PanicError);
 }
 
 } // namespace

@@ -56,30 +56,31 @@ TEST(AxiTest, SingleStream)
 {
     HlsConfig cfg;
     // 8 bytes/cycle, setup 8: 1024 bytes -> 128 + 8.
-    EXPECT_EQ(transferCycles({1024}, cfg), 136u);
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{1024}, cfg), 136u);
 }
 
 TEST(AxiTest, PartialWordRoundsUp)
 {
     HlsConfig cfg;
-    EXPECT_EQ(transferCycles({9}, cfg), 2u + cfg.burstSetupCycles);
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{9}, cfg),
+              2u + cfg.burstSetupCycles);
 }
 
 TEST(AxiTest, NoBytesNoCycles)
 {
     HlsConfig cfg;
     EXPECT_EQ(transferCycles({}, cfg), 0u);
-    EXPECT_EQ(transferCycles({0, 0}, cfg), 0u);
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{0, 0}, cfg), 0u);
 }
 
 TEST(AxiTest, TwoLanesOverlapStreams)
 {
     HlsConfig cfg; // 2 streamlines
     // Two equal streams ride different lanes: latency of one.
-    EXPECT_EQ(transferCycles({800, 800}, cfg),
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{800, 800}, cfg),
               100u + cfg.burstSetupCycles);
     // The longer stream defines latency.
-    EXPECT_EQ(transferCycles({1600, 800}, cfg),
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{1600, 800}, cfg),
               200u + cfg.burstSetupCycles);
 }
 
@@ -87,7 +88,7 @@ TEST(AxiTest, LptPacksThreeStreamsOntoTwoLanes)
 {
     HlsConfig cfg;
     // {800, 480, 320}: LPT puts 800 alone, 480+320 together.
-    EXPECT_EQ(transferCycles({800, 480, 320}, cfg),
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{800, 480, 320}, cfg),
               100u + cfg.burstSetupCycles);
 }
 
@@ -95,7 +96,7 @@ TEST(AxiTest, SingleLaneSerializes)
 {
     HlsConfig cfg;
     cfg.streamlines = 1;
-    EXPECT_EQ(transferCycles({800, 800}, cfg),
+    EXPECT_EQ(transferCycles(std::vector<Bytes>{800, 800}, cfg),
               200u + cfg.burstSetupCycles);
 }
 
@@ -103,7 +104,8 @@ TEST(AxiTest, ZeroLanesIsFatal)
 {
     HlsConfig cfg;
     cfg.streamlines = 0;
-    EXPECT_THROW(transferCycles({8}, cfg), FatalError);
+    EXPECT_THROW(transferCycles(std::vector<Bytes>{8}, cfg),
+                 FatalError);
 }
 
 TEST(AxiTest, WritebackCycles)
@@ -162,7 +164,8 @@ TEST(DramTest, AxiUsesDramModelWhenEnabled)
 {
     HlsConfig cfg;
     cfg.useDramModel = true;
-    const Cycles via_axi = transferCycles({1024, 512}, cfg);
+    const Cycles via_axi =
+        transferCycles(std::vector<Bytes>{1024, 512}, cfg);
     EXPECT_EQ(via_axi,
               dramServiceCycles(1536, cfg.dram, cfg.clockMhz));
     EXPECT_EQ(writebackCycles(64, cfg),

@@ -194,36 +194,5 @@ TEST(LintTest, TilePassAcceptsRealEncodings)
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
-TEST(LintTest, StreamsPassCoversLegacyTotalsForEveryFormat)
-{
-    // The typed-stream contract: per-class streams must cover the
-    // legacy streams() byte totals exactly, for every format, across
-    // structures (empty, sparse, dense, diagonal).
-    const FormatRegistry registry;
-    std::vector<Tile> tiles;
-    tiles.emplace_back(8);
-    TileBuilder sparse(8);
-    sparse.set(0, 0, 1);
-    sparse.set(2, 5, 2);
-    sparse.set(7, 7, 3);
-    tiles.push_back(sparse.build());
-    TileBuilder diag(8);
-    for (Index i = 0; i < 8; ++i)
-        diag.set(i, i, static_cast<Value>(i + 1));
-    tiles.push_back(diag.build());
-    TileBuilder dense(8);
-    for (Index r = 0; r < 8; ++r)
-        for (Index c = 0; c < 8; ++c)
-            dense.set(r, c, static_cast<Value>(r * 8 + c + 1));
-    tiles.push_back(dense.build());
-
-    LintReport report;
-    for (const Tile &tile : tiles)
-        for (FormatKind kind : allFormats())
-            checkTile(registry, kind, tile, HlsConfig(), false, false,
-                      true, report);
-    EXPECT_TRUE(report.ok()) << report.toString();
-}
-
 } // namespace
 } // namespace copernicus

@@ -4,9 +4,12 @@
  * bandwidth-utilization bookkeeping over whole matrices.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "compress/second_stage.hh"
 #include "pipeline/stream_pipeline.hh"
 #include "workloads/generators.hh"
 
@@ -205,6 +208,50 @@ TEST(PipelineTest, SecondStageCompressionOnlyImproves)
     EXPECT_LT(dense_on.totalBytes, dense_off.totalBytes);
     EXPECT_GT(dense_on.bandwidthUtilization,
               dense_off.bandwidthUtilization);
+}
+
+TEST(PipelineTest, AllStoreSecondStagePricesLikeStageOff)
+{
+    // Disabling the second stage is exactly the all-STORE policy: a
+    // tile whose every stream STOREs must price field for field as it
+    // does with the stage off, so stored sizes must ride the same
+    // first-stage wires as the raw ones.
+    TileBuilder builder(16);
+    builder.set(3, 5, 1.5f);
+    builder.set(9, 9, 2.0f);
+    const Tile tile = builder.build();
+    HlsConfig on;
+    on.secondStageCompression = true;
+    const FormatRegistry &registry = defaultRegistry();
+    std::vector<FormatKind> allStore;
+    for (FormatKind kind : allFormats()) {
+        const FormatCodec &codec = registry.codec(kind);
+        const TileCompression stored = compressTile(*codec.encode(tile));
+        if (!std::all_of(stored.streams.begin(), stored.streams.end(),
+                         [](const CompressedStream &s) {
+                             return s.family == CompressionFamily::Store;
+                         }))
+            continue;
+        allStore.push_back(kind);
+        SCOPED_TRACE(formatName(kind));
+        const PartitionTiming off = timePartition(tile, codec, HlsConfig());
+        const PartitionTiming all = timePartition(tile, codec, on);
+        EXPECT_EQ(all.memoryCycles, off.memoryCycles);
+        EXPECT_EQ(all.computeCycles, off.computeCycles);
+        EXPECT_EQ(all.writeCycles, off.writeCycles);
+        EXPECT_EQ(all.decompressCycles, off.decompressCycles);
+        EXPECT_EQ(all.rowsProduced, off.rowsProduced);
+        EXPECT_EQ(all.sigma, off.sigma);
+        EXPECT_EQ(all.totalBytes, off.totalBytes);
+        EXPECT_EQ(all.usefulBytes, off.usefulBytes);
+    }
+    // COO, DOK and JDS carry several arrays on one wire; each stores
+    // every stream of this tile.
+    for (FormatKind kind :
+         {FormatKind::COO, FormatKind::DOK, FormatKind::JDS})
+        EXPECT_NE(std::find(allStore.begin(), allStore.end(), kind),
+                  allStore.end())
+            << formatName(kind);
 }
 
 TEST(PipelineTest, DiagonalMatrixFavorsDiaBandwidth)

@@ -42,27 +42,6 @@ TEST_P(SizeModelProperty, PredictionMatchesCodecExactly)
             << " seed=" << seed;
         EXPECT_DOUBLE_EQ(predictedUtilization(shape, kind),
                          encoded->bandwidthUtilization());
-
-        // The per-class split must cover the total exactly and match
-        // the codec's own typedStreams() decomposition class by class.
-        const StreamClassBytes perClass =
-            predictedStreamBytes(shape, kind);
-        EXPECT_EQ(perClass.total(), encoded->totalBytes());
-        Bytes byClass[3] = {0, 0, 0};
-        for (const TypedStream &stream : encoded->typedStreams())
-            byClass[static_cast<std::size_t>(stream.cls)] +=
-                stream.size();
-        EXPECT_EQ(perClass.value, byClass[0])
-            << formatName(kind) << " value stream";
-        EXPECT_EQ(perClass.index, byClass[1])
-            << formatName(kind) << " index stream";
-        EXPECT_EQ(perClass.offset, byClass[2])
-            << formatName(kind) << " offset stream";
-
-        // Unit ratios reproduce the uncompressed prediction.
-        EXPECT_EQ(predictedCompressedBytes(shape, kind,
-                                           StreamClassRatios{}),
-                  predictedBytes(shape, kind));
     }
 }
 
