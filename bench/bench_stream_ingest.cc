@@ -13,23 +13,28 @@
  * layer's memory contract: an in-memory partition of the full-scale
  * matrix needs >1.2 GB for the triplet array alone, while the
  * streaming path must finish inside a fixed window regardless of
- * matrix size. --smoke ingests ~10M non-zeros under a 256 MB cap for
- * CI; the full run ingests 100M+ under 640 MB. The emitted
- * BENCH_stream_ingest.json records pass counts, peak buffered
- * triplets, peak RSS and phase timings.
+ * matrix size. It also fails when the streamed tiles do not hold
+ * exactly the synthesized entries: an order-independent checksum of
+ * every (row, col, value) is summed once while writing and once over
+ * the tiles in global coordinates, and the two must agree. --smoke
+ * ingests ~10M non-zeros under a 256 MB cap for CI; the full run
+ * ingests 100M+ under 640 MB. The emitted BENCH_stream_ingest.json
+ * records pass counts, peak buffered triplets, the content checksum,
+ * peak RSS and phase timings.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
-#include "common/fnv.hh"
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "store/container.hh"
 #include "store/stream_partitioner.hh"
 
@@ -59,6 +64,17 @@ peakRssKb()
     return 0;
 }
 
+/** Order-independent checksum term of one non-zero. */
+std::uint64_t
+entryHash(Index row, Index col, Value value)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    std::uint64_t state = (std::uint64_t(row) << 32 | col) ^
+                          (std::uint64_t(bits) * 0x9e3779b97f4a7c15ULL);
+    return splitMix64(state);
+}
+
 /**
  * Stream a deterministic dim x dim matrix into @p writer in canonical
  * order without materializing it: an 8-wide band plus two off-diagonal
@@ -67,10 +83,10 @@ peakRssKb()
  * 1024-row strip and hop by a prime stride between strips — enough
  * structure variety to exercise multi-tile passes without exploding
  * the run into millions of single-entry tiles. Returns the non-zero
- * count written.
+ * count written and adds each entry's entryHash() to @p checksum.
  */
 std::uint64_t
-synthesizeInto(CbmWriter &writer, Index dim)
+synthesizeInto(CbmWriter &writer, Index dim, std::uint64_t &checksum)
 {
     std::uint64_t written = 0;
     std::vector<Index> cols;
@@ -96,6 +112,7 @@ synthesizeInto(CbmWriter &writer, Index dim)
             t.col = c;
             t.value = 1.0f + static_cast<Value>(salt) / 256.0f;
             writer.append(t);
+            checksum += entryHash(t.row, t.col, t.value);
             ++written;
         }
     }
@@ -159,9 +176,10 @@ main(int argc, char **argv)
 
     auto t0 = Clock::now();
     std::uint64_t nnz = 0;
+    std::uint64_t writtenChecksum = 0;
     {
         CbmWriter writer(cbmPath, dim, dim, /*epoch=*/1);
-        nnz = synthesizeInto(writer, dim);
+        nnz = synthesizeInto(writer, dim, writtenChecksum);
         writer.finish();
     }
     const double ingestSeconds = secondsSince(t0);
@@ -177,16 +195,16 @@ main(int argc, char **argv)
     StreamPartitionOptions options;
     options.maxBufferedNnz = bufferNnz;
     std::uint64_t tileNnz = 0;
-    std::uint64_t checksum = fnvOffsetBasis;
+    std::uint64_t streamedChecksum = 0;
     t0 = Clock::now();
     const StreamPartitionStats stats = forEachTileStreaming(
         reader, p, options, [&](Tile &&tile) {
             tileNnz += tile.nonzeros().size();
-            checksum = fnv1aValue(tile.tileRow(), checksum);
-            checksum = fnv1aValue(tile.tileCol(), checksum);
-            checksum = fnv1aValue(
-                static_cast<std::uint64_t>(tile.nonzeros().size()),
-                checksum);
+            const Index row0 = tile.tileRow() * p;
+            const Index col0 = tile.tileCol() * p;
+            for (const TileNonzero &e : tile.nonzeros())
+                streamedChecksum +=
+                    entryHash(row0 + e.row, col0 + e.col, e.value);
         });
     const double partitionSeconds = secondsSince(t0);
 
@@ -201,6 +219,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(budgetMb));
 
     fatalIf(tileNnz != nnz, "stream_ingest: tile nnz mismatch");
+    fatalIf(streamedChecksum != writtenChecksum,
+            "stream_ingest: the streamed tiles' content checksum differs "
+            "from the synthesized matrix's");
 
     {
         std::ofstream out(jsonPath);
@@ -217,7 +238,7 @@ main(int argc, char **argv)
             << ",\n  \"peak_buffered_nnz\": " << stats.peakBufferedNnz
             << ",\n  \"tiles\": " << stats.nonZeroTiles
             << ",\n  \"zero_tiles\": " << stats.zeroTiles
-            << ",\n  \"tile_checksum\": " << checksum
+            << ",\n  \"content_checksum\": " << writtenChecksum
             << ",\n  \"ingest_seconds\": ";
         writeJsonNumber(out, ingestSeconds);
         out << ",\n  \"partition_seconds\": ";

@@ -11,16 +11,24 @@ namespace copernicus {
 
 namespace {
 
-/** Tile id of one triplet: row-major position in the partition grid. */
+/**
+ * Tile id of one triplet: row-major position among the tiles of the
+ * strips from @p stripBegin on. The arguments are by value so the
+ * per-triplet loops below keep them in registers.
+ */
 inline std::uint64_t
-tileIdOf(const Triplet &t, Index partitionSize, Index gridCols)
+tileIdOf(const Triplet &t, Index partitionSize, Index stripBegin,
+         Index gridCols)
 {
-    return static_cast<std::uint64_t>(t.row / partitionSize) * gridCols +
+    return static_cast<std::uint64_t>(t.row / partitionSize -
+                                      stripBegin) *
+               gridCols +
            t.col / partitionSize;
 }
 
 /**
- * Occupied tile ids in row-major order plus the entry count of each.
+ * Occupied tile ids of @p run in row-major order plus the entry count
+ * of each.
  *
  * Counting over a dense per-tile array is the O(nnz + grid) fast path;
  * a hash map plus one sort of the *occupied* ids (O(nnz + t log t))
@@ -28,23 +36,23 @@ tileIdOf(const Triplet &t, Index partitionSize, Index gridCols)
  * matrices at small p).
  */
 std::vector<std::pair<std::uint64_t, Index>>
-countTileEntries(const TripletMatrix &matrix, Index partitionSize,
-                 Index gridCols, std::uint64_t grid)
+countTileEntries(std::span<const Triplet> run, Index partitionSize,
+                 Index stripBegin, Index gridCols, std::uint64_t grid)
 {
     std::vector<std::pair<std::uint64_t, Index>> occupied;
     constexpr std::uint64_t denseGridLimit = 1ULL << 24;
     if (grid <= denseGridLimit) {
         std::vector<Index> counts(grid, 0);
-        for (const Triplet &t : matrix.triplets())
-            ++counts[tileIdOf(t, partitionSize, gridCols)];
+        for (const Triplet &t : run)
+            ++counts[tileIdOf(t, partitionSize, stripBegin, gridCols)];
         for (std::uint64_t id = 0; id < grid; ++id)
             if (counts[id] != 0)
                 occupied.emplace_back(id, counts[id]);
     } else {
         std::unordered_map<std::uint64_t, Index> counts;
-        counts.reserve(matrix.nnz());
-        for (const Triplet &t : matrix.triplets())
-            ++counts[tileIdOf(t, partitionSize, gridCols)];
+        counts.reserve(run.size());
+        for (const Triplet &t : run)
+            ++counts[tileIdOf(t, partitionSize, stripBegin, gridCols)];
         occupied.assign(counts.begin(), counts.end());
         std::sort(occupied.begin(), occupied.end());
     }
@@ -52,6 +60,45 @@ countTileEntries(const TripletMatrix &matrix, Index partitionSize,
 }
 
 } // namespace
+
+void
+scatterTiles(std::span<const Triplet> run, Index partitionSize,
+             Index stripBegin, Index stripEnd, Index gridCols,
+             const std::function<void(std::size_t)> &bucketed,
+             const std::function<void(Tile &&)> &emit)
+{
+    // Single-pass bucket sort by tile id. The run is canonical, so a
+    // stable scatter leaves every bucket sorted row-major in
+    // tile-local coordinates, and every bucketed tile holds at least
+    // one non-zero value.
+    const std::uint64_t grid =
+        static_cast<std::uint64_t>(stripEnd - stripBegin) * gridCols;
+    const auto occupied = countTileEntries(run, partitionSize,
+                                           stripBegin, gridCols, grid);
+
+    std::unordered_map<std::uint64_t, std::size_t> slotOf;
+    slotOf.reserve(occupied.size());
+    std::vector<std::vector<TileNonzero>> buckets(occupied.size());
+    for (std::size_t i = 0; i < occupied.size(); ++i) {
+        slotOf.emplace(occupied[i].first, i);
+        buckets[i].reserve(occupied[i].second);
+    }
+    for (const Triplet &t : run) {
+        const std::uint64_t id =
+            tileIdOf(t, partitionSize, stripBegin, gridCols);
+        buckets[slotOf.find(id)->second].push_back(
+            {t.row % partitionSize, t.col % partitionSize, t.value});
+    }
+
+    bucketed(occupied.size());
+    for (std::size_t i = 0; i < occupied.size(); ++i) {
+        const std::uint64_t id = occupied[i].first;
+        emit(Tile(partitionSize,
+                  stripBegin + static_cast<Index>(id / gridCols),
+                  static_cast<Index>(id % gridCols),
+                  std::move(buckets[i])));
+    }
+}
 
 Partitioning
 partition(const TripletMatrix &matrix, Index partitionSize)
@@ -65,41 +112,18 @@ partition(const TripletMatrix &matrix, Index partitionSize)
         static_cast<Index>(ceilDiv(matrix.rows(), partitionSize));
     result.gridCols =
         static_cast<Index>(ceilDiv(matrix.cols(), partitionSize));
-    const std::uint64_t grid =
-        static_cast<std::uint64_t>(result.gridRows) * result.gridCols;
-
-    // Single-pass bucket sort by tile id. finalize() ordered the
-    // triplets row-major, so a stable scatter leaves every bucket
-    // sorted row-major in tile-local coordinates — exactly the
-    // canonical nonzero stream the Tile constructor wants. Entries
-    // that summed to zero during finalize() never reach here, so
-    // every bucketed tile is genuinely non-zero.
-    const auto occupied =
-        countTileEntries(matrix, partitionSize, result.gridCols, grid);
-
-    std::unordered_map<std::uint64_t, std::size_t> slotOf;
-    slotOf.reserve(occupied.size());
-    std::vector<std::vector<TileNonzero>> buckets(occupied.size());
-    for (std::size_t i = 0; i < occupied.size(); ++i) {
-        slotOf.emplace(occupied[i].first, i);
-        buckets[i].reserve(occupied[i].second);
-    }
-    for (const Triplet &t : matrix.triplets()) {
-        const std::uint64_t id =
-            tileIdOf(t, partitionSize, result.gridCols);
-        buckets[slotOf.find(id)->second].push_back(
-            {t.row % partitionSize, t.col % partitionSize, t.value});
-    }
-
-    result.tiles.reserve(occupied.size());
-    for (std::size_t i = 0; i < occupied.size(); ++i) {
-        const std::uint64_t id = occupied[i].first;
-        result.tiles.emplace_back(
-            partitionSize, static_cast<Index>(id / result.gridCols),
-            static_cast<Index>(id % result.gridCols),
-            std::move(buckets[i]));
-    }
-    result.zeroTiles = grid - result.tiles.size();
+    // finalize() sorted the triplets row-major and dropped the entries
+    // that summed to zero, so the whole matrix is one canonical run.
+    scatterTiles(
+        matrix.triplets(), partitionSize, 0, result.gridRows,
+        result.gridCols,
+        [&result](std::size_t tiles) { result.tiles.reserve(tiles); },
+        [&result](Tile &&tile) {
+            result.tiles.push_back(std::move(tile));
+        });
+    result.zeroTiles =
+        static_cast<std::uint64_t>(result.gridRows) * result.gridCols -
+        result.tiles.size();
     return result;
 }
 

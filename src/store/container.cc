@@ -22,6 +22,34 @@ tripletOffset(std::uint64_t i)
     return sizeof(CbmHeader) + i * tripletBytes;
 }
 
+/**
+ * The payload rule, shared by CbmReader::scan() and the deep
+ * inspection: @p t lies inside the rows x cols matrix, holds a
+ * non-zero value, and its (row, col) key is at least @p next. Feed the
+ * triplets in stored order with @p next starting at 0; each call
+ * advances @p next past @p t's key, so the keys must strictly
+ * increase.
+ */
+bool
+admitTriplet(const Triplet &t, Index rows, Index cols,
+             std::uint64_t &next)
+{
+    const std::uint64_t key = std::uint64_t(t.row) << 32 | t.col;
+    const bool ok = t.row < rows && t.col < cols &&
+                    t.value != Value(0) && key >= next;
+    next = key + 1;
+    return ok;
+}
+
+/** How a breach of the payload rule at triplet @p index reads. */
+std::string
+payloadBreach(std::uint64_t index, const Triplet &t)
+{
+    return "triplet " + std::to_string(index) + " (" +
+           std::to_string(t.row) + ", " + std::to_string(t.col) +
+           ") breaks canonical order or bounds";
+}
+
 std::string
 kindWord(CbmIssueKind kind)
 {
@@ -188,8 +216,7 @@ inspectMapped(const MmapFile &file, bool deep,
     std::uint64_t hash = fnvOffsetBasis;
     bool orderReported = false;
     bool extentReported = false;
-    bool havePrev = false;
-    Triplet prev = {};
+    std::uint64_t nextKey = 0;
     std::uint64_t seen = 0;
     for (std::uint32_t c = 0; c < header.chunkCount; ++c) {
         const CbmChunkInfo &chunk = directory[c];
@@ -198,16 +225,10 @@ inspectMapped(const MmapFile &file, bool deep,
         for (std::uint64_t i = 0; i < chunk.nnz; ++i, ++seen) {
             Triplet t;
             std::memcpy(&t, bytes + i * tripletBytes, tripletBytes);
-            const bool inOrder =
-                !havePrev || t.row > prev.row ||
-                (t.row == prev.row && t.col > prev.col);
-            if (!orderReported &&
-                (!inOrder || t.row >= header.rows ||
-                 t.col >= header.cols || t.value == Value(0))) {
-                chunkIssue("triplet " + std::to_string(seen) + " (" +
-                           std::to_string(t.row) + ", " +
-                           std::to_string(t.col) +
-                           ") breaks canonical order or bounds");
+            const bool admitted =
+                admitTriplet(t, header.rows, header.cols, nextKey);
+            if (!orderReported && !admitted) {
+                chunkIssue(payloadBreach(seen, t));
                 orderReported = true;
                 ok = false;
             }
@@ -222,8 +243,6 @@ inspectMapped(const MmapFile &file, bool deep,
                 extentReported = true;
                 ok = false;
             }
-            prev = t;
-            havePrev = true;
         }
     }
     if (hash != header.contentHash) {
@@ -419,11 +438,21 @@ CbmReader::scan(const std::function<void(const Triplet &)> &fn) const
     // a second scan (the partitioner makes many) would never release
     // a page and the whole file would end up resident.
     file.resetDropWindow();
+    // Opening checked only the header and directory; the payload is
+    // file bytes, so every triplet is held to the TripletSource
+    // contract before a caller sees it.
+    std::uint64_t nextKey = 0;
+    std::uint64_t seen = 0;
     for (std::uint32_t c = 0; c < directory.size(); ++c) {
         const CbmChunkInfo &chunk = directory[c];
         const Triplet *data = chunkData(c);
-        for (std::uint64_t i = 0; i < chunk.nnz; ++i)
+        for (std::uint64_t i = 0; i < chunk.nnz; ++i, ++seen) {
+            if (!admitTriplet(data[i], header.rows, header.cols,
+                              nextKey))
+                fatal("cbm: '" + path() +
+                      "': " + payloadBreach(seen, data[i]));
             fn(data[i]);
+        }
         file.dropPagesBefore(chunk.offset + chunk.nnz * tripletBytes);
     }
 }

@@ -217,10 +217,11 @@ std::vector<CbmIssue> inspectCbmFile(const std::string &path,
  * Zero-copy reader over an mmap'd .cbm file.
  *
  * Opening validates the header and directory (shallow checks of
- * inspectCbmFile) and throws FatalError naming the first breach; the
- * payload is trusted until scanned. scan() walks the triplets in
- * place and releases consumed pages behind the cursor, so iterating a
- * container far larger than RAM keeps a bounded resident set.
+ * inspectCbmFile) and throws FatalError naming the first breach.
+ * scan() walks the triplets in place, holds each one to the canonical
+ * payload rule of the deep inspection before handing it on, and
+ * releases consumed pages behind the cursor, so iterating a container
+ * far larger than RAM keeps a bounded resident set.
  */
 class CbmReader : public TripletSource
 {
@@ -245,14 +246,18 @@ class CbmReader : public TripletSource
     const Triplet *chunkData(std::uint32_t i) const;
 
     /**
-     * Visit every triplet in canonical order. Consumed file pages are
+     * Visit every triplet in canonical order. Throws FatalError naming
+     * the first stored triplet that is out of range, zero, or not
+     * strictly after its predecessor in (row, col) order; the triplets
+     * before it have already been visited. Consumed file pages are
      * released as the cursor advances (see MmapFile::dropPagesBefore),
      * bounding residency at ~one drop window regardless of file size.
      */
     void
     scan(const std::function<void(const Triplet &)> &fn) const override;
 
-    /** Materialize the whole container in memory (small inputs). */
+    /** Materialize the whole container in memory (small inputs);
+     *  throws FatalError as scan() does. */
     TripletMatrix toTripletMatrix() const;
 
   private:

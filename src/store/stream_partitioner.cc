@@ -1,55 +1,12 @@
 #include "store/stream_partitioner.hh"
 
 #include <algorithm>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/math.hh"
 #include "common/status.hh"
 
 namespace copernicus {
-
-namespace {
-
-/**
- * Occupied tile ids of one strip range, sorted, plus per-tile counts.
- * Ids are local to the range: (tileRow - stripBegin) * gridCols +
- * tileCol. Mirrors the dense/hashed split of the in-memory
- * partitioner so both paths behave identically on hypersparse grids.
- */
-std::vector<std::pair<std::uint64_t, Index>>
-countRangeTiles(const std::vector<Triplet> &buffer, Index partitionSize,
-                Index stripBegin, Index gridCols,
-                std::uint64_t localGrid)
-{
-    const auto localIdOf = [&](const Triplet &t) {
-        return static_cast<std::uint64_t>(t.row / partitionSize -
-                                          stripBegin) *
-                   gridCols +
-               t.col / partitionSize;
-    };
-    std::vector<std::pair<std::uint64_t, Index>> occupied;
-    constexpr std::uint64_t denseGridLimit = 1ULL << 24;
-    if (localGrid <= denseGridLimit) {
-        std::vector<Index> counts(localGrid, 0);
-        for (const Triplet &t : buffer)
-            ++counts[localIdOf(t)];
-        for (std::uint64_t id = 0; id < localGrid; ++id)
-            if (counts[id] != 0)
-                occupied.emplace_back(id, counts[id]);
-    } else {
-        std::unordered_map<std::uint64_t, Index> counts;
-        counts.reserve(buffer.size());
-        for (const Triplet &t : buffer)
-            ++counts[localIdOf(t)];
-        occupied.assign(counts.begin(), counts.end());
-        std::sort(occupied.begin(), occupied.end());
-    }
-    return occupied;
-}
-
-} // namespace
 
 StreamPartitionStats
 forEachTileStreaming(const TripletSource &source, Index partitionSize,
@@ -99,9 +56,8 @@ forEachTileStreaming(const TripletSource &source, Index partitionSize,
         }
 
         // Buffer this range's triplets: a contiguous subsequence of
-        // the canonical stream, so the buffer is itself in canonical
-        // order and a stable scatter keeps every bucket row-major —
-        // byte-identical to the in-memory path.
+        // the canonical stream, so the buffer is itself the canonical
+        // run of strips [strip, end) that the shared scatter takes.
         const std::uint64_t rowLo =
             static_cast<std::uint64_t>(strip) * partitionSize;
         const std::uint64_t rowHi = std::min<std::uint64_t>(
@@ -122,68 +78,22 @@ forEachTileStreaming(const TripletSource &source, Index partitionSize,
             std::max<std::uint64_t>(stats.peakBufferedNnz,
                                     buffer.size());
 
-        const std::uint64_t localGrid =
-            static_cast<std::uint64_t>(end - strip) * gridCols;
-        const auto occupied = countRangeTiles(
-            buffer, partitionSize, strip, gridCols, localGrid);
-
-        std::unordered_map<std::uint64_t, std::size_t> slotOf;
-        slotOf.reserve(occupied.size());
-        std::vector<std::vector<TileNonzero>> buckets(occupied.size());
-        for (std::size_t i = 0; i < occupied.size(); ++i) {
-            slotOf.emplace(occupied[i].first, i);
-            buckets[i].reserve(occupied[i].second);
-        }
-        for (const Triplet &t : buffer) {
-            const std::uint64_t id =
-                static_cast<std::uint64_t>(t.row / partitionSize -
-                                           strip) *
-                    gridCols +
-                t.col / partitionSize;
-            buckets[slotOf.find(id)->second].push_back(
-                {t.row % partitionSize, t.col % partitionSize,
-                 t.value});
-        }
-        buffer.clear();
-        buffer.shrink_to_fit();
-
-        for (std::size_t i = 0; i < occupied.size(); ++i) {
-            const std::uint64_t id = occupied[i].first;
-            consume(Tile(
-                partitionSize,
-                strip + static_cast<Index>(id / gridCols),
-                static_cast<Index>(id % gridCols),
-                std::move(buckets[i])));
-        }
-        stats.nonZeroTiles += occupied.size();
+        // Free the buffer once the scatter has bucketed it, before any
+        // tile is built, so a pass peaks at the buffer plus its buckets.
+        scatterTiles(
+            buffer, partitionSize, strip, end, gridCols,
+            [&](std::size_t tiles) {
+                stats.nonZeroTiles += tiles;
+                buffer.clear();
+                buffer.shrink_to_fit();
+            },
+            consume);
         strip = end;
     }
 
     stats.zeroTiles =
         static_cast<std::size_t>(grid - stats.nonZeroTiles);
     return stats;
-}
-
-Partitioning
-partitionStreaming(const TripletSource &source, Index partitionSize,
-                   const StreamPartitionOptions &options,
-                   StreamPartitionStats *stats)
-{
-    Partitioning result;
-    result.partitionSize = partitionSize;
-    result.gridRows =
-        static_cast<Index>(ceilDiv(source.rows(), partitionSize));
-    result.gridCols =
-        static_cast<Index>(ceilDiv(source.cols(), partitionSize));
-    const StreamPartitionStats run = forEachTileStreaming(
-        source, partitionSize, options,
-        [&result](Tile &&tile) {
-            result.tiles.push_back(std::move(tile));
-        });
-    result.zeroTiles = run.zeroTiles;
-    if (stats != nullptr)
-        *stats = run;
-    return result;
 }
 
 } // namespace copernicus

@@ -2,14 +2,15 @@
  * @file
  * Bounded-memory streaming partitioner.
  *
- * matrix/partitioner.cc materializes the whole triplet array and all
- * tile buckets at once — fine for the surrogate catalog, hopeless for
- * the 100M+-nnz SuiteSparse drops of Table 1. This generalization
- * makes several passes over a re-scannable TripletSource, each pass
- * covering a contiguous range of tile-row strips whose combined
- * non-zero count fits a configurable budget, and emits exactly the
- * Tiles the in-memory path would: same canonical nonzero streams and
- * TileStats, byte-identical inputs to all 14 codecs.
+ * partition() (matrix/partitioner.hh) holds the whole triplet array
+ * and all tile buckets at once: fine for the surrogate catalog,
+ * hopeless for the 100M+-nnz SuiteSparse drops of Table 1. This path
+ * makes several passes over a re-scannable TripletSource instead. Each
+ * pass buffers a contiguous range of tile-row strips whose combined
+ * non-zero count fits a configurable budget and hands that run to
+ * scatterTiles(), the same tile scatter partition() runs over the
+ * whole matrix. The passes only split the work: the tiles, their order
+ * and their canonical nonzero streams are partition()'s.
  *
  * Memory contract (documented in DESIGN.md §12): one pass buffers at
  * most max(maxBufferedNnz, heaviest single strip) triplets, plus an
@@ -77,19 +78,6 @@ StreamPartitionStats
 forEachTileStreaming(const TripletSource &source, Index partitionSize,
                      const StreamPartitionOptions &options,
                      const std::function<void(Tile &&)> &consume);
-
-/**
- * Streaming drop-in for partition(): identical Partitioning (same
- * tiles, same order, same grid bookkeeping), built in bounded-memory
- * passes. The result itself still holds every tile — use
- * forEachTileStreaming() when the consumer can stream too.
- *
- * @param stats Optional out-param receiving the pass statistics.
- */
-Partitioning
-partitionStreaming(const TripletSource &source, Index partitionSize,
-                   const StreamPartitionOptions &options = {},
-                   StreamPartitionStats *stats = nullptr);
 
 } // namespace copernicus
 

@@ -4,16 +4,21 @@
  *
  * The streaming partitioner makes several bounded-memory passes over
  * its input, so it cannot take a one-shot iterator: it needs something
- * it can scan from the top repeatedly. Both the in-memory
- * TripletMatrix and the mmap-backed binary container satisfy that
- * contract, which is what lets the golden roundtrip tests drive the
- * exact same partitioning code over either representation.
+ * it can scan from the top repeatedly. The mmap-backed binary
+ * container (CbmReader) is the source it serves; TripletMatrixSource
+ * streams an in-memory TripletMatrix, so tests can drive the passes
+ * over either representation. partition() does not go through this
+ * interface: it hands its triplet array to the shared tile scatter
+ * directly.
  *
  * Contract: scan() visits every non-zero exactly once in canonical
  * order — row-major, strictly increasing (row, col) — with in-range
  * coordinates and non-zero values, and every scan() visits the same
- * sequence. That is precisely the order TripletMatrix::finalize()
- * establishes and CbmWriter enforces on append.
+ * sequence. The partitioner relies on it without checking.
+ * TripletMatrix::finalize() establishes that order, CbmWriter enforces
+ * it on append, and CbmReader::scan() checks every stored triplet
+ * against it and throws FatalError at the first breach, since a
+ * container's payload comes from a file.
  */
 
 #ifndef COPERNICUS_STORE_TRIPLET_SOURCE_HH

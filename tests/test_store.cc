@@ -1,18 +1,22 @@
 /**
  * @file
- * Store subsystem tests: the .cbm container (writer, mmap reader,
- * inspector), the bounded-memory streaming partitioner's parity with
- * the in-memory path, and the sweep journal's exact checkpoint/resume
- * semantics.
+ * Store subsystem tests: the .cbm container (writer, mmap reader and
+ * its payload checks, inspector), both partitioners against an
+ * independent reference, the streaming pass plan's memory bound, and
+ * the sweep journal's exact checkpoint/resume semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -201,31 +205,108 @@ TEST(CbmContainer, InspectorFlagsEachDefectClass)
     EXPECT_FALSE(inspectCbmFile(path).empty());
 }
 
+TEST(CbmContainer, ScanRejectsCorruptPayload)
+{
+    // Opening checks only the header and directory, so each patched
+    // payload below opens cleanly; scan() must then refuse it before
+    // the partitioner indexes with a bad row or builds a tile from an
+    // unsorted run.
+    Rng rng(0xBAD);
+    const TripletMatrix m = bandMatrix(64, 3, rng);
+    const std::string path = tempPath("corrupt_payload.cbm");
+    writeCbmFile(path, m, 1, /*chunkTargetNnz=*/16);
+    const std::string clean = readFileBytes(path);
+
+    const std::size_t at = 40;
+    const Triplet prev = m.triplets()[at - 1];
+    const Triplet orig = m.triplets()[at];
+    const Index stripFirstRow = orig.row / 8 * 8;
+    // Moving triplet `at` to its strip's first row puts it behind its
+    // predecessor without leaving the strip.
+    ASSERT_EQ(prev.row / 8, orig.row / 8);
+    ASSERT_GT(prev.row, stripFirstRow);
+
+    const std::vector<std::pair<std::string, Triplet>> patches = {
+        {"row = rows", {m.rows(), orig.col, orig.value}},
+        {"col = cols", {orig.row, m.cols(), orig.value}},
+        {"order break inside one strip",
+         {stripFirstRow, orig.col, orig.value}},
+        {"zero value", {orig.row, orig.col, 0.0f}},
+    };
+    for (const auto &[name, patched] : patches) {
+        SCOPED_TRACE(name);
+        std::string bad = clean;
+        std::memcpy(&bad[sizeof(CbmHeader) + at * sizeof(Triplet)],
+                    &patched, sizeof(Triplet));
+        writeFileBytes(path, bad);
+        EXPECT_FALSE(inspectCbmFile(path).empty());
+
+        const CbmReader reader(path);
+        StreamPartitionOptions opts;
+        opts.maxBufferedNnz = 32;
+        EXPECT_THROW(
+            forEachTileStreaming(reader, 8, opts, [](Tile &&) {}),
+            FatalError);
+        EXPECT_THROW(reader.toTripletMatrix(), FatalError);
+    }
+    std::remove(path.c_str());
+}
+
 // -------------------------------------------- streaming partitioner
 
 void
-expectPartitioningsEqual(const Partitioning &a, const Partitioning &b)
+expectTilesEqual(const std::vector<Tile> &want,
+                 const std::vector<Tile> &got)
 {
-    ASSERT_EQ(a.partitionSize, b.partitionSize);
-    ASSERT_EQ(a.gridRows, b.gridRows);
-    ASSERT_EQ(a.gridCols, b.gridCols);
-    ASSERT_EQ(a.zeroTiles, b.zeroTiles);
-    ASSERT_EQ(a.tiles.size(), b.tiles.size());
-    for (std::size_t i = 0; i < a.tiles.size(); ++i) {
-        const Tile &ta = a.tiles[i];
-        const Tile &tb = b.tiles[i];
-        ASSERT_EQ(ta.tileRow(), tb.tileRow()) << "tile " << i;
-        ASSERT_EQ(ta.tileCol(), tb.tileCol()) << "tile " << i;
-        ASSERT_EQ(ta.size(), tb.size()) << "tile " << i;
-        ASSERT_EQ(ta.nonzeros().size(), tb.nonzeros().size())
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const Tile &a = want[i];
+        const Tile &b = got[i];
+        ASSERT_EQ(a.tileRow(), b.tileRow()) << "tile " << i;
+        ASSERT_EQ(a.tileCol(), b.tileCol()) << "tile " << i;
+        ASSERT_EQ(a.size(), b.size()) << "tile " << i;
+        ASSERT_EQ(a.nonzeros().size(), b.nonzeros().size())
             << "tile " << i;
-        ASSERT_EQ(std::memcmp(ta.nonzeros().data(),
-                              tb.nonzeros().data(),
-                              ta.nonzeros().size() *
-                                  sizeof(TileNonzero)),
+        ASSERT_EQ(std::memcmp(a.nonzeros().data(), b.nonzeros().data(),
+                              a.nonzeros().size() * sizeof(TileNonzero)),
                   0)
             << "tile " << i << " non-zero stream differs";
     }
+}
+
+/** forEachTileStreaming's tiles, in emission order. */
+std::vector<Tile>
+streamTiles(const TripletSource &source, Index p, std::uint64_t budget,
+            StreamPartitionStats &stats)
+{
+    StreamPartitionOptions opts;
+    opts.maxBufferedNnz = budget;
+    std::vector<Tile> tiles;
+    stats = forEachTileStreaming(source, p, opts, [&](Tile &&tile) {
+        tiles.push_back(std::move(tile));
+    });
+    return tiles;
+}
+
+/**
+ * Reference partitioner sharing no code with the scatter core: every
+ * triplet is written through the TileBuilder of its tile, the builders
+ * kept in a std::map keyed by (tileRow, tileCol).
+ */
+std::vector<Tile>
+referenceTiles(const TripletMatrix &m, Index p)
+{
+    std::map<std::pair<Index, Index>, TileBuilder> builders;
+    for (const Triplet &t : m.triplets()) {
+        const Index tileRow = t.row / p;
+        const Index tileCol = t.col / p;
+        builders.try_emplace({tileRow, tileCol}, p, tileRow, tileCol)
+            .first->second.set(t.row % p, t.col % p, t.value);
+    }
+    std::vector<Tile> tiles;
+    for (auto &entry : builders)
+        tiles.push_back(entry.second.build());
+    return tiles;
 }
 
 TEST(StreamPartitioner, MatchesInMemoryAcrossShapes)
@@ -244,14 +325,135 @@ TEST(StreamPartitioner, MatchesInMemoryAcrossShapes)
         const TripletMatrixSource source(m);
         for (Index p : {8u, 16u, 32u}) {
             const Partitioning expect = partition(m, p);
-            StreamPartitionOptions opts;
-            opts.maxBufferedNnz = 512; // force several passes
             StreamPartitionStats stats;
-            const Partitioning got =
-                partitionStreaming(source, p, opts, &stats);
-            expectPartitioningsEqual(expect, got);
-            EXPECT_EQ(stats.nonZeroTiles, got.tiles.size());
+            // A budget of 512 forces several passes.
+            expectTilesEqual(expect.tiles,
+                             streamTiles(source, p, 512, stats));
+            EXPECT_EQ(stats.nonZeroTiles, expect.tiles.size());
+            EXPECT_EQ(stats.zeroTiles, expect.zeroTiles);
             EXPECT_EQ(stats.sourceScans, stats.passes + 1);
+        }
+    }
+}
+
+/**
+ * Both partitioners against the reference, tile by tile, over the
+ * shapes that take different branches of the scatter: no tiles at all,
+ * padded edge tiles on both axes, random and banded fill, and a
+ * 1.56e8-tile grid past the dense count's 2^24 limit, so the hashed
+ * count runs.
+ */
+TEST(StreamPartitioner, BothPathsMatchReferenceAcrossShapes)
+{
+    struct Shape
+    {
+        std::string name;
+        TripletMatrix matrix;
+        std::vector<Index> sizes;
+    };
+    std::vector<Shape> shapes;
+    {
+        TripletMatrix empty(40, 40);
+        empty.finalize();
+        shapes.push_back({"empty", std::move(empty), {8, 16}});
+    }
+    {
+        Rng rng(11);
+        shapes.push_back({"rectangular 100x37",
+                          prunedLayer(100, 37, 0.1, rng),
+                          {8, 16, 32}});
+    }
+    shapes.push_back(
+        {"random", smallRandom(200, 0.02, 12), {8, 16, 32}});
+    {
+        Rng rng(13);
+        shapes.push_back(
+            {"band", bandMatrix(200, 9, rng), {8, 16, 32}});
+    }
+    {
+        Rng rng(14);
+        TripletMatrix scattered(100000, 100000);
+        for (int i = 0; i < 300; ++i)
+            scattered.add(static_cast<Index>(rng.below(100000)),
+                          static_cast<Index>(rng.below(100000)),
+                          static_cast<Value>(1 + rng.below(9)));
+        scattered.finalize();
+        shapes.push_back({"hypersparse 100000x100000",
+                          std::move(scattered),
+                          {8}});
+    }
+
+    for (const Shape &shape : shapes) {
+        const TripletMatrix &m = shape.matrix;
+        const TripletMatrixSource source(m);
+        for (Index p : shape.sizes) {
+            SCOPED_TRACE(shape.name + " at p " + std::to_string(p));
+            const std::vector<Tile> want = referenceTiles(m, p);
+            const Partitioning inMemory = partition(m, p);
+            expectTilesEqual(want, inMemory.tiles);
+            EXPECT_EQ(inMemory.totalTiles(),
+                      std::uint64_t(inMemory.gridRows) *
+                          inMemory.gridCols);
+            for (std::uint64_t budget : {std::uint64_t(1),
+                                         std::uint64_t(64),
+                                         UINT64_MAX}) {
+                SCOPED_TRACE("budget " + std::to_string(budget));
+                StreamPartitionStats stats;
+                expectTilesEqual(want,
+                                 streamTiles(source, p, budget, stats));
+                EXPECT_EQ(stats.zeroTiles, inMemory.zeroTiles);
+            }
+        }
+    }
+}
+
+/**
+ * The pass plan is the one piece of logic the streaming path owns.
+ * DESIGN §12 bounds one pass's buffer by max(budget, heaviest strip)
+ * and the source scans by passes + 1.
+ */
+TEST(StreamPartitioner, PassPlanHonoursTheBufferBound)
+{
+    // 200 x 120 at p = 8: 25 strips. 16 hold entries, in runs split by
+    // empty strips, and strip 10 is heavier than the small budgets.
+    const Index p = 8;
+    const std::vector<Index> filled = {0,  1,  2,  5,  6,  9,  10, 11,
+                                       12, 15, 18, 19, 20, 22, 23, 24};
+    TripletMatrix m(200, 120);
+    for (Index strip : filled) {
+        const Index count = strip == 10 ? 273 : 12 + 5 * (strip % 5);
+        for (Index k = 0; k < count; ++k)
+            m.add(strip * p + k % p, (k / p * 7 + strip) % 120,
+                  static_cast<Value>(1 + k));
+    }
+    m.finalize();
+
+    std::vector<std::uint64_t> stripNnz(25, 0);
+    for (const Triplet &t : m.triplets())
+        ++stripNnz[t.row / p];
+    const std::uint64_t heaviest =
+        *std::max_element(stripNnz.begin(), stripNnz.end());
+    ASSERT_EQ(heaviest, 273u);
+    ASSERT_GT(m.nnz(), 512u); // so a budget of 512 still splits
+    ASSERT_EQ(std::count_if(stripNnz.begin(), stripNnz.end(),
+                            [](std::uint64_t n) { return n != 0; }),
+              16);
+
+    const TripletMatrixSource source(m);
+    const std::vector<Tile> want = referenceTiles(m, p);
+    for (std::uint64_t budget :
+         {std::uint64_t(1), std::uint64_t(64), std::uint64_t(512),
+          std::uint64_t(m.nnz()), UINT64_MAX}) {
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        StreamPartitionStats stats;
+        expectTilesEqual(want, streamTiles(source, p, budget, stats));
+        EXPECT_LE(stats.peakBufferedNnz, std::max(budget, heaviest));
+        EXPECT_EQ(stats.sourceScans, stats.passes + 1);
+        if (budget == 1) {
+            EXPECT_EQ(stats.passes, filled.size());
+        }
+        if (budget >= m.nnz()) {
+            EXPECT_EQ(stats.passes, 1u);
         }
     }
 }
@@ -260,11 +462,10 @@ TEST(StreamPartitioner, OneNnzBudgetStillExact)
 {
     const TripletMatrix m = smallRandom(64, 0.1, 99);
     const TripletMatrixSource source(m);
-    StreamPartitionOptions opts;
-    opts.maxBufferedNnz = 1; // every strip is its own oversized pass
     StreamPartitionStats stats;
-    const Partitioning got = partitionStreaming(source, 8, opts, &stats);
-    expectPartitioningsEqual(partition(m, 8), got);
+    // Every strip is its own oversized pass.
+    expectTilesEqual(partition(m, 8).tiles,
+                     streamTiles(source, 8, 1, stats));
     EXPECT_GT(stats.passes, 1u);
 }
 
@@ -274,11 +475,8 @@ TEST(StreamPartitioner, EmptyMatrixYieldsNoTiles)
     empty.finalize();
     const TripletMatrixSource source(empty);
     StreamPartitionStats stats;
-    const Partitioning got =
-        partitionStreaming(source, 8, {}, &stats);
-    EXPECT_TRUE(got.tiles.empty());
-    EXPECT_EQ(got.gridRows, 4u);
-    EXPECT_EQ(got.gridCols, 4u);
+    EXPECT_TRUE(streamTiles(source, 8, 64, stats).empty());
+    EXPECT_EQ(stats.zeroTiles, 16u);
     EXPECT_EQ(stats.passes, 0u);
 }
 
@@ -305,12 +503,13 @@ TEST(StreamPartitioner, GoldenRoundtripOverCatalog)
         const CbmReader reader(path);
 
         const Partitioning expect = partition(m, 16);
-        StreamPartitionOptions opts;
-        opts.maxBufferedNnz = 700; // several passes over the mmap
-        const Partitioning got = partitionStreaming(reader, 16, opts);
+        StreamPartitionStats stats;
+        // A budget of 700 makes several passes over the mmap.
+        const std::vector<Tile> got = streamTiles(reader, 16, 700, stats);
         {
             SCOPED_TRACE("catalog " + entry.id);
-            expectPartitioningsEqual(expect, got);
+            expectTilesEqual(expect.tiles, got);
+            EXPECT_EQ(stats.zeroTiles, expect.zeroTiles);
         }
 
         // Same tiles in, same encoded bytes out, format by format.
@@ -318,8 +517,7 @@ TEST(StreamPartitioner, GoldenRoundtripOverCatalog)
             for (FormatKind kind : allFormats()) {
                 const auto a =
                     registry.codec(kind).encode(expect.tiles[i]);
-                const auto b =
-                    registry.codec(kind).encode(got.tiles[i]);
+                const auto b = registry.codec(kind).encode(got[i]);
                 ASSERT_EQ(a->streams(), b->streams())
                     << entry.id << " tile " << i << " format "
                     << formatName(kind);
