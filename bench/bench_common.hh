@@ -180,7 +180,8 @@ writeBenchArtifacts()
             stats.dump(std::cerr);
         if (!flags.statsJsonPath.empty()) {
             std::ofstream out(flags.statsJsonPath);
-            fatalIf(!out, "cannot open '" + flags.statsJsonPath + "'");
+            COPERNICUS_FATAL_IF(!out,
+                                "cannot open '" + flags.statsJsonPath + "'");
             dumpGroupsJson(out, {&stats.group(), &poolStats.group()});
             std::fprintf(stderr, "wrote stats JSON to %s\n",
                          flags.statsJsonPath.c_str());
@@ -210,7 +211,7 @@ parseBenchFlags(int argc, char **argv)
                               : flags.statsJsonPath) = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
             const long n = std::strtol(argv[++i], nullptr, 10);
-            fatalIf(n < 1, "--jobs wants a positive integer");
+            COPERNICUS_FATAL_IF(n < 1, "--jobs wants a positive integer");
             setJobsOverride(static_cast<unsigned>(n));
         }
     }

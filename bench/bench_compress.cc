@@ -126,12 +126,12 @@ characterize(const std::string &name, const TripletMatrix &matrix,
                 const bool ok =
                     compressor->decompress(compressed, scratch);
                 fam.decompressNs += nsSince(t0);
-                fatalIf(!ok || (stream.size() != 0 &&
-                                std::memcmp(scratch.data(),
-                                            stream.bytes.data(),
-                                            stream.size()) != 0),
-                        "bench_compress: roundtrip mismatch on '" +
-                            name + "' stream " + stream.name);
+                COPERNICUS_FATAL_IF(!ok || (stream.size() != 0 &&
+                                            std::memcmp(scratch.data(),
+                                                        stream.bytes.data(),
+                                                        stream.size()) != 0),
+                                    "bench_compress: roundtrip mismatch on '" +
+                                        name + "' stream " + stream.name);
             }
         }
     }
@@ -275,17 +275,17 @@ renderJson(const std::vector<WorkloadResult> &results,
 void
 checkSchema(const std::string &text)
 {
-    fatalIf(!jsonValid(text),
-            "BENCH_compress.json failed JSON validation");
+    COPERNICUS_FATAL_IF(!jsonValid(text),
+                        "BENCH_compress.json failed JSON validation");
     for (const char *key :
          {"\"bench\"", "\"smoke\"", "\"families\"", "\"classes\"",
           "\"workloads\"", "\"ratio\"", "\"compress_mb_s\"",
           "\"decompress_mb_s\"", "\"raw_bytes\"", "\"fig10\"",
           "\"densities\"", "\"bw_util\""}) {
-        fatalIf(text.find(key) == std::string::npos,
-                std::string("BENCH_compress.json schema check: "
-                            "missing key ") +
-                    key);
+        COPERNICUS_FATAL_IF(text.find(key) == std::string::npos,
+                            std::string("BENCH_compress.json schema check: "
+                                        "missing key ") +
+                                key);
     }
 }
 
@@ -340,7 +340,8 @@ main(int argc, char **argv)
     const std::string json = renderJson(results, fig, smoke, p);
     checkSchema(json);
     std::ofstream out(jsonPath);
-    fatalIf(!out, "bench_compress: cannot open '" + jsonPath + "'");
+    COPERNICUS_FATAL_IF(!out,
+                        "bench_compress: cannot open '" + jsonPath + "'");
     out << json;
     out.close();
     std::printf("\nwrote %s (schema ok)\n", jsonPath.c_str());

@@ -112,7 +112,7 @@ writeJson(const std::string &path, const std::vector<PointResult> &results,
           bool smoke, Index dim)
 {
     std::ofstream out(path);
-    fatalIf(!out, "bench_encode_hot: cannot open '" + path + "'");
+    COPERNICUS_FATAL_IF(!out, "bench_encode_hot: cannot open '" + path + "'");
     out << "{\n  \"bench\": \"encode_hot\",\n";
     out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
     out << "  \"dim\": " << dim << ",\n";

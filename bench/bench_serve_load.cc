@@ -207,11 +207,12 @@ runLevel(const std::string &socketPath, unsigned clients,
     // The closed-loop invariant: every issued request was answered.
     const std::size_t answered =
         result.completed + result.rejected + result.errors;
-    fatalIf(answered != clients * iterationsPerClient,
-            "serve_load: lost responses (" + std::to_string(answered) +
-                " answered of " +
-                std::to_string(clients * iterationsPerClient) +
-                " issued)");
+    COPERNICUS_FATAL_IF(
+        answered != clients * iterationsPerClient,
+        "serve_load: lost responses (" + std::to_string(answered) +
+            " answered of " +
+            std::to_string(clients * iterationsPerClient) +
+            " issued)");
     return result;
 }
 
@@ -310,8 +311,9 @@ runConcurrencyLevel(int port, unsigned connections,
     std::vector<LoadConn> conns(connections);
     for (LoadConn &conn : conns) {
         conn.fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        fatalIf(conn.fd < 0, std::string("serve_load: socket(): ") +
-                                 std::strerror(errno));
+        COPERNICUS_FATAL_IF(
+            conn.fd < 0, std::string("serve_load: socket(): ") +
+                             std::strerror(errno));
         const int one = 1;
         ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one,
                      sizeof(one));
@@ -319,11 +321,12 @@ runConcurrencyLevel(int port, unsigned connections,
         addr.sin_family = AF_INET;
         addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
         addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        fatalIf(::connect(conn.fd,
-                          reinterpret_cast<const sockaddr *>(&addr),
-                          sizeof(addr)) != 0,
-                std::string("serve_load: connect(): ") +
-                    std::strerror(errno));
+        COPERNICUS_FATAL_IF(
+            ::connect(conn.fd,
+                      reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof(addr)) != 0,
+            std::string("serve_load: connect(): ") +
+                std::strerror(errno));
         const int flags = ::fcntl(conn.fd, F_GETFL, 0);
         ::fcntl(conn.fd, F_SETFL, flags | O_NONBLOCK);
         conn.remaining = itersPerConn;
@@ -356,8 +359,8 @@ runConcurrencyLevel(int port, unsigned connections,
             ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 30000);
         if (ready < 0 && errno == EINTR)
             continue;
-        fatalIf(ready < 0, std::string("serve_load: poll(): ") +
-                               std::strerror(errno));
+        COPERNICUS_FATAL_IF(ready < 0, std::string("serve_load: poll(): ") +
+                                           std::strerror(errno));
         // A full poll timeout with requests outstanding means the
         // server stalled; abandoning (not hanging) keeps the
         // zero-lost-responses check meaningful.
@@ -463,9 +466,9 @@ runConcurrencyLevel(int port, unsigned connections,
     result.p50Us = percentileOf(latenciesUs, 50);
     result.p95Us = percentileOf(latenciesUs, 95);
     result.p99Us = percentileOf(latenciesUs, 99);
-    fatalIf(result.completed + result.lost !=
-                connections * itersPerConn,
-            "serve_load: concurrency accounting broken");
+    COPERNICUS_FATAL_IF(result.completed + result.lost !=
+                            connections * itersPerConn,
+                        "serve_load: concurrency accounting broken");
     return result;
 }
 
@@ -576,11 +579,12 @@ main(int argc, char **argv)
                         binary ? "binary" : "ndjson");
             sweep.push_back(runConcurrencyLevel(
                 tcpServer.tcpPort(), connections, iters, binary));
-            fatalIf(sweep.back().lost != 0,
-                    "serve_load: " +
-                        std::to_string(sweep.back().lost) +
-                        " lost responses at " +
-                        std::to_string(connections) + " connections");
+            COPERNICUS_FATAL_IF(
+                sweep.back().lost != 0,
+                "serve_load: " +
+                    std::to_string(sweep.back().lost) +
+                    " lost responses at " +
+                    std::to_string(connections) + " connections");
         }
     }
     tcpServer.beginShutdown();
@@ -621,9 +625,9 @@ main(int argc, char **argv)
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - warmStart)
             .count();
-    fatalIf(coldResponse != warmResponse,
-            "serve_load: memo hit payload differs from the "
-            "populating miss");
+    COPERNICUS_FATAL_IF(coldResponse != warmResponse,
+                        "serve_load: memo hit payload differs from the "
+                        "populating miss");
     memoServer.beginShutdown();
     memoServer.waitDrained();
 
@@ -664,7 +668,7 @@ main(int argc, char **argv)
 
     const char *jsonPath = "BENCH_serve_load.json";
     std::ofstream json(jsonPath);
-    fatalIf(!json, std::string("cannot open '") + jsonPath + "'");
+    COPERNICUS_FATAL_IF(!json, std::string("cannot open '") + jsonPath + "'");
     json << "{\n  \"queue_capacity\": " << queueCapacity
          << ",\n  \"iterations_per_client\": " << iterations
          << ",\n  \"levels\": [\n";

@@ -218,15 +218,17 @@ main(int argc, char **argv)
     std::printf("peak RSS %.1f MB (budget %llu MB)\n", rssMb,
                 static_cast<unsigned long long>(budgetMb));
 
-    fatalIf(tileNnz != nnz, "stream_ingest: tile nnz mismatch");
-    fatalIf(streamedChecksum != writtenChecksum,
-            "stream_ingest: the streamed tiles' content checksum differs "
-            "from the synthesized matrix's");
+    COPERNICUS_FATAL_IF(tileNnz != nnz, "stream_ingest: tile nnz mismatch");
+    COPERNICUS_FATAL_IF(
+        streamedChecksum != writtenChecksum,
+        "stream_ingest: the streamed tiles' content checksum differs "
+        "from the synthesized matrix's");
 
     {
         std::ofstream out(jsonPath);
-        fatalIf(!out,
-                "bench_stream_ingest: cannot open '" + jsonPath + "'");
+        COPERNICUS_FATAL_IF(
+            !out,
+            "bench_stream_ingest: cannot open '" + jsonPath + "'");
         out << "{\n  \"bench\": \"stream_ingest\",\n"
             << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
             << "  \"nnz\": " << nnz << ",\n  \"dim\": " << dim
@@ -254,9 +256,9 @@ main(int argc, char **argv)
 
     // The acceptance gate: the whole run — ingest, mmap scan, every
     // partitioning pass — must have fit the window.
-    fatalIf(rssKb > budgetMb * 1024,
-            "stream_ingest: peak RSS " + std::to_string(rssKb) +
-                " kB exceeds the " + std::to_string(budgetMb) +
-                " MB budget");
+    COPERNICUS_FATAL_IF(rssKb > budgetMb * 1024,
+                        "stream_ingest: peak RSS " + std::to_string(rssKb) +
+                            " kB exceeds the " + std::to_string(budgetMb) +
+                            " MB budget");
     return 0;
 }

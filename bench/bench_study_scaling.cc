@@ -136,7 +136,7 @@ main(int argc, char **argv)
 
     const char *jsonPath = "BENCH_study_scaling.json";
     std::ofstream json(jsonPath);
-    fatalIf(!json, std::string("cannot open '") + jsonPath + "'");
+    COPERNICUS_FATAL_IF(!json, std::string("cannot open '") + jsonPath + "'");
     json << "{\n  \"identical_rows\": "
          << (identical ? "true" : "false") << ",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < table.size(); ++i) {

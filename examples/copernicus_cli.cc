@@ -166,54 +166,56 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--baseline=", 0) == 0) {
             opts.lintDriver.baselinePath = arg.substr(11);
         } else if (arg == "--trace" || arg == "--stats-json") {
-            fatalIf(i + 1 >= argc, arg + " needs a file argument");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, arg + " needs a file argument");
             (arg == "--trace" ? opts.tracePath
                               : opts.statsJsonPath) = argv[++i];
         } else if (arg == "--jobs") {
-            fatalIf(i + 1 >= argc, "--jobs needs a count argument");
+            COPERNICUS_FATAL_IF(i + 1 >= argc,
+                                "--jobs needs a count argument");
             const long n = std::strtol(argv[++i], nullptr, 10);
-            fatalIf(n < 1, "--jobs wants a positive integer");
+            COPERNICUS_FATAL_IF(n < 1, "--jobs wants a positive integer");
             opts.jobs = static_cast<unsigned>(n);
         } else if (arg == "--connect") {
-            fatalIf(i + 1 >= argc, "--connect needs a socket path");
+            COPERNICUS_FATAL_IF(i + 1 >= argc,
+                                "--connect needs a socket path");
             opts.connectPath = argv[++i];
         } else if (arg == "--connect-tcp") {
-            fatalIf(i + 1 >= argc, "--connect-tcp needs a port");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--connect-tcp needs a port");
             const long port = std::strtol(argv[++i], nullptr, 10);
-            fatalIf(port < 1 || port > 65535,
-                    "--connect-tcp wants a port in [1, 65535]");
+            COPERNICUS_FATAL_IF(port < 1 || port > 65535,
+                                "--connect-tcp wants a port in [1, 65535]");
             opts.connectTcpPort = static_cast<int>(port);
         } else if (arg == "--binary") {
             opts.binaryFraming = true;
         } else if (arg == "--op") {
-            fatalIf(i + 1 >= argc, "--op needs an endpoint name");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--op needs an endpoint name");
             opts.op = argv[++i];
         } else if (arg == "--params") {
-            fatalIf(i + 1 >= argc, "--params needs a JSON object");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--params needs a JSON object");
             opts.paramsJson = argv[++i];
         } else if (arg == "--timeout-ms") {
-            fatalIf(i + 1 >= argc, "--timeout-ms needs a value");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--timeout-ms needs a value");
             opts.timeoutMs = std::strtod(argv[++i], nullptr);
-            fatalIf(opts.timeoutMs < 0,
-                    "--timeout-ms wants a non-negative value");
+            COPERNICUS_FATAL_IF(opts.timeoutMs < 0,
+                                "--timeout-ms wants a non-negative value");
         } else if (arg == "--metrics") {
             opts.metrics = true;
         } else if (arg == "--top") {
             opts.top = true;
         } else if (arg == "--check-exposition") {
-            fatalIf(i + 1 >= argc,
-                    "--check-exposition needs a file argument");
+            COPERNICUS_FATAL_IF(i + 1 >= argc,
+                                "--check-exposition needs a file argument");
             opts.checkExpositionPath = argv[++i];
         } else if (arg == "--interval-ms") {
-            fatalIf(i + 1 >= argc, "--interval-ms needs a value");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--interval-ms needs a value");
             opts.intervalMs = std::strtod(argv[++i], nullptr);
-            fatalIf(opts.intervalMs < 0,
-                    "--interval-ms wants a non-negative value");
+            COPERNICUS_FATAL_IF(opts.intervalMs < 0,
+                                "--interval-ms wants a non-negative value");
         } else if (arg == "--iters") {
-            fatalIf(i + 1 >= argc, "--iters needs a count");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--iters needs a count");
             opts.topIters = std::strtol(argv[++i], nullptr, 10);
-            fatalIf(opts.topIters < 1,
-                    "--iters wants a positive count");
+            COPERNICUS_FATAL_IF(opts.topIters < 1,
+                                "--iters wants a positive count");
         } else if (arg.rfind("--", 0) == 0) {
             fatal("unknown option '" + arg + "'");
         } else {
@@ -233,7 +235,7 @@ int
 checkExposition(const std::string &path)
 {
     std::ifstream in(path);
-    fatalIf(!in, "cannot open '" + path + "'");
+    COPERNICUS_FATAL_IF(!in, "cannot open '" + path + "'");
     std::ostringstream buf;
     buf << in.rdbuf();
     std::string error;
@@ -257,8 +259,8 @@ scrapeMetrics(ServeClient &client, double timeoutMs)
         return 1;
     }
     const JsonValue *result = response.find("result");
-    fatalIf(result == nullptr || !result->isObject(),
-            "metrics: response carries no result object");
+    COPERNICUS_FATAL_IF(result == nullptr || !result->isObject(),
+                        "metrics: response carries no result object");
     std::fputs(result->stringOr("body", "").c_str(), stdout);
     return 0;
 }
@@ -363,8 +365,8 @@ runTop(ServeClient &client, const CliOptions &opts)
             return 1;
         }
         const JsonValue *result = response.find("result");
-        fatalIf(result == nullptr || !result->isObject(),
-                "top: stats response carries no result object");
+        COPERNICUS_FATAL_IF(result == nullptr || !result->isObject(),
+                            "top: stats response carries no result object");
         if (tty)
             std::printf("\033[H\033[2J"); // home + clear, like top(1)
         else if (iter > 1)
@@ -384,9 +386,10 @@ cliMain(int argc, char **argv)
     const CliOptions opts = parseArgs(argc, argv);
     if (!opts.checkExpositionPath.empty())
         return checkExposition(opts.checkExpositionPath);
-    fatalIf((opts.metrics || opts.top) && opts.connectPath.empty() &&
-                opts.connectTcpPort < 0,
-            "--metrics/--top need --connect or --connect-tcp");
+    COPERNICUS_FATAL_IF(
+        (opts.metrics || opts.top) && opts.connectPath.empty() &&
+            opts.connectTcpPort < 0,
+        "--metrics/--top need --connect or --connect-tcp");
     if (!opts.connectPath.empty() || opts.connectTcpPort >= 0) {
         // Client mode: one request against a running daemon. The raw
         // response line goes to stdout so shell pipelines can parse it.
@@ -568,7 +571,7 @@ cliMain(int argc, char **argv)
         const ThreadPoolStats poolStats;
         groups.push_back(&poolStats.group());
         std::ofstream out(opts.statsJsonPath);
-        fatalIf(!out, "cannot open '" + opts.statsJsonPath + "'");
+        COPERNICUS_FATAL_IF(!out, "cannot open '" + opts.statsJsonPath + "'");
         dumpGroupsJson(out, groups);
         std::printf("\nwrote stats JSON (%zu groups) to %s\n",
                     groups.size(), opts.statsJsonPath.c_str());

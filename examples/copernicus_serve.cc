@@ -108,11 +108,11 @@ onTerminate()
 long
 numberArg(int argc, char **argv, int &i, const std::string &flag)
 {
-    fatalIf(i + 1 >= argc, flag + " needs a value");
+    COPERNICUS_FATAL_IF(i + 1 >= argc, flag + " needs a value");
     char *end = nullptr;
     const long value = std::strtol(argv[++i], &end, 10);
-    fatalIf(end == argv[i] || *end != '\0',
-            flag + ": '" + argv[i] + "' is not a number");
+    COPERNICUS_FATAL_IF(end == argv[i] || *end != '\0',
+                        flag + ": '" + argv[i] + "' is not a number");
     return value;
 }
 
@@ -127,56 +127,60 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--socket") {
-            fatalIf(i + 1 >= argc, "--socket needs a path");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--socket needs a path");
             opts.socketPath = argv[++i];
         } else if (arg == "--tcp") {
             const long port = numberArg(argc, argv, i, "--tcp");
-            fatalIf(port < 0 || port > 65535,
-                    "--tcp wants a port in [0, 65535]");
+            COPERNICUS_FATAL_IF(port < 0 || port > 65535,
+                                "--tcp wants a port in [0, 65535]");
             opts.tcpPort = static_cast<int>(port);
         } else if (arg == "--queue") {
             const long n = numberArg(argc, argv, i, "--queue");
-            fatalIf(n < 1, "--queue wants a positive capacity");
+            COPERNICUS_FATAL_IF(n < 1, "--queue wants a positive capacity");
             opts.queueCapacity = static_cast<std::size_t>(n);
         } else if (arg == "--jobs") {
             const long n = numberArg(argc, argv, i, "--jobs");
-            fatalIf(n < 1, "--jobs wants a positive integer");
+            COPERNICUS_FATAL_IF(n < 1, "--jobs wants a positive integer");
             opts.workers = static_cast<unsigned>(n);
         } else if (arg == "--timeout-ms") {
             const long ms = numberArg(argc, argv, i, "--timeout-ms");
-            fatalIf(ms < 0, "--timeout-ms wants a non-negative value");
+            COPERNICUS_FATAL_IF(ms < 0,
+                                "--timeout-ms wants a non-negative value");
             opts.defaultTimeoutMs = static_cast<double>(ms);
         } else if (arg == "--max-dim") {
             const long n = numberArg(argc, argv, i, "--max-dim");
-            fatalIf(n < 1, "--max-dim wants a positive dimension");
+            COPERNICUS_FATAL_IF(n < 1, "--max-dim wants a positive dimension");
             opts.maxMatrixDim = static_cast<Index>(n);
         } else if (arg == "--memo-bytes") {
             const long n = numberArg(argc, argv, i, "--memo-bytes");
-            fatalIf(n < 0, "--memo-bytes wants a non-negative budget");
+            COPERNICUS_FATAL_IF(n < 0,
+                                "--memo-bytes wants a non-negative budget");
             opts.memoBytes = static_cast<std::uint64_t>(n);
         } else if (arg == "--max-frame-bytes") {
             const long n =
                 numberArg(argc, argv, i, "--max-frame-bytes");
-            fatalIf(n < 1,
-                    "--max-frame-bytes wants a positive payload cap");
+            COPERNICUS_FATAL_IF(
+                n < 1,
+                "--max-frame-bytes wants a positive payload cap");
             opts.maxFrameBytes = static_cast<std::uint64_t>(n);
         } else if (arg == "--stats-json") {
-            fatalIf(i + 1 >= argc, "--stats-json needs a path");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--stats-json needs a path");
             opts.statsJsonPath = argv[++i];
         } else if (arg == "--trace") {
-            fatalIf(i + 1 >= argc, "--trace needs a path");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--trace needs a path");
             opts.tracePath = argv[++i];
         } else if (arg == "--no-lint") {
             opts.checkRegistry = false;
         } else if (arg == "--lint-full") {
             opts.fullLint = true;
         } else if (arg == "--flightrec") {
-            fatalIf(i + 1 >= argc, "--flightrec needs a path");
+            COPERNICUS_FATAL_IF(i + 1 >= argc, "--flightrec needs a path");
             opts.flightRecPath = argv[++i];
         } else if (arg == "--flight-capacity") {
             const long n =
                 numberArg(argc, argv, i, "--flight-capacity");
-            fatalIf(n < 1, "--flight-capacity wants a positive count");
+            COPERNICUS_FATAL_IF(n < 1,
+                                "--flight-capacity wants a positive count");
             opts.flightRecorderCapacity =
                 static_cast<std::size_t>(n);
         } else if (arg == "--no-observe") {

@@ -53,8 +53,9 @@ parseCount(const std::string &flag, const std::string &text)
     try {
         std::size_t pos = 0;
         const std::uint64_t value = std::stoull(text, &pos);
-        fatalIf(pos != text.size(), flag + " expects a number, got '" +
-                                        text + "'");
+        COPERNICUS_FATAL_IF(
+            pos != text.size(), flag + " expects a number, got '" +
+                                    text + "'");
         return value;
     } catch (const std::exception &) {
         fatal(flag + " expects a number, got '" + text + "'");
@@ -76,7 +77,7 @@ main(int argc, char **argv)
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             const auto next = [&]() -> std::string {
-                fatalIf(i + 1 >= argc, arg + " needs a value");
+                COPERNICUS_FATAL_IF(i + 1 >= argc, arg + " needs a value");
                 return argv[++i];
             };
             if (arg == "--surrogate")
@@ -93,8 +94,8 @@ main(int argc, char **argv)
                 positional.push_back(arg);
         }
 
-        fatalIf(chunkNnz < 1 || chunkNnz > (1ULL << 31),
-                "--chunk-nnz must be in [1, 2^31]");
+        COPERNICUS_FATAL_IF(chunkNnz < 1 || chunkNnz > (1ULL << 31),
+                            "--chunk-nnz must be in [1, 2^31]");
 
         std::string inputLabel;
         TripletMatrix matrix(1, 1);
@@ -104,9 +105,9 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             const SuiteMatrixInfo *info =
                 findSuiteMatrix(surrogateId);
-            fatalIf(info == nullptr, "unknown surrogate id '" +
-                                         surrogateId +
-                                         "' (try --help)");
+            COPERNICUS_FATAL_IF(info == nullptr, "unknown surrogate id '" +
+                                                     surrogateId +
+                                                     "' (try --help)");
             inputLabel = "surrogate " + info->id + " (" + info->name +
                          ", seed " + std::to_string(seed) + ")";
             matrix = info->generate(seed);
@@ -133,8 +134,8 @@ main(int argc, char **argv)
                          std::string(cbmIssueKindName(issue.kind))
                              .c_str(),
                          issue.message.c_str());
-        fatalIf(!issues.empty(),
-                "written container failed deep verification");
+        COPERNICUS_FATAL_IF(!issues.empty(),
+                            "written container failed deep verification");
 
         const CbmReader reader(outputPath);
         std::printf("%s: epoch %llu, content hash %llu, %u chunks of "

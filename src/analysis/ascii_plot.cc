@@ -11,8 +11,8 @@ namespace copernicus {
 
 AsciiPlot::AsciiPlot(PlotConfig config) : cfg(std::move(config))
 {
-    fatalIf(cfg.width < 8 || cfg.height < 4,
-            "AsciiPlot canvas too small");
+    COPERNICUS_FATAL_IF(cfg.width < 8 || cfg.height < 4,
+                        "AsciiPlot canvas too small");
 }
 
 void

@@ -7,7 +7,7 @@ namespace copernicus {
 EnergyEstimate
 runEnergy(const PowerEstimate &power, double seconds)
 {
-    fatalIf(seconds < 0.0, "runEnergy: negative duration");
+    COPERNICUS_FATAL_IF(seconds < 0.0, "runEnergy: negative duration");
     EnergyEstimate energy;
     energy.dynamicJ = power.dynamicW() * seconds;
     energy.staticJ = power.staticW * seconds;
@@ -18,8 +18,8 @@ double
 nanojoulesPerNonZero(const EnergyEstimate &energy,
                      std::size_t nnzProcessed)
 {
-    fatalIf(nnzProcessed == 0,
-            "nanojoulesPerNonZero: no non-zeros processed");
+    COPERNICUS_FATAL_IF(nnzProcessed == 0,
+                        "nanojoulesPerNonZero: no non-zeros processed");
     return energy.totalJ() * 1e9 / static_cast<double>(nnzProcessed);
 }
 

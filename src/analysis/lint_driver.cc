@@ -108,10 +108,10 @@ parsePartitionSizes(const std::string &arg)
         Index size = 0;
         const char *end = token.data() + token.size();
         const auto [stop, ec] = std::from_chars(token.data(), end, size);
-        fatalIf(ec != std::errc() || stop != end, malformed);
+        COPERNICUS_FATAL_IF(ec != std::errc() || stop != end, malformed);
         sizes.push_back(size);
     }
-    fatalIf(sizes.empty(), malformed);
+    COPERNICUS_FATAL_IF(sizes.empty(), malformed);
     return sizes;
 }
 

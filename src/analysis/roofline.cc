@@ -25,8 +25,9 @@ placeOnRoofline(double usefulFlops, double seconds,
                 Bytes transferredBytes, Index p,
                 const HlsConfig &config)
 {
-    fatalIf(seconds <= 0.0, "roofline: seconds must be positive");
-    fatalIf(transferredBytes == 0, "roofline: no bytes transferred");
+    COPERNICUS_FATAL_IF(seconds <= 0.0, "roofline: seconds must be positive");
+    COPERNICUS_FATAL_IF(transferredBytes == 0,
+                        "roofline: no bytes transferred");
 
     RooflinePoint point;
     point.intensity = usefulFlops /

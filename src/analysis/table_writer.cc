@@ -12,14 +12,15 @@ namespace copernicus {
 TableWriter::TableWriter(std::vector<std::string> columns)
     : header(std::move(columns))
 {
-    fatalIf(header.empty(), "TableWriter needs at least one column");
+    COPERNICUS_FATAL_IF(header.empty(),
+                        "TableWriter needs at least one column");
 }
 
 void
 TableWriter::addRow(std::vector<std::string> cells)
 {
-    fatalIf(cells.size() != header.size(),
-            "TableWriter row width does not match the header");
+    COPERNICUS_FATAL_IF(cells.size() != header.size(),
+                        "TableWriter row width does not match the header");
     body.push_back(std::move(cells));
 }
 
@@ -83,7 +84,7 @@ void
 TableWriter::writeCsvFile(const std::string &path) const
 {
     std::ofstream out(path);
-    fatalIf(!out, "TableWriter: cannot open '" + path + "'");
+    COPERNICUS_FATAL_IF(!out, "TableWriter: cannot open '" + path + "'");
     writeCsv(out);
 }
 

@@ -7,8 +7,8 @@ namespace copernicus {
 void *
 Arena::allocateSlow(std::size_t bytes, std::size_t align)
 {
-    fatalIf((align & (align - 1)) != 0,
-            "Arena alignment must be a power of two");
+    COPERNICUS_FATAL_IF((align & (align - 1)) != 0,
+                        "Arena alignment must be a power of two");
     // Advance through retained chunks before minting a new one; a
     // rewound arena re-walks its chunk list in order, so steady state
     // allocates nothing.

@@ -46,12 +46,13 @@ noteLockAcquired(int rank)
     if (!orderChecks || rank <= 0)
         return;
     const int held = currentMaxHeldRank();
-    panicIf(held >= rank,
-            "lock-order violation: acquiring rank " +
-                std::to_string(rank) + " while holding rank " +
-                std::to_string(held) +
-                " (locks must be taken in strictly increasing rank "
-                "order; see common/lock_order.hh)");
+    COPERNICUS_PANIC_IF(
+        held >= rank,
+        "lock-order violation: acquiring rank " +
+            std::to_string(rank) + " while holding rank " +
+            std::to_string(held) +
+            " (locks must be taken in strictly increasing rank "
+            "order; see common/lock_order.hh)");
     heldRanks.push_back(rank);
 }
 

@@ -28,8 +28,8 @@ pageFloor(std::size_t offset)
 MmapFile::MmapFile(const std::string &path) : filePath(path)
 {
     const int fd = ::open(path.c_str(), O_RDONLY);
-    fatalIf(fd < 0, "mmap: cannot open '" + path +
-                        "': " + std::strerror(errno));
+    COPERNICUS_FATAL_IF(fd < 0, "mmap: cannot open '" + path +
+                                    "': " + std::strerror(errno));
     struct stat st = {};
     if (::fstat(fd, &st) != 0) {
         const int err = errno;
@@ -46,8 +46,8 @@ MmapFile::MmapFile(const std::string &path) : filePath(path)
                           0);
     const int err = errno;
     ::close(fd); // the mapping keeps its own file reference
-    fatalIf(mapped == MAP_FAILED, "mmap: cannot map '" + path +
-                                      "': " + std::strerror(err));
+    COPERNICUS_FATAL_IF(mapped == MAP_FAILED, "mmap: cannot map '" + path +
+                                                  "': " + std::strerror(err));
     base = static_cast<const unsigned char *>(mapped);
     // Scans are forward-only; let the kernel read ahead aggressively.
     ::madvise(mapped, length, MADV_SEQUENTIAL);

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -147,12 +148,25 @@ PrometheusWriter::histogram(
                       static_cast<double>(snap.bins.size());
         // Cumulative counts: underflow mass is below lo, so every
         // finite bound (all of which are > lo) already contains it.
+        // Only the bin edges at 1, 2 and 5 times a power of ten of the
+        // bin width are exported; each is an exact edge, so its count
+        // is exact.
+        static constexpr std::size_t ladder[] = {1, 2, 5};
+        std::size_t step = 0;
+        std::size_t decade = 1;
         std::uint64_t cum = snap.underflow;
         for (std::size_t b = 0; b < snap.bins.size(); ++b) {
             cum += snap.bins[b];
+            const std::size_t edge = b + 1;
+            if (edge != ladder[step] * decade)
+                continue;
+            if (++step == std::size(ladder)) {
+                step = 0;
+                decade *= 10;
+            }
             std::vector<PrometheusLabel> labels = entry.first;
             const double bound =
-                (snap.lo + static_cast<double>(b + 1) * width) * scale;
+                (snap.lo + static_cast<double>(edge) * width) * scale;
             labels.emplace_back("le", formatValue(bound));
             out += clean + "_bucket" + formatLabels(labels) + ' ' +
                    std::to_string(cum) + '\n';

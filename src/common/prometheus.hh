@@ -62,10 +62,13 @@ class PrometheusWriter
 
     /**
      * A histogram family from distribution snapshots: per series the
-     * cumulative `_bucket{le="..."}` lines (upper bucket bounds from
-     * the snapshot's lo/hi/bin-count, then `le="+Inf"`), `_sum` and
-     * `_count`. Underflow mass lands in the first bucket (all bounds
-     * above lo contain it cumulatively); overflow only in `+Inf`.
+     * cumulative `_bucket{le="..."}` lines, then `le="+Inf"`, `_sum`
+     * and `_count`. The exported bounds are the snapshot's bin edges
+     * at 1, 2 and 5 times a power of ten of the bin width (lo + w,
+     * lo + 2w, lo + 5w, lo + 10w, ... up to hi), so a 1000-bin
+     * distribution exports 10 exact buckets rather than 1000.
+     * Underflow mass lands in the first bucket (all bounds above lo
+     * contain it cumulatively); overflow only in `+Inf`.
      *
      * @param scale Multiplier applied to bounds and sums on the way
      *        out — the serve histograms count microseconds but are

@@ -87,15 +87,17 @@ DistributionStat::DistributionStat(StatGroup &group, std::string name,
     : StatBase(group, std::move(name), std::move(desc)), lo(lo), hi(hi),
       bins(bucketCount, 0)
 {
-    fatalIf(bucketCount == 0,
-            "DistributionStat needs at least one bucket");
+    COPERNICUS_FATAL_IF(bucketCount == 0,
+                        "DistributionStat needs at least one bucket");
     // The degenerate lo == hi range would make the bucket width zero
     // and turn every sample() into a division by zero.
-    fatalIf(hi == lo,
-            "DistributionStat range [" + std::to_string(lo) + ", " +
-                std::to_string(hi) +
-                ") is empty: lo == hi gives zero-width buckets");
-    fatalIf(hi < lo, "DistributionStat range must satisfy lo < hi");
+    COPERNICUS_FATAL_IF(
+        hi == lo,
+        "DistributionStat range [" + std::to_string(lo) + ", " +
+            std::to_string(hi) +
+            ") is empty: lo == hi gives zero-width buckets");
+    COPERNICUS_FATAL_IF(hi < lo,
+                        "DistributionStat range must satisfy lo < hi");
 }
 
 void
@@ -173,10 +175,10 @@ DistributionStat::sumSamples() const
 void
 DistributionStat::Snapshot::merge(const Snapshot &other)
 {
-    fatalIf(lo != other.lo || hi != other.hi ||
-                bins.size() != other.bins.size(),
-            "DistributionStat::Snapshot::merge: mismatched bucket "
-            "configuration");
+    COPERNICUS_FATAL_IF(lo != other.lo || hi != other.hi ||
+                            bins.size() != other.bins.size(),
+                        "DistributionStat::Snapshot::merge: mismatched bucket "
+                        "configuration");
     for (std::size_t b = 0; b < bins.size(); ++b)
         bins[b] += other.bins[b];
     underflow += other.underflow;
@@ -209,9 +211,9 @@ DistributionStat::percentileLocked(double p) const
 double
 DistributionStat::Snapshot::percentile(double p) const
 {
-    fatalIf(p < 0.0 || p > 100.0,
-            "percentile(" + std::to_string(p) +
-                ") is outside [0, 100]");
+    COPERNICUS_FATAL_IF(p < 0.0 || p > 100.0,
+                        "percentile(" + std::to_string(p) +
+                            ") is outside [0, 100]");
     if (count == 0)
         return emptyPercentile();
     // All samples equal (the single-sample case included): the answer
@@ -318,9 +320,10 @@ void
 StatGroup::registerStat(StatBase *stat)
 {
     for (const StatBase *existing : members) {
-        fatalIf(existing->name() == stat->name(),
-                "duplicate stat name '" + stat->name() + "' in group '" +
-                    _name + "'");
+        COPERNICUS_FATAL_IF(
+            existing->name() == stat->name(),
+            "duplicate stat name '" + stat->name() + "' in group '" +
+                _name + "'");
     }
     members.push_back(stat);
 }

@@ -52,8 +52,8 @@ planFormats(const Partitioning &parts,
             SchedulerObjective objective, const HlsConfig &config,
             const FormatRegistry &registry, unsigned jobs)
 {
-    fatalIf(candidates.empty(),
-            "planFormats needs at least one candidate format");
+    COPERNICUS_FATAL_IF(candidates.empty(),
+                        "planFormats needs at least one candidate format");
 
     const ScopedTimer timer("scheduler.plan");
     FormatPlan plan;

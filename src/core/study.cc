@@ -61,7 +61,7 @@ void
 StudyResult::writeCsvFile(const std::string &path) const
 {
     std::ofstream out(path);
-    fatalIf(!out, "StudyResult: cannot open '" + path + "'");
+    COPERNICUS_FATAL_IF(!out, "StudyResult: cannot open '" + path + "'");
     writeCsv(out);
 }
 
@@ -113,19 +113,21 @@ StudyResult::aggregateByFormat() const
 Study::Study(StudyConfig config)
     : cfg(std::move(config)), registry(cfg.formatParams)
 {
-    fatalIf(cfg.partitionSizes.empty(),
-            "Study needs at least one partition size");
-    fatalIf(cfg.formats.empty(), "Study needs at least one format");
+    COPERNICUS_FATAL_IF(cfg.partitionSizes.empty(),
+                        "Study needs at least one partition size");
+    COPERNICUS_FATAL_IF(cfg.formats.empty(),
+                        "Study needs at least one format");
 }
 
 void
 Study::addWorkload(const std::string &name, TripletMatrix matrix)
 {
     for (const auto &[existing, unused] : matrices)
-        fatalIf(existing == name,
-                "Study workload '" + name + "' already registered");
-    panicIf(!matrix.finalized(),
-            "Study workloads must be finalized matrices");
+        COPERNICUS_FATAL_IF(
+            existing == name,
+            "Study workload '" + name + "' already registered");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "Study workloads must be finalized matrices");
     matrices.emplace_back(name, std::move(matrix));
 }
 

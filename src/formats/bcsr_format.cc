@@ -9,15 +9,15 @@ namespace copernicus {
 
 BcsrCodec::BcsrCodec(Index blockSize) : block(blockSize)
 {
-    fatalIf(blockSize == 0, "BCSR block size must be positive");
+    COPERNICUS_FATAL_IF(blockSize == 0, "BCSR block size must be positive");
 }
 
 std::unique_ptr<EncodedTile>
 BcsrCodec::encode(const Tile &tile) const
 {
     const Index p = tile.size();
-    fatalIf(p % block != 0,
-            "BCSR block size must divide the partition size");
+    COPERNICUS_FATAL_IF(p % block != 0,
+                        "BCSR block size must divide the partition size");
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();
     auto encoded = std::make_unique<BcsrEncoded>(p, feat.nnz, block);

@@ -9,7 +9,7 @@ namespace copernicus {
 
 EllCodec::EllCodec(Index minWidth) : wMin(minWidth)
 {
-    fatalIf(minWidth == 0, "ELL minimum width must be positive");
+    COPERNICUS_FATAL_IF(minWidth == 0, "ELL minimum width must be positive");
 }
 
 Index

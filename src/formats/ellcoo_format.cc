@@ -8,7 +8,7 @@ namespace copernicus {
 
 EllCooCodec::EllCooCodec(Index width) : w(width)
 {
-    fatalIf(width == 0, "ELL+COO width must be positive");
+    COPERNICUS_FATAL_IF(width == 0, "ELL+COO width must be positive");
 }
 
 std::unique_ptr<EncodedTile>

@@ -140,9 +140,10 @@ template <typename ConcreteTile>
 const ConcreteTile &
 encodedAs(const EncodedTile &encoded, FormatKind expected)
 {
-    panicIf(encoded.kind() != expected,
-            "encoded tile is " + std::string(formatName(encoded.kind())) +
-            ", expected " + std::string(formatName(expected)));
+    COPERNICUS_PANIC_IF(
+        encoded.kind() != expected,
+        "encoded tile is " + std::string(formatName(encoded.kind())) +
+        ", expected " + std::string(formatName(expected)));
     return static_cast<const ConcreteTile &>(encoded);
 }
 

@@ -37,14 +37,16 @@ declareSliceStreams(StreamDeclarer &declare,
 
 SellCodec::SellCodec(Index sliceHeight) : c(sliceHeight)
 {
-    fatalIf(sliceHeight == 0, "SELL slice height must be positive");
+    COPERNICUS_FATAL_IF(sliceHeight == 0,
+                        "SELL slice height must be positive");
 }
 
 std::unique_ptr<EncodedTile>
 SellCodec::encode(const Tile &tile) const
 {
     const Index p = tile.size();
-    fatalIf(p % c != 0, "SELL slice height must divide the tile size");
+    COPERNICUS_FATAL_IF(p % c != 0,
+                        "SELL slice height must divide the tile size");
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();
     auto encoded = std::make_unique<SellEncoded>(p, feat.nnz, c);

@@ -10,18 +10,19 @@ namespace copernicus {
 SellCsCodec::SellCsCodec(Index sliceHeight, Index window)
     : c(sliceHeight), sigma(window)
 {
-    fatalIf(sliceHeight == 0, "SELL-C-sigma slice height must be > 0");
-    fatalIf(window == 0 || window % sliceHeight != 0,
-            "SELL-C-sigma window must be a multiple of the slice "
-            "height");
+    COPERNICUS_FATAL_IF(sliceHeight == 0,
+                        "SELL-C-sigma slice height must be > 0");
+    COPERNICUS_FATAL_IF(window == 0 || window % sliceHeight != 0,
+                        "SELL-C-sigma window must be a multiple of the slice "
+                        "height");
 }
 
 std::unique_ptr<EncodedTile>
 SellCsCodec::encode(const Tile &tile) const
 {
     const Index p = tile.size();
-    fatalIf(p % sigma != 0,
-            "SELL-C-sigma window must divide the tile size");
+    COPERNICUS_FATAL_IF(p % sigma != 0,
+                        "SELL-C-sigma window must divide the tile size");
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();
     auto encoded = std::make_unique<SellCsEncoded>(p, feat.nnz, c,

@@ -7,7 +7,8 @@ namespace copernicus {
 std::vector<BufferRequirement>
 bufferRequirements(FormatKind kind, Index p, const FormatParams &params)
 {
-    fatalIf(p == 0, "bufferRequirements: partition size must be > 0");
+    COPERNICUS_FATAL_IF(p == 0,
+                        "bufferRequirements: partition size must be > 0");
     const Bytes n = p;
     const Bytes cells = n * n;
     switch (kind) {

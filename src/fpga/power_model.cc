@@ -97,7 +97,8 @@ paperStaticPower(FormatKind kind)
 PowerEstimate
 estimatePower(FormatKind kind, Index p)
 {
-    fatalIf(p == 0, "estimatePower: partition size must be positive");
+    COPERNICUS_FATAL_IF(p == 0,
+                        "estimatePower: partition size must be positive");
     const ResourceEstimate res = estimateResources(kind, p);
 
     double logic = 0, bram = 0, signals = 0;

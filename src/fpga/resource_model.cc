@@ -168,7 +168,8 @@ paperCalibration(FormatKind kind, Index p)
 ResourceEstimate
 estimateResources(FormatKind kind, Index p)
 {
-    fatalIf(p == 0, "estimateResources: partition size must be positive");
+    COPERNICUS_FATAL_IF(p == 0,
+                        "estimateResources: partition size must be positive");
     if (auto cal = paperCalibration(kind, p))
         return *cal;
 
@@ -181,7 +182,7 @@ estimateResources(FormatKind kind, Index p)
     else if (p >= 12)
         anchor_p = 16;
     const auto anchor = paperCalibration(sibling, anchor_p);
-    panicIf(!anchor, "no calibration anchor for paper format");
+    COPERNICUS_PANIC_IF(!anchor, "no calibration anchor for paper format");
 
     ResourceEstimate est;
     est.calibrated = false;

@@ -11,7 +11,8 @@ namespace copernicus {
 Cycles
 transferCycles(std::span<const Bytes> streams, const HlsConfig &config)
 {
-    fatalIf(config.streamlines == 0, "at least one streamline required");
+    COPERNICUS_FATAL_IF(config.streamlines == 0,
+                        "at least one streamline required");
 
     Bytes total = 0;
     for (Bytes s : streams)

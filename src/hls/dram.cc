@@ -11,9 +11,10 @@ Cycles
 dramServiceCycles(Bytes bytes, const DramConfig &dram,
                   double fpgaClockMhz)
 {
-    fatalIf(fpgaClockMhz <= 0.0, "dram: FPGA clock must be positive");
-    fatalIf(dram.busClockMhz <= 0.0,
-            "dram: bus clock must be positive");
+    COPERNICUS_FATAL_IF(fpgaClockMhz <= 0.0,
+                        "dram: FPGA clock must be positive");
+    COPERNICUS_FATAL_IF(dram.busClockMhz <= 0.0,
+                        "dram: bus clock must be positive");
     if (bytes == 0)
         return 0;
 

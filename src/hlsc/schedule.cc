@@ -47,8 +47,8 @@ scheduleBody(const LoopBody &body, const HlscConstraints &constraints)
         const Op &op = body.ops[i];
         Cycles earliest = 0;
         for (std::size_t dep : op.deps) {
-            panicIf(dep >= i,
-                    "hlsc: op dependencies must point backwards");
+            COPERNICUS_PANIC_IF(dep >= i,
+                                "hlsc: op dependencies must point backwards");
             const Op &producer = body.ops[dep];
             earliest = std::max(earliest,
                                 schedule.start[dep] +
@@ -82,8 +82,9 @@ scheduleBody(const LoopBody &body, const HlscConstraints &constraints)
     // Recurrence MII from loop-carried dependency cycles.
     Cycles rec_mii = 1;
     for (const CarriedDep &dep : body.carried) {
-        fatalIf(dep.distance == 0,
-                "hlsc: carried dependency distance must be positive");
+        COPERNICUS_FATAL_IF(
+            dep.distance == 0,
+            "hlsc: carried dependency distance must be positive");
         rec_mii = std::max(rec_mii, ceilDiv(dep.delay, dep.distance));
     }
 

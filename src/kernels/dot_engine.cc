@@ -27,7 +27,8 @@ treeSum(std::span<const Value> terms)
 Value
 treeDot(std::span<const Value> a, std::span<const Value> b)
 {
-    fatalIf(a.size() != b.size(), "treeDot operand length mismatch");
+    COPERNICUS_FATAL_IF(a.size() != b.size(),
+                        "treeDot operand length mismatch");
     std::vector<Value> products(a.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         products[i] = a[i] * b[i];

@@ -7,7 +7,8 @@ namespace copernicus {
 TripletMatrix
 spgemm(const CsrMatrix &a, const CsrMatrix &b)
 {
-    fatalIf(b.rows() != a.cols(), "spgemm: inner dimensions must agree");
+    COPERNICUS_FATAL_IF(b.rows() != a.cols(),
+                        "spgemm: inner dimensions must agree");
     TripletMatrix c(a.rows(), b.cols());
 
     // Gustavson: accumulate each output row in a sparse accumulator.

@@ -7,7 +7,8 @@ namespace copernicus {
 DenseMatrix
 spmm(const CsrMatrix &a, const DenseMatrix &b)
 {
-    fatalIf(b.rows() != a.cols(), "spmm: inner dimensions must agree");
+    COPERNICUS_FATAL_IF(b.rows() != a.cols(),
+                        "spmm: inner dimensions must agree");
     DenseMatrix c(a.rows(), b.cols());
     const auto &ptr = a.rowPtr();
     const auto &inds = a.colIndices();

@@ -26,8 +26,9 @@ namespace {
 void
 checkOperand(Index p, std::span<const Value> x, const char *what)
 {
-    fatalIf(x.size() != p,
-            std::string(what) + ": operand length must equal tile size");
+    COPERNICUS_FATAL_IF(
+        x.size() != p,
+        std::string(what) + ": operand length must equal tile size");
 }
 
 std::vector<Value>
@@ -334,8 +335,9 @@ spmvPartitioned(const Partitioning &parts, FormatKind kind,
     const Index p = parts.partitionSize;
     const std::size_t padded_cols =
         static_cast<std::size_t>(parts.gridCols) * p;
-    fatalIf(x.size() > padded_cols,
-            "spmvPartitioned: operand longer than the padded width");
+    COPERNICUS_FATAL_IF(
+        x.size() > padded_cols,
+        "spmvPartitioned: operand longer than the padded width");
 
     std::vector<Value> padded_x(padded_cols, Value(0));
     std::copy(x.begin(), x.end(), padded_x.begin());

@@ -30,7 +30,8 @@ CscMatrix::buildFromSortedColumns(Index rows, Index cols,
 
 CscMatrix::CscMatrix(const TripletMatrix &matrix)
 {
-    panicIf(!matrix.finalized(), "CscMatrix requires a finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "CscMatrix requires a finalized matrix");
     std::vector<Index> row_inds, col_inds;
     std::vector<Value> values;
     row_inds.reserve(matrix.nnz());
@@ -64,7 +65,8 @@ CscMatrix::CscMatrix(const CsrMatrix &csr)
 std::vector<Value>
 CscMatrix::multiply(const std::vector<Value> &x) const
 {
-    fatalIf(x.size() != _cols, "CscMatrix::multiply dimension mismatch");
+    COPERNICUS_FATAL_IF(x.size() != _cols,
+                        "CscMatrix::multiply dimension mismatch");
     std::vector<Value> y(_rows, Value(0));
     for (Index c = 0; c < _cols; ++c)
         for (std::size_t i = ptr[c]; i < ptr[c + 1]; ++i)

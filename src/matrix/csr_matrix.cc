@@ -7,7 +7,8 @@ namespace copernicus {
 CsrMatrix::CsrMatrix(const TripletMatrix &matrix)
     : _rows(matrix.rows()), _cols(matrix.cols())
 {
-    panicIf(!matrix.finalized(), "CsrMatrix requires a finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "CsrMatrix requires a finalized matrix");
     ptr.assign(_rows + 1, 0);
     inds.reserve(matrix.nnz());
     vals.reserve(matrix.nnz());
@@ -23,7 +24,8 @@ CsrMatrix::CsrMatrix(const TripletMatrix &matrix)
 std::vector<Value>
 CsrMatrix::multiply(const std::vector<Value> &x) const
 {
-    fatalIf(x.size() != _cols, "CsrMatrix::multiply dimension mismatch");
+    COPERNICUS_FATAL_IF(x.size() != _cols,
+                        "CsrMatrix::multiply dimension mismatch");
     std::vector<Value> y(_rows, Value(0));
     for (Index r = 0; r < _rows; ++r) {
         Value acc = 0;
@@ -37,8 +39,8 @@ CsrMatrix::multiply(const std::vector<Value> &x) const
 std::vector<Value>
 CsrMatrix::multiplyTransposed(const std::vector<Value> &x) const
 {
-    fatalIf(x.size() != _rows,
-            "CsrMatrix::multiplyTransposed dimension mismatch");
+    COPERNICUS_FATAL_IF(x.size() != _rows,
+                        "CsrMatrix::multiplyTransposed dimension mismatch");
     std::vector<Value> y(_cols, Value(0));
     for (Index r = 0; r < _rows; ++r)
         for (std::size_t i = ptr[r]; i < ptr[r + 1]; ++i)

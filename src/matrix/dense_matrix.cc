@@ -10,25 +10,27 @@ DenseMatrix::DenseMatrix(Index rows, Index cols)
     : _rows(rows), _cols(cols),
       store(static_cast<std::size_t>(rows) * cols, Value(0))
 {
-    fatalIf(rows == 0 || cols == 0,
-            "DenseMatrix dimensions must be positive");
+    COPERNICUS_FATAL_IF(rows == 0 || cols == 0,
+                        "DenseMatrix dimensions must be positive");
 }
 
 Value &
 DenseMatrix::operator()(Index row, Index col)
 {
-    panicIf(row >= _rows || col >= _cols,
-            "DenseMatrix access out of range (" + std::to_string(row) +
-            ", " + std::to_string(col) + ")");
+    COPERNICUS_PANIC_IF(
+        row >= _rows || col >= _cols,
+        "DenseMatrix access out of range (" + std::to_string(row) +
+        ", " + std::to_string(col) + ")");
     return store[static_cast<std::size_t>(row) * _cols + col];
 }
 
 Value
 DenseMatrix::operator()(Index row, Index col) const
 {
-    panicIf(row >= _rows || col >= _cols,
-            "DenseMatrix access out of range (" + std::to_string(row) +
-            ", " + std::to_string(col) + ")");
+    COPERNICUS_PANIC_IF(
+        row >= _rows || col >= _cols,
+        "DenseMatrix access out of range (" + std::to_string(row) +
+        ", " + std::to_string(col) + ")");
     return store[static_cast<std::size_t>(row) * _cols + col];
 }
 
@@ -50,7 +52,7 @@ DenseMatrix::rowIsZero(Index row) const
 Index
 DenseMatrix::rowNnz(Index row) const
 {
-    panicIf(row >= _rows, "DenseMatrix::rowNnz row out of range");
+    COPERNICUS_PANIC_IF(row >= _rows, "DenseMatrix::rowNnz row out of range");
     Index count = 0;
     for (Index c = 0; c < _cols; ++c)
         count += (*this)(row, c) != Value(0);

@@ -33,28 +33,36 @@ stripCr(std::string_view line)
     return line;
 }
 
+/** The separators between the tokens of a line. */
+bool
+isSeparator(char c)
+{
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f';
+}
+
 /** True for lines holding nothing but whitespace. */
 bool
 isBlank(std::string_view line)
 {
-    return line.find_first_not_of(" \t\v\f\r") == std::string_view::npos;
+    for (const char c : line)
+        if (!isSeparator(c) && c != '\r')
+            return false;
+    return true;
 }
 
 /** Pop the next whitespace-separated token off @p rest. */
 std::string_view
 nextToken(std::string_view &rest)
 {
-    const std::size_t begin = rest.find_first_not_of(" \t\v\f");
-    if (begin == std::string_view::npos) {
-        rest = {};
-        return {};
-    }
-    std::size_t end = rest.find_first_of(" \t\v\f", begin);
-    if (end == std::string_view::npos)
-        end = rest.size();
-    const std::string_view token = rest.substr(begin, end - begin);
-    rest.remove_prefix(end);
-    return token;
+    const char *p = rest.data();
+    const char *const end = p + rest.size();
+    while (p != end && isSeparator(*p))
+        ++p;
+    const char *const begin = p;
+    while (p != end && !isSeparator(*p))
+        ++p;
+    rest = std::string_view(p, static_cast<std::size_t>(end - p));
+    return std::string_view(begin, static_cast<std::size_t>(p - begin));
 }
 
 enum class NumParse { Ok, Bad, Overflow };
@@ -73,11 +81,28 @@ parseU64(std::string_view token, std::uint64_t &value)
     return NumParse::Ok;
 }
 
+/**
+ * A value token, with strtod's grammar and value: the whole token must
+ * convert. std::from_chars takes the common decimal case without a
+ * copy. Both round correctly, so where it converts the whole token the
+ * value is the one strtod gives. Everything else goes to strtod: a
+ * leading '+', hex floats, out-of-range magnitudes (strtod returns
+ * +-HUGE_VAL or 0, from_chars an error), malformed tokens and
+ * inf/nan, whose NaN payloads only strtod keeps.
+ */
 bool
 parseDouble(std::string_view token, double &value)
 {
     if (token.empty())
         return false;
+    const char lead =
+        token.size() > 1 && token[0] == '-' ? token[1] : token[0];
+    if ((lead >= '0' && lead <= '9') || lead == '.') {
+        const char *const last = token.data() + token.size();
+        const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+        if (ec == std::errc() && ptr == last)
+            return true;
+    }
     // strtod needs a terminator; tokens are tiny, so a stack copy is
     // cheaper than materializing each line into a std::string.
     char buf[64];
@@ -114,27 +139,29 @@ parseBanner(std::string_view banner)
     std::string field(nextToken(rest));
     std::string symmetry(nextToken(rest));
 
-    fatalIf(magic != "%%MatrixMarket",
-            "MatrixMarket: missing %%MatrixMarket banner");
-    fatalIf(toLower(object) != "matrix",
-            "MatrixMarket: unsupported object '" + object + "'");
-    fatalIf(toLower(layout) != "coordinate",
-            "MatrixMarket: unsupported layout '" + layout +
-                "' (only coordinate is supported)");
+    COPERNICUS_FATAL_IF(magic != "%%MatrixMarket",
+                        "MatrixMarket: missing %%MatrixMarket banner");
+    COPERNICUS_FATAL_IF(toLower(object) != "matrix",
+                        "MatrixMarket: unsupported object '" + object + "'");
+    COPERNICUS_FATAL_IF(toLower(layout) != "coordinate",
+                        "MatrixMarket: unsupported layout '" + layout +
+                            "' (only coordinate is supported)");
 
     field = toLower(field);
     symmetry = toLower(symmetry);
     MmFormat fmt;
     fmt.pattern = field == "pattern";
-    fatalIf(field != "real" && field != "integer" && !fmt.pattern,
-            "MatrixMarket: unsupported field '" + field + "'");
+    COPERNICUS_FATAL_IF(field != "real" && field != "integer" && !fmt.pattern,
+                        "MatrixMarket: unsupported field '" + field + "'");
     fmt.symmetric = symmetry == "symmetric";
     fmt.skew = symmetry == "skew-symmetric";
-    fatalIf(symmetry != "general" && !fmt.symmetric && !fmt.skew,
-            "MatrixMarket: unsupported symmetry '" + symmetry + "'");
-    fatalIf(fmt.pattern && fmt.skew,
-            "MatrixMarket: pattern matrices cannot be "
-            "skew-symmetric (a skew mirror needs a negated value)");
+    COPERNICUS_FATAL_IF(
+        symmetry != "general" && !fmt.symmetric && !fmt.skew,
+        "MatrixMarket: unsupported symmetry '" + symmetry + "'");
+    COPERNICUS_FATAL_IF(
+        fmt.pattern && fmt.skew,
+        "MatrixMarket: pattern matrices cannot be "
+        "skew-symmetric (a skew mirror needs a negated value)");
     return fmt;
 }
 
@@ -150,7 +177,8 @@ TripletMatrix
 parseMatrixMarket(LineSource &&source)
 {
     std::string_view line;
-    fatalIf(!source.next(line), "MatrixMarket: empty input stream");
+    COPERNICUS_FATAL_IF(!source.next(line),
+                        "MatrixMarket: empty input stream");
     const MmFormat fmt = parseBanner(stripCr(line));
 
     const auto nextDataLine = [&source](std::string_view &out) {
@@ -163,41 +191,44 @@ parseMatrixMarket(LineSource &&source)
         return false;
     };
 
-    fatalIf(!nextDataLine(line), "MatrixMarket: missing size line");
+    COPERNICUS_FATAL_IF(!nextDataLine(line),
+                        "MatrixMarket: missing size line");
     std::uint64_t rows = 0, cols = 0, count = 0;
     {
         std::string_view rest = line;
         const NumParse rowsParse = parseU64(nextToken(rest), rows);
         const NumParse colsParse = parseU64(nextToken(rest), cols);
         const NumParse countParse = parseU64(nextToken(rest), count);
-        fatalIf(rowsParse == NumParse::Bad ||
-                    colsParse == NumParse::Bad ||
-                    countParse == NumParse::Bad || !isBlank(rest) ||
-                    countParse == NumParse::Overflow,
-                "MatrixMarket: malformed size line '" +
-                    std::string(line) + "'");
+        COPERNICUS_FATAL_IF(
+            rowsParse == NumParse::Bad ||
+                colsParse == NumParse::Bad ||
+                countParse == NumParse::Bad || !isBlank(rest) ||
+                countParse == NumParse::Overflow,
+            "MatrixMarket: malformed size line '" +
+                std::string(line) + "'");
         // Dimensions are stored as 32-bit Index; a header beyond that
         // (or a u64-overflowing digit string) cannot be represented
         // and must fail loudly instead of truncating.
         constexpr std::uint64_t maxDim =
             std::numeric_limits<Index>::max();
-        fatalIf(rowsParse == NumParse::Overflow ||
-                    colsParse == NumParse::Overflow || rows > maxDim ||
-                    cols > maxDim,
-                "MatrixMarket: size line '" + std::string(line) +
-                    "' exceeds the 32-bit index space (max " +
-                    std::to_string(maxDim) + " rows/cols)");
-        fatalIf(rows == 0 || cols == 0,
-                "MatrixMarket: malformed size line '" +
-                    std::string(line) + "'");
+        COPERNICUS_FATAL_IF(
+            rowsParse == NumParse::Overflow ||
+                colsParse == NumParse::Overflow || rows > maxDim ||
+                cols > maxDim,
+            "MatrixMarket: size line '" + std::string(line) +
+                "' exceeds the 32-bit index space (max " +
+                std::to_string(maxDim) + " rows/cols)");
+        COPERNICUS_FATAL_IF(rows == 0 || cols == 0,
+                            "MatrixMarket: malformed size line '" +
+                                std::string(line) + "'");
     }
 
     TripletMatrix matrix(static_cast<Index>(rows),
                          static_cast<Index>(cols));
     matrix.reserve((fmt.symmetric || fmt.skew) ? 2 * count : count);
     for (std::uint64_t i = 0; i < count; ++i) {
-        fatalIf(!nextDataLine(line),
-                "MatrixMarket: fewer entries than declared");
+        COPERNICUS_FATAL_IF(!nextDataLine(line),
+                            "MatrixMarket: fewer entries than declared");
         std::string_view rest = line;
         std::uint64_t r = 0, c = 0;
         double v = 1.0;
@@ -205,14 +236,14 @@ parseMatrixMarket(LineSource &&source)
                   parseU64(nextToken(rest), c) == NumParse::Ok;
         if (ok && !fmt.pattern)
             ok = parseDouble(nextToken(rest), v);
-        fatalIf(!ok || !isBlank(rest) || r == 0 || c == 0 ||
-                    r > rows || c > cols,
-                "MatrixMarket: malformed entry '" + std::string(line) +
-                    "'");
-        fatalIf(fmt.skew && r == c,
-                "MatrixMarket: skew-symmetric entry on the diagonal "
-                "'" +
-                    std::string(line) + "'");
+        COPERNICUS_FATAL_IF(!ok || !isBlank(rest) || r == 0 || c == 0 ||
+                                r > rows || c > cols,
+                            "MatrixMarket: malformed entry '" +
+                                std::string(line) + "'");
+        COPERNICUS_FATAL_IF(fmt.skew && r == c,
+                            "MatrixMarket: skew-symmetric entry on the "
+                            "diagonal '" +
+                                std::string(line) + "'");
         const Index row = static_cast<Index>(r - 1);
         const Index col = static_cast<Index>(c - 1);
         matrix.add(row, col, static_cast<Value>(v));
@@ -295,8 +326,8 @@ readMatrixMarketFile(const std::string &path)
 void
 writeMatrixMarket(std::ostream &out, const TripletMatrix &matrix)
 {
-    panicIf(!matrix.finalized(),
-            "writeMatrixMarket requires a finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "writeMatrixMarket requires a finalized matrix");
     out << "%%MatrixMarket matrix coordinate real general\n";
     out << "% written by Copernicus\n";
     out << matrix.rows() << ' ' << matrix.cols() << ' ' << matrix.nnz()
@@ -309,7 +340,8 @@ void
 writeMatrixMarketFile(const std::string &path, const TripletMatrix &matrix)
 {
     std::ofstream out(path);
-    fatalIf(!out, "MatrixMarket: cannot open '" + path + "' for writing");
+    COPERNICUS_FATAL_IF(
+        !out, "MatrixMarket: cannot open '" + path + "' for writing");
     writeMatrixMarket(out, matrix);
 }
 

@@ -103,8 +103,9 @@ scatterTiles(std::span<const Triplet> run, Index partitionSize,
 Partitioning
 partition(const TripletMatrix &matrix, Index partitionSize)
 {
-    fatalIf(partitionSize == 0, "partition size must be positive");
-    panicIf(!matrix.finalized(), "partition() requires a finalized matrix");
+    COPERNICUS_FATAL_IF(partitionSize == 0, "partition size must be positive");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "partition() requires a finalized matrix");
 
     Partitioning result;
     result.partitionSize = partitionSize;

@@ -10,10 +10,10 @@ namespace copernicus {
 std::vector<Index>
 reverseCuthillMcKee(const TripletMatrix &matrix)
 {
-    panicIf(!matrix.finalized(),
-            "reverseCuthillMcKee requires a finalized matrix");
-    fatalIf(matrix.rows() != matrix.cols(),
-            "reverseCuthillMcKee requires a square matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "reverseCuthillMcKee requires a finalized matrix");
+    COPERNICUS_FATAL_IF(matrix.rows() != matrix.cols(),
+                        "reverseCuthillMcKee requires a square matrix");
     const Index n = matrix.rows();
 
     // Symmetrized adjacency (self-loops dropped).
@@ -79,20 +79,20 @@ TripletMatrix
 permuteSymmetric(const TripletMatrix &matrix,
                  const std::vector<Index> &perm)
 {
-    panicIf(!matrix.finalized(),
-            "permuteSymmetric requires a finalized matrix");
-    fatalIf(matrix.rows() != matrix.cols(),
-            "permuteSymmetric requires a square matrix");
-    fatalIf(perm.size() != matrix.rows(),
-            "permutation length must match the matrix dimension");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "permuteSymmetric requires a finalized matrix");
+    COPERNICUS_FATAL_IF(matrix.rows() != matrix.cols(),
+                        "permuteSymmetric requires a square matrix");
+    COPERNICUS_FATAL_IF(perm.size() != matrix.rows(),
+                        "permutation length must match the matrix dimension");
 
     // Invert: old index -> new index.
     std::vector<Index> inverse(perm.size());
     std::vector<bool> seen(perm.size(), false);
     for (Index new_index = 0; new_index < perm.size(); ++new_index) {
         const Index old_index = perm[new_index];
-        fatalIf(old_index >= perm.size() || seen[old_index],
-                "permuteSymmetric: perm is not a permutation");
+        COPERNICUS_FATAL_IF(old_index >= perm.size() || seen[old_index],
+                            "permuteSymmetric: perm is not a permutation");
         seen[old_index] = true;
         inverse[old_index] = new_index;
     }

@@ -10,7 +10,8 @@ namespace copernicus {
 MatrixStats
 computeStats(const TripletMatrix &matrix)
 {
-    panicIf(!matrix.finalized(), "computeStats requires finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "computeStats requires finalized matrix");
 
     MatrixStats stats;
     stats.rows = matrix.rows();
@@ -48,8 +49,8 @@ computeStats(const TripletMatrix &matrix)
 std::map<Index, std::size_t>
 rowNnzHistogram(const TripletMatrix &matrix)
 {
-    panicIf(!matrix.finalized(),
-            "rowNnzHistogram requires a finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "rowNnzHistogram requires a finalized matrix");
     std::vector<Index> row_nnz(matrix.rows(), 0);
     for (const auto &t : matrix.triplets())
         ++row_nnz[t.row];

@@ -11,17 +11,18 @@ namespace copernicus {
 TripletMatrix::TripletMatrix(Index rows, Index cols)
     : _rows(rows), _cols(cols)
 {
-    fatalIf(rows == 0 || cols == 0,
-            "TripletMatrix dimensions must be positive");
+    COPERNICUS_FATAL_IF(rows == 0 || cols == 0,
+                        "TripletMatrix dimensions must be positive");
     _finalized = true; // an empty matrix is trivially sorted
 }
 
 void
 TripletMatrix::add(Index row, Index col, Value value)
 {
-    panicIf(row >= _rows || col >= _cols,
-            "TripletMatrix::add out-of-range entry (" +
-            std::to_string(row) + ", " + std::to_string(col) + ")");
+    COPERNICUS_PANIC_IF(row >= _rows || col >= _cols,
+                        "TripletMatrix::add out-of-range entry (" +
+                            std::to_string(row) + ", " +
+                            std::to_string(col) + ")");
     entries.push_back({row, col, value});
     _finalized = false;
 }
@@ -31,10 +32,20 @@ TripletMatrix::finalize()
 {
     if (_finalized)
         return;
-    std::sort(entries.begin(), entries.end(),
-              [](const Triplet &a, const Triplet &b) {
-                  return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
+    const auto rowMajor = [](const Triplet &a, const Triplet &b) {
+        return a.row != b.row ? a.row < b.row : a.col < b.col;
+    };
+    // Generators and MatrixMarket files mostly list their entries in
+    // row-major order already. An O(n) scan that finds them strictly
+    // increasing skips the sort; with repeats it still sorts, so their
+    // summation order stays the sort's.
+    const bool strictlySorted =
+        std::adjacent_find(entries.begin(), entries.end(),
+                           [&](const Triplet &a, const Triplet &b) {
+                               return !rowMajor(a, b);
+                           }) == entries.end();
+    if (!strictlySorted)
+        std::sort(entries.begin(), entries.end(), rowMajor);
     // Sum duplicates in place, then drop entries that cancelled to zero.
     std::size_t out = 0;
     for (std::size_t i = 0; i < entries.size();) {
@@ -63,8 +74,9 @@ TripletMatrix::density() const
 void
 TripletMatrix::requireFinalized(const char *op) const
 {
-    panicIf(!_finalized,
-            std::string(op) + " requires a finalized TripletMatrix");
+    COPERNICUS_PANIC_IF(
+        !_finalized,
+        std::string(op) + " requires a finalized TripletMatrix");
 }
 
 Value
@@ -116,8 +128,9 @@ TripletMatrix::transposed() const
 bool
 operator==(const TripletMatrix &a, const TripletMatrix &b)
 {
-    panicIf(!a._finalized || !b._finalized,
-            "operator== requires finalized TripletMatrix operands");
+    COPERNICUS_PANIC_IF(
+        !a._finalized || !b._finalized,
+        "operator== requires finalized TripletMatrix operands");
     return a._rows == b._rows && a._cols == b._cols &&
            a.entries == b.entries;
 }

@@ -9,8 +9,8 @@ runEventSim(const Partitioning &parts, FormatKind kind,
             const HlsConfig &config, const FormatRegistry &registry,
             Index inputBuffers, TraceSink *sink)
 {
-    fatalIf(inputBuffers == 0,
-            "runEventSim needs at least one input buffer");
+    COPERNICUS_FATAL_IF(inputBuffers == 0,
+                        "runEventSim needs at least one input buffer");
     EventSimResult result;
     result.format = kind;
     result.partitionSize = parts.partitionSize;

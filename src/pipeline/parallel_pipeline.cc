@@ -75,7 +75,7 @@ runParallel(const Partitioning &parts, FormatKind kind, Index peCount,
             ScheduleKind schedule, const HlsConfig &config,
             const FormatRegistry &registry, TraceSink *sink)
 {
-    fatalIf(peCount == 0, "runParallel needs at least one PE");
+    COPERNICUS_FATAL_IF(peCount == 0, "runParallel needs at least one PE");
 
     TraceSink *trace = resolveTraceSink(sink);
     if (trace != nullptr) {

@@ -18,14 +18,14 @@ timePartition(const Tile &tile, const FormatCodec &codec,
     const auto encoded = codec.encode(tile);
     if (grammarValidationEnabled()) {
         const GrammarReport report = validateEncodedTile(*encoded);
-        panicIf(!report.ok(),
-                "pipeline: encoded tile violates its format "
-                "grammar:\n" +
-                    report.toString());
+        COPERNICUS_PANIC_IF(!report.ok(),
+                            "pipeline: encoded tile violates its format "
+                            "grammar:\n" +
+                                report.toString());
     }
     const auto decomp = simulateDecompression(*encoded, config);
-    panicIf(!(decomp.decoded == tile),
-            "pipeline: decompressor model corrupted a tile");
+    COPERNICUS_PANIC_IF(!(decomp.decoded == tile),
+                        "pipeline: decompressor model corrupted a tile");
 
     // The DDR interface sees post-compression stream images; useful
     // bytes are untouched, so utilization can only rise.
@@ -164,8 +164,9 @@ runPipelineMixed(const Partitioning &parts,
                  const HlsConfig &config, const FormatRegistry &registry,
                  TraceSink *sink)
 {
-    fatalIf(perTile.size() != parts.tiles.size(),
-            "runPipelineMixed: one format per non-zero tile required");
+    COPERNICUS_FATAL_IF(
+        perTile.size() != parts.tiles.size(),
+        "runPipelineMixed: one format per non-zero tile required");
     TraceSink *trace = resolveTraceSink(sink);
     if (trace != nullptr) {
         trace->beginScope("pipeline.mixed.p" +

@@ -21,11 +21,11 @@ ServeClient
 ServeClient::connectUnix(const std::string &path)
 {
     sockaddr_un addr{};
-    fatalIf(path.empty() || path.size() >= sizeof(addr.sun_path),
-            "serve client: bad socket path '" + path + "'");
+    COPERNICUS_FATAL_IF(path.empty() || path.size() >= sizeof(addr.sun_path),
+                        "serve client: bad socket path '" + path + "'");
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    fatalIf(fd < 0, std::string("serve client: socket(): ") +
-                        std::strerror(errno));
+    COPERNICUS_FATAL_IF(fd < 0, std::string("serve client: socket(): ") +
+                                    std::strerror(errno));
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(),
                  sizeof(addr.sun_path) - 1);
@@ -42,11 +42,11 @@ ServeClient::connectUnix(const std::string &path)
 ServeClient
 ServeClient::connectTcp(int port)
 {
-    fatalIf(port <= 0 || port > 65535,
-            "serve client: bad TCP port " + std::to_string(port));
+    COPERNICUS_FATAL_IF(port <= 0 || port > 65535,
+                        "serve client: bad TCP port " + std::to_string(port));
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(fd < 0, std::string("serve client: socket(): ") +
-                        std::strerror(errno));
+    COPERNICUS_FATAL_IF(fd < 0, std::string("serve client: socket(): ") +
+                                    std::strerror(errno));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -98,17 +98,17 @@ ServeClient::operator=(ServeClient &&other) noexcept
 void
 ServeClient::setReceiveTimeoutMs(double ms)
 {
-    fatalIf(fd < 0, "serve client: not connected");
+    COPERNICUS_FATAL_IF(fd < 0, "serve client: not connected");
     timeval tv{};
     if (ms > 0) {
         tv.tv_sec = static_cast<time_t>(ms / 1000.0);
         tv.tv_usec = static_cast<suseconds_t>(
             (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
     }
-    fatalIf(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv,
-                         sizeof(tv)) != 0,
-            std::string("serve client: SO_RCVTIMEO: ") +
-                std::strerror(errno));
+    COPERNICUS_FATAL_IF(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv,
+                                     sizeof(tv)) != 0,
+                        std::string("serve client: SO_RCVTIMEO: ") +
+                            std::strerror(errno));
 }
 
 void
@@ -120,8 +120,8 @@ ServeClient::sendAll(const char *data, std::size_t size)
             ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
             continue;
-        fatalIf(n <= 0, std::string("serve client: send(): ") +
-                            std::strerror(errno));
+        COPERNICUS_FATAL_IF(n <= 0, std::string("serve client: send(): ") +
+                                        std::strerror(errno));
         sent += static_cast<std::size_t>(n);
     }
 }
@@ -129,13 +129,15 @@ ServeClient::sendAll(const char *data, std::size_t size)
 void
 ServeClient::enableBinaryFraming()
 {
-    fatalIf(fd < 0, "serve client: not connected");
-    fatalIf(binary, "serve client: binary framing already enabled");
+    COPERNICUS_FATAL_IF(fd < 0, "serve client: not connected");
+    COPERNICUS_FATAL_IF(binary,
+                        "serve client: binary framing already enabled");
     // The magic must be the first bytes the server sees — its dialect
     // sniff is settled by them. Nothing can have been received yet
     // either (the server never speaks first).
-    fatalIf(!rxBuffer.empty(),
-            "serve client: enableBinaryFraming() after NDJSON traffic");
+    COPERNICUS_FATAL_IF(
+        !rxBuffer.empty(),
+        "serve client: enableBinaryFraming() after NDJSON traffic");
     sendAll(framingMagic.data(), framingMagic.size());
     binary = true;
 }
@@ -164,28 +166,29 @@ ServeClient::awaitResponse(std::uint64_t streamId)
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)
             continue;
-        fatalIf(n == 0,
-                "serve client: server closed the connection");
-        fatalIf(n < 0,
-                errno == EAGAIN || errno == EWOULDBLOCK
-                    ? std::string("serve client: receive timeout")
-                    : std::string("serve client: recv(): ") +
-                          std::strerror(errno));
+        COPERNICUS_FATAL_IF(n == 0,
+                            "serve client: server closed the connection");
+        COPERNICUS_FATAL_IF(n < 0,
+                            errno == EAGAIN || errno == EWOULDBLOCK
+                                ? std::string("serve client: receive timeout")
+                                : std::string("serve client: recv(): ") +
+                                      std::strerror(errno));
         decoder.feed(buf, static_cast<std::size_t>(n));
         Frame frame;
         for (;;) {
             const DecodeResult result = decoder.next(frame);
             if (result == DecodeResult::NeedMore)
                 break;
-            fatalIf(result == DecodeResult::Fatal,
-                    "serve client: broken frame stream: " +
-                        decoder.error());
-            fatalIf(result == DecodeResult::Oversized,
-                    "serve client: oversized response frame (" +
-                        std::to_string(decoder.declaredLength()) +
-                        " bytes)");
-            fatalIf(frame.type != FrameType::Response,
-                    "serve client: unexpected frame type from server");
+            COPERNICUS_FATAL_IF(result == DecodeResult::Fatal,
+                                "serve client: broken frame stream: " +
+                                    decoder.error());
+            COPERNICUS_FATAL_IF(result == DecodeResult::Oversized,
+                                "serve client: oversized response frame (" +
+                                    std::to_string(decoder.declaredLength()) +
+                                    " bytes)");
+            COPERNICUS_FATAL_IF(
+                frame.type != FrameType::Response,
+                "serve client: unexpected frame type from server");
             readyResponses[frame.streamId] = std::move(frame.payload);
         }
     }
@@ -194,7 +197,7 @@ ServeClient::awaitResponse(std::uint64_t streamId)
 std::string
 ServeClient::requestLine(const std::string &line)
 {
-    fatalIf(fd < 0, "serve client: not connected");
+    COPERNICUS_FATAL_IF(fd < 0, "serve client: not connected");
     std::string framed = line;
     // NDJSON framing: a raw newline inside the request (e.g. from a
     // multi-line shell --params string) would split it into two wire
@@ -221,13 +224,13 @@ ServeClient::requestLine(const std::string &line)
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)
             continue;
-        fatalIf(n == 0,
-                "serve client: server closed the connection");
-        fatalIf(n < 0,
-                errno == EAGAIN || errno == EWOULDBLOCK
-                    ? std::string("serve client: receive timeout")
-                    : std::string("serve client: recv(): ") +
-                          std::strerror(errno));
+        COPERNICUS_FATAL_IF(n == 0,
+                            "serve client: server closed the connection");
+        COPERNICUS_FATAL_IF(n < 0,
+                            errno == EAGAIN || errno == EWOULDBLOCK
+                                ? std::string("serve client: receive timeout")
+                                : std::string("serve client: recv(): ") +
+                                      std::strerror(errno));
         rxBuffer.append(buf, static_cast<std::size_t>(n));
     }
 }
@@ -274,8 +277,8 @@ ServeClient::call(const std::string &op, const std::string &paramsJson,
     const std::string line =
         requestLine(buildRequestJson(op, paramsJson, timeoutMs));
     JsonValue response;
-    fatalIf(!parseJson(line, response) || !response.isObject(),
-            "serve client: malformed response line: " + line);
+    COPERNICUS_FATAL_IF(!parseJson(line, response) || !response.isObject(),
+                        "serve client: malformed response line: " + line);
     return response;
 }
 
@@ -283,9 +286,9 @@ std::uint64_t
 ServeClient::startCall(const std::string &op,
                        const std::string &paramsJson, double timeoutMs)
 {
-    fatalIf(fd < 0, "serve client: not connected");
-    fatalIf(!binary,
-            "serve client: startCall() requires binary framing");
+    COPERNICUS_FATAL_IF(fd < 0, "serve client: not connected");
+    COPERNICUS_FATAL_IF(!binary,
+                        "serve client: startCall() requires binary framing");
     // The span covers only the send — the response is claimed later
     // by awaitCall(), possibly out of order — but its identity still
     // rides the wire, so the server side parents correctly.
@@ -297,21 +300,22 @@ ServeClient::startCall(const std::string &op,
 JsonValue
 ServeClient::awaitCall(std::uint64_t streamId)
 {
-    fatalIf(!binary,
-            "serve client: awaitCall() requires binary framing");
+    COPERNICUS_FATAL_IF(!binary,
+                        "serve client: awaitCall() requires binary framing");
     const std::string payload = awaitResponse(streamId);
     JsonValue response;
-    fatalIf(!parseJson(payload, response) || !response.isObject(),
-            "serve client: malformed response payload: " + payload);
+    COPERNICUS_FATAL_IF(
+        !parseJson(payload, response) || !response.isObject(),
+        "serve client: malformed response payload: " + payload);
     return response;
 }
 
 void
 ServeClient::cancelCall(std::uint64_t streamId)
 {
-    fatalIf(fd < 0, "serve client: not connected");
-    fatalIf(!binary,
-            "serve client: cancelCall() requires binary framing");
+    COPERNICUS_FATAL_IF(fd < 0, "serve client: not connected");
+    COPERNICUS_FATAL_IF(!binary,
+                        "serve client: cancelCall() requires binary framing");
     const std::string frame =
         encodeFrame(FrameType::Cancel, streamId, "");
     sendAll(frame.data(), frame.size());

@@ -51,8 +51,8 @@ void
 appendFrame(std::string &out, FrameType type, std::uint64_t streamId,
             std::string_view payload)
 {
-    panicIf(payload.size() > frameLengthHardCap,
-            "framing: payload exceeds the hard frame cap");
+    COPERNICUS_PANIC_IF(payload.size() > frameLengthHardCap,
+                        "framing: payload exceeds the hard frame cap");
     char header[frameHeaderSize] = {};
     putU32le(header, static_cast<std::uint32_t>(payload.size()));
     header[4] = static_cast<char>(type);

@@ -177,13 +177,14 @@ indexField(const JsonValue &spec, std::string_view key, double fallback,
            Index maxDim)
 {
     const double value = spec.numberOr(key, fallback);
-    fatalIf(value < 1 || !std::isfinite(value),
-            "matrix spec: '" + std::string(key) +
-                "' must be a positive number");
-    fatalIf(value > static_cast<double>(maxDim),
-            "matrix spec: '" + std::string(key) + "' = " +
-                std::to_string(static_cast<std::uint64_t>(value)) +
-                " exceeds the server cap of " + std::to_string(maxDim));
+    COPERNICUS_FATAL_IF(value < 1 || !std::isfinite(value),
+                        "matrix spec: '" + std::string(key) +
+                            "' must be a positive number");
+    COPERNICUS_FATAL_IF(
+        value > static_cast<double>(maxDim),
+        "matrix spec: '" + std::string(key) + "' = " +
+            std::to_string(static_cast<std::uint64_t>(value)) +
+            " exceeds the server cap of " + std::to_string(maxDim));
     return static_cast<Index>(value);
 }
 
@@ -192,9 +193,9 @@ indexField(const JsonValue &spec, std::string_view key, double fallback,
 TripletMatrix
 matrixFromSpec(const JsonValue &spec, Index maxDim)
 {
-    fatalIf(!spec.isObject(), "request needs a \"matrix\" object");
+    COPERNICUS_FATAL_IF(!spec.isObject(), "request needs a \"matrix\" object");
     const std::string kind = spec.stringOr("kind", "");
-    fatalIf(kind.empty(), "matrix spec needs a \"kind\" string");
+    COPERNICUS_FATAL_IF(kind.empty(), "matrix spec needs a \"kind\" string");
 
     const auto seed = static_cast<std::uint64_t>(
         spec.numberOr("seed", 1));
@@ -203,16 +204,16 @@ matrixFromSpec(const JsonValue &spec, Index maxDim)
     if (kind == "random") {
         const Index n = indexField(spec, "n", 256, maxDim);
         const double density = spec.numberOr("density", 0.05);
-        fatalIf(density <= 0 || density > 1,
-                "matrix spec: random density must be in (0, 1]");
+        COPERNICUS_FATAL_IF(density <= 0 || density > 1,
+                            "matrix spec: random density must be in (0, 1]");
         return randomMatrix(n, density, rng);
     }
     if (kind == "band") {
         const Index n = indexField(spec, "n", 256, maxDim);
         const Index width = indexField(spec, "width", 8, maxDim);
         const double fill = spec.numberOr("fill", 1.0);
-        fatalIf(fill <= 0 || fill > 1,
-                "matrix spec: band fill must be in (0, 1]");
+        COPERNICUS_FATAL_IF(fill <= 0 || fill > 1,
+                            "matrix spec: band fill must be in (0, 1]");
         return bandMatrix(n, width, rng, fill);
     }
     if (kind == "diagonal") {
@@ -234,38 +235,40 @@ matrixFromSpec(const JsonValue &spec, Index maxDim)
         const Index n = indexField(spec, "n", 512, maxDim);
         const double edges = spec.numberOr(
             "edges", static_cast<double>(n) * 4);
-        fatalIf(edges < 1 ||
-                    edges > static_cast<double>(maxDim) * 64,
-                "matrix spec: rmat edges out of range");
+        COPERNICUS_FATAL_IF(edges < 1 ||
+                                edges > static_cast<double>(maxDim) * 64,
+                            "matrix spec: rmat edges out of range");
         return rmatGraph(n, static_cast<std::size_t>(edges), rng);
     }
     if (kind == "pruned") {
         const Index rows = indexField(spec, "rows", 256, maxDim);
         const Index cols = indexField(spec, "cols", rows, maxDim);
         const double density = spec.numberOr("density", 0.3);
-        fatalIf(density <= 0 || density > 1,
-                "matrix spec: pruned density must be in (0, 1]");
+        COPERNICUS_FATAL_IF(density <= 0 || density > 1,
+                            "matrix spec: pruned density must be in (0, 1]");
         return prunedLayer(rows, cols, density, rng,
                            spec.boolOr("block", false));
     }
     if (kind == "file") {
         const std::string path = spec.stringOr("path", "");
-        fatalIf(path.empty(), "matrix spec: file kind needs a path");
+        COPERNICUS_FATAL_IF(path.empty(),
+                            "matrix spec: file kind needs a path");
         TripletMatrix matrix = readMatrixMarketFile(path);
-        fatalIf(matrix.rows() > maxDim || matrix.cols() > maxDim,
-                "matrix file '" + path +
-                    "' exceeds the server dimension cap of " +
-                    std::to_string(maxDim));
+        COPERNICUS_FATAL_IF(matrix.rows() > maxDim || matrix.cols() > maxDim,
+                            "matrix file '" + path +
+                                "' exceeds the server dimension cap of " +
+                                std::to_string(maxDim));
         return matrix;
     }
     if (kind == "cbm") {
         const std::string path = spec.stringOr("path", "");
-        fatalIf(path.empty(), "matrix spec: cbm kind needs a path");
+        COPERNICUS_FATAL_IF(path.empty(),
+                            "matrix spec: cbm kind needs a path");
         const CbmReader reader(path);
-        fatalIf(reader.rows() > maxDim || reader.cols() > maxDim,
-                "cbm container '" + path +
-                    "' exceeds the server dimension cap of " +
-                    std::to_string(maxDim));
+        COPERNICUS_FATAL_IF(reader.rows() > maxDim || reader.cols() > maxDim,
+                            "cbm container '" + path +
+                                "' exceeds the server dimension cap of " +
+                                std::to_string(maxDim));
         return reader.toTripletMatrix();
     }
     fatal("matrix spec: unknown kind '" + kind + "'");
@@ -294,13 +297,14 @@ formatsFromParam(const JsonValue *array,
 {
     if (array == nullptr)
         return fallback;
-    fatalIf(!array->isArray(), "\"formats\" must be an array of names");
+    COPERNICUS_FATAL_IF(!array->isArray(),
+                        "\"formats\" must be an array of names");
     std::vector<FormatKind> kinds;
     for (const JsonValue &entry : array->elements) {
-        fatalIf(!entry.isString(), "format names must be strings");
+        COPERNICUS_FATAL_IF(!entry.isString(), "format names must be strings");
         kinds.push_back(parseFormatKind(entry.text));
     }
-    fatalIf(kinds.empty(), "\"formats\" must not be empty");
+    COPERNICUS_FATAL_IF(kinds.empty(), "\"formats\" must not be empty");
     return kinds;
 }
 
@@ -310,16 +314,17 @@ partitionSizesFromParam(const JsonValue *array,
 {
     if (array == nullptr)
         return fallback;
-    fatalIf(!array->isArray(),
-            "\"partition_sizes\" must be an array of numbers");
+    COPERNICUS_FATAL_IF(!array->isArray(),
+                        "\"partition_sizes\" must be an array of numbers");
     std::vector<Index> sizes;
     for (const JsonValue &entry : array->elements) {
-        fatalIf(!entry.isNumber() || entry.number < 1 ||
-                    entry.number > 4096,
-                "partition sizes must be numbers in [1, 4096]");
+        COPERNICUS_FATAL_IF(!entry.isNumber() || entry.number < 1 ||
+                                entry.number > 4096,
+                            "partition sizes must be numbers in [1, 4096]");
         sizes.push_back(static_cast<Index>(entry.number));
     }
-    fatalIf(sizes.empty(), "\"partition_sizes\" must not be empty");
+    COPERNICUS_FATAL_IF(sizes.empty(),
+                        "\"partition_sizes\" must not be empty");
     return sizes;
 }
 

@@ -73,8 +73,8 @@ Server::Conn::~Conn()
 
 Server::Server(ServeOptions options) : opts(std::move(options))
 {
-    fatalIf(opts.queueCapacity == 0,
-            "serve: queue capacity must be at least 1");
+    COPERNICUS_FATAL_IF(opts.queueCapacity == 0,
+                        "serve: queue capacity must be at least 1");
     connections = std::make_unique<ScalarStat>(
         grp, "connections", "client connections accepted");
     badLines = std::make_unique<ScalarStat>(
@@ -133,8 +133,8 @@ Server::EndpointStats &
 Server::statsFor(Endpoint endpoint)
 {
     const auto index = static_cast<std::size_t>(endpoint);
-    panicIf(index >= endpointStats.size(),
-            "serve: endpoint index out of range");
+    COPERNICUS_PANIC_IF(index >= endpointStats.size(),
+                        "serve: endpoint index out of range");
     return endpointStats[index];
 }
 
@@ -159,8 +159,8 @@ Server::bindSocket()
         listenFd = ::socket(AF_INET,
                             SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                             0);
-        fatalIf(listenFd < 0, std::string("serve: socket(): ") +
-                                  std::strerror(errno));
+        COPERNICUS_FATAL_IF(listenFd < 0, std::string("serve: socket(): ") +
+                                              std::strerror(errno));
         const int one = 1;
         ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof(one));
@@ -169,53 +169,54 @@ Server::bindSocket()
         addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
         addr.sin_port =
             htons(static_cast<std::uint16_t>(opts.tcpPort));
-        fatalIf(::bind(listenFd,
-                       reinterpret_cast<const sockaddr *>(&addr),
-                       sizeof(addr)) != 0,
-                "serve: cannot bind 127.0.0.1:" +
-                    std::to_string(opts.tcpPort) + ": " +
-                    std::strerror(errno));
+        COPERNICUS_FATAL_IF(::bind(listenFd,
+                                   reinterpret_cast<const sockaddr *>(&addr),
+                                   sizeof(addr)) != 0,
+                            "serve: cannot bind 127.0.0.1:" +
+                                std::to_string(opts.tcpPort) + ": " +
+                                std::strerror(errno));
         sockaddr_in bound{};
         socklen_t len = sizeof(bound);
-        fatalIf(::getsockname(listenFd,
-                              reinterpret_cast<sockaddr *>(&bound),
-                              &len) != 0,
-                std::string("serve: getsockname(): ") +
-                    std::strerror(errno));
+        COPERNICUS_FATAL_IF(::getsockname(listenFd,
+                                          reinterpret_cast<sockaddr *>(&bound),
+                                          &len) != 0,
+                            std::string("serve: getsockname(): ") +
+                                std::strerror(errno));
         boundTcpPort = ntohs(bound.sin_port);
     } else {
-        fatalIf(opts.socketPath.empty(),
-                "serve: a socket path or --tcp port is required");
+        COPERNICUS_FATAL_IF(opts.socketPath.empty(),
+                            "serve: a socket path or --tcp port is required");
         sockaddr_un addr{};
-        fatalIf(opts.socketPath.size() >= sizeof(addr.sun_path),
-                "serve: socket path '" + opts.socketPath +
-                    "' is too long for sockaddr_un");
+        COPERNICUS_FATAL_IF(opts.socketPath.size() >= sizeof(addr.sun_path),
+                            "serve: socket path '" + opts.socketPath +
+                                "' is too long for sockaddr_un");
         listenFd = ::socket(AF_UNIX,
                             SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                             0);
-        fatalIf(listenFd < 0, std::string("serve: socket(): ") +
-                                  std::strerror(errno));
+        COPERNICUS_FATAL_IF(listenFd < 0, std::string("serve: socket(): ") +
+                                              std::strerror(errno));
         ::unlink(opts.socketPath.c_str());
         addr.sun_family = AF_UNIX;
         std::strncpy(addr.sun_path, opts.socketPath.c_str(),
                      sizeof(addr.sun_path) - 1);
-        fatalIf(::bind(listenFd,
-                       reinterpret_cast<const sockaddr *>(&addr),
-                       sizeof(addr)) != 0,
-                "serve: cannot bind '" + opts.socketPath +
-                    "': " + std::strerror(errno));
+        COPERNICUS_FATAL_IF(::bind(listenFd,
+                                   reinterpret_cast<const sockaddr *>(&addr),
+                                   sizeof(addr)) != 0,
+                            "serve: cannot bind '" + opts.socketPath +
+                                "': " + std::strerror(errno));
     }
     // SOMAXCONN instead of a hand-picked backlog: the load benchmark
     // opens thousands of connections in a burst, and a short backlog
     // turns that burst into ECONNREFUSED/retry latency at the client.
-    fatalIf(::listen(listenFd, SOMAXCONN) != 0,
-            std::string("serve: listen(): ") + std::strerror(errno));
+    COPERNICUS_FATAL_IF(
+        ::listen(listenFd, SOMAXCONN) != 0,
+        std::string("serve: listen(): ") + std::strerror(errno));
 }
 
 void
 Server::start()
 {
-    panicIf(started, "serve: start() called twice");
+    COPERNICUS_PANIC_IF(started, "serve: start() called twice");
 
     if (opts.checkRegistry) {
         LintOptions lint;
@@ -232,10 +233,11 @@ Server::start()
         const ProtocolSurface surface = collectServeProtocolSurface();
         lint.protocol = &surface;
         const LintReport report = runLint(lint);
-        fatalIf(!report.ok(),
-                "serve: refusing to start, the format registry failed "
-                "the schedule contract check:\n" +
-                    report.toString());
+        COPERNICUS_FATAL_IF(
+            !report.ok(),
+            "serve: refusing to start, the format registry failed "
+            "the schedule contract check:\n" +
+                report.toString());
         inform("serve: registry lint passed (" +
                 std::to_string(report.warningCount()) + " warnings)");
     }
@@ -259,21 +261,22 @@ Server::start()
     bindSocket();
 
     epollFd = ::epoll_create1(EPOLL_CLOEXEC);
-    fatalIf(epollFd < 0, std::string("serve: epoll_create1(): ") +
-                             std::strerror(errno));
+    COPERNICUS_FATAL_IF(epollFd < 0, std::string("serve: epoll_create1(): ") +
+                                         std::strerror(errno));
     wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    fatalIf(wakeFd < 0, std::string("serve: eventfd(): ") +
-                            std::strerror(errno));
+    COPERNICUS_FATAL_IF(wakeFd < 0, std::string("serve: eventfd(): ") +
+                                        std::strerror(errno));
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = listenFd;
-    fatalIf(::epoll_ctl(epollFd, EPOLL_CTL_ADD, listenFd, &ev) != 0,
-            std::string("serve: epoll_ctl(listen): ") +
-                std::strerror(errno));
+    COPERNICUS_FATAL_IF(
+        ::epoll_ctl(epollFd, EPOLL_CTL_ADD, listenFd, &ev) != 0,
+        std::string("serve: epoll_ctl(listen): ") +
+            std::strerror(errno));
     ev.data.fd = wakeFd;
-    fatalIf(::epoll_ctl(epollFd, EPOLL_CTL_ADD, wakeFd, &ev) != 0,
-            std::string("serve: epoll_ctl(wake): ") +
-                std::strerror(errno));
+    COPERNICUS_FATAL_IF(::epoll_ctl(epollFd, EPOLL_CTL_ADD, wakeFd, &ev) != 0,
+                        std::string("serve: epoll_ctl(wake): ") +
+                            std::strerror(errno));
 
     started = true;
     loopExit.store(false, std::memory_order_relaxed);
@@ -310,7 +313,7 @@ void
 Server::releaseAdmission()
 {
     std::lock_guard<std::mutex> lock(admitMutex);
-    panicIf(inflight == 0, "serve: admission released twice");
+    COPERNICUS_PANIC_IF(inflight == 0, "serve: admission released twice");
     --inflight;
     if (inflight == 0)
         idleCv.notify_all();
@@ -1101,8 +1104,8 @@ Server::dispatch(const ServeRequest &request,
         // Test/load-gen endpoint: occupy an admission slot for a
         // controlled time, honoring the deadline like a real sweep.
         double ms = params.numberOr("ms", 100);
-        fatalIf(ms < 0 || ms > 60000,
-                "sleep: ms must be in [0, 60000]");
+        COPERNICUS_FATAL_IF(ms < 0 || ms > 60000,
+                            "sleep: ms must be in [0, 60000]");
         double slept = 0;
         while (slept < ms) {
             checkAbort();
@@ -1116,7 +1119,8 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::Advise: {
         const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr, "advise: params.matrix is required");
+        COPERNICUS_FATAL_IF(spec == nullptr,
+                            "advise: params.matrix is required");
         const TripletMatrix matrix =
             matrixFromSpec(*spec, opts.maxMatrixDim);
         checkAbort();
@@ -1172,8 +1176,8 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::RunStudy: {
         const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr,
-                "run_study: params.matrix is required");
+        COPERNICUS_FATAL_IF(spec == nullptr,
+                            "run_study: params.matrix is required");
         TripletMatrix matrix =
             matrixFromSpec(*spec, opts.maxMatrixDim);
         StudyConfig cfg;
@@ -1256,13 +1260,14 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::PlanFormats: {
         const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr,
-                "plan_formats: params.matrix is required");
+        COPERNICUS_FATAL_IF(spec == nullptr,
+                            "plan_formats: params.matrix is required");
         const TripletMatrix matrix =
             matrixFromSpec(*spec, opts.maxMatrixDim);
         const double p = params.numberOr("partition_size", 16);
-        fatalIf(p < 1 || p > 4096,
-                "plan_formats: partition_size must be in [1, 4096]");
+        COPERNICUS_FATAL_IF(
+            p < 1 || p > 4096,
+            "plan_formats: partition_size must be in [1, 4096]");
         const std::vector<FormatKind> candidates =
             formatsFromParam(params.find("formats"), paperFormats());
         obs.formatsSwept = candidates.size();
@@ -1274,10 +1279,10 @@ Server::dispatch(const ServeRequest &request,
         } else if (objectiveName == "bytes") {
             objective = SchedulerObjective::Bytes;
         } else {
-            fatalIf(objectiveName != "bottleneck",
-                    "plan_formats: unknown objective '" +
-                        objectiveName +
-                        "' (expected bottleneck|compute|bytes)");
+            COPERNICUS_FATAL_IF(objectiveName != "bottleneck",
+                                "plan_formats: unknown objective '" +
+                                    objectiveName +
+                                    "' (expected bottleneck|compute|bytes)");
         }
 
         // Like advise: the plan depends only on (matrix content,
@@ -1331,13 +1336,14 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::ValidateTile: {
         const JsonValue *spec = params.find("matrix");
-        fatalIf(spec == nullptr,
-                "validate_tile: params.matrix is required");
+        COPERNICUS_FATAL_IF(spec == nullptr,
+                            "validate_tile: params.matrix is required");
         const TripletMatrix matrix =
             matrixFromSpec(*spec, opts.maxMatrixDim);
         const double p = params.numberOr("partition_size", 16);
-        fatalIf(p < 1 || p > 4096,
-                "validate_tile: partition_size must be in [1, 4096]");
+        COPERNICUS_FATAL_IF(
+            p < 1 || p > 4096,
+            "validate_tile: partition_size must be in [1, 4096]");
         const std::vector<FormatKind> kinds =
             formatsFromParam(params.find("formats"), paperFormats());
         obs.formatsSwept = kinds.size();
@@ -1401,7 +1407,8 @@ Server::dispatch(const ServeRequest &request,
 
       case Endpoint::StoreInfo: {
         const std::string path = params.stringOr("path", "");
-        fatalIf(path.empty(), "store_info: params.path is required");
+        COPERNICUS_FATAL_IF(path.empty(),
+                            "store_info: params.path is required");
         const bool deep = params.boolOr("deep", false);
         const std::vector<CbmIssue> issues =
             inspectCbmFile(path, deep);
@@ -1455,8 +1462,8 @@ Server::statsJson() const
     // Splice live load state into the document: --top reads queue
     // depth, per-request ages and the memo occupancy from here, so
     // the stats endpoint stays the one poll target.
-    panicIf(json.empty() || json.back() != '}',
-            "serve: stats dump is not a JSON object");
+    COPERNICUS_PANIC_IF(json.empty() || json.back() != '}',
+                        "serve: stats dump is not a JSON object");
     json.pop_back();
     std::size_t depth;
     {
@@ -1627,7 +1634,7 @@ Server::spans() const
 void
 Server::waitDrained()
 {
-    panicIf(!started, "serve: waitDrained() before start()");
+    COPERNICUS_PANIC_IF(!started, "serve: waitDrained() before start()");
 
     // 1. Park until someone (signal, shutdown endpoint, or
     //    beginShutdown()) starts the drain. The event loop stops
@@ -1660,8 +1667,8 @@ Server::waitDrained()
 
     if (!opts.statsJsonPath.empty()) {
         std::ofstream out(opts.statsJsonPath);
-        fatalIf(!out, "serve: cannot open stats path '" +
-                          opts.statsJsonPath + "'");
+        COPERNICUS_FATAL_IF(!out, "serve: cannot open stats path '" +
+                                      opts.statsJsonPath + "'");
         out << statsJson() << '\n';
         inform("serve: stats written to " + opts.statsJsonPath);
     }

@@ -12,8 +12,8 @@ estimateIterativeSolve(const TripletMatrix &matrix, FormatKind kind,
                        std::size_t vectorOpsPerIteration,
                        const HlsConfig &config)
 {
-    fatalIf(matrix.rows() != matrix.cols(),
-            "estimateIterativeSolve requires a square matrix");
+    COPERNICUS_FATAL_IF(matrix.rows() != matrix.cols(),
+                        "estimateIterativeSolve requires a square matrix");
 
     PlatformSolveEstimate estimate;
     estimate.format = kind;

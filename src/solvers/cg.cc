@@ -33,8 +33,9 @@ SolveResult
 conjugateGradient(const CsrMatrix &a, const std::vector<Value> &b,
                   double tolerance, std::size_t maxIterations)
 {
-    fatalIf(a.rows() != a.cols(), "CG requires a square matrix");
-    fatalIf(b.size() != a.rows(), "CG right-hand-side length mismatch");
+    COPERNICUS_FATAL_IF(a.rows() != a.cols(), "CG requires a square matrix");
+    COPERNICUS_FATAL_IF(b.size() != a.rows(),
+                        "CG right-hand-side length mismatch");
 
     const ScopedTimer timer("solver.cg");
 
@@ -54,8 +55,8 @@ conjugateGradient(const CsrMatrix &a, const std::vector<Value> &b,
         }
         const std::vector<Value> ap = a.multiply(p);
         const double denom = dot(p, ap);
-        fatalIf(denom == 0.0,
-                "CG breakdown: matrix is not positive-definite");
+        COPERNICUS_FATAL_IF(denom == 0.0,
+                            "CG breakdown: matrix is not positive-definite");
         const double alpha = rs_old / denom;
         for (std::size_t i = 0; i < n; ++i) {
             result.x[i] += static_cast<Value>(alpha * p[i]);
@@ -77,9 +78,10 @@ SolveResult
 jacobi(const CsrMatrix &a, const std::vector<Value> &b, double tolerance,
        std::size_t maxIterations)
 {
-    fatalIf(a.rows() != a.cols(), "Jacobi requires a square matrix");
-    fatalIf(b.size() != a.rows(),
-            "Jacobi right-hand-side length mismatch");
+    COPERNICUS_FATAL_IF(a.rows() != a.cols(),
+                        "Jacobi requires a square matrix");
+    COPERNICUS_FATAL_IF(b.size() != a.rows(),
+                        "Jacobi right-hand-side length mismatch");
 
     const Index n = a.rows();
     std::vector<Value> diag(n, Value(0));
@@ -91,8 +93,8 @@ jacobi(const CsrMatrix &a, const std::vector<Value> &b, double tolerance,
             if (inds[i] == r)
                 diag[r] = vals[i];
     for (Index r = 0; r < n; ++r)
-        fatalIf(diag[r] == Value(0),
-                "Jacobi requires a non-zero diagonal");
+        COPERNICUS_FATAL_IF(diag[r] == Value(0),
+                            "Jacobi requires a non-zero diagonal");
 
     SolveResult result;
     result.x.assign(n, Value(0));

@@ -10,9 +10,9 @@ namespace copernicus {
 BfsResult
 bfs(const TripletMatrix &adjacency, Index source)
 {
-    fatalIf(adjacency.rows() != adjacency.cols(),
-            "bfs requires a square adjacency matrix");
-    fatalIf(source >= adjacency.rows(), "bfs source out of range");
+    COPERNICUS_FATAL_IF(adjacency.rows() != adjacency.cols(),
+                        "bfs requires a square adjacency matrix");
+    COPERNICUS_FATAL_IF(source >= adjacency.rows(), "bfs source out of range");
     const Index n = adjacency.rows();
     const CsrMatrix a(adjacency);
 
@@ -55,9 +55,10 @@ ssspUnreached()
 SsspResult
 sssp(const TripletMatrix &adjacency, Index source)
 {
-    fatalIf(adjacency.rows() != adjacency.cols(),
-            "sssp requires a square adjacency matrix");
-    fatalIf(source >= adjacency.rows(), "sssp source out of range");
+    COPERNICUS_FATAL_IF(adjacency.rows() != adjacency.cols(),
+                        "sssp requires a square adjacency matrix");
+    COPERNICUS_FATAL_IF(source >= adjacency.rows(),
+                        "sssp source out of range");
     const Index n = adjacency.rows();
 
     SsspResult result;

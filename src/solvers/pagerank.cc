@@ -11,10 +11,10 @@ PageRankResult
 pageRank(const TripletMatrix &adjacency, double damping, double tolerance,
          std::size_t maxIterations)
 {
-    fatalIf(adjacency.rows() != adjacency.cols(),
-            "pageRank requires a square adjacency matrix");
-    fatalIf(damping <= 0.0 || damping >= 1.0,
-            "pageRank damping must be in (0, 1)");
+    COPERNICUS_FATAL_IF(adjacency.rows() != adjacency.cols(),
+                        "pageRank requires a square adjacency matrix");
+    COPERNICUS_FATAL_IF(damping <= 0.0 || damping >= 1.0,
+                        "pageRank damping must be in (0, 1)");
 
     const ScopedTimer timer("solver.pagerank");
     const Index n = adjacency.rows();

@@ -267,8 +267,8 @@ cbmHeaderHash(const CbmHeader &header)
 std::uint64_t
 contentHashOf(const TripletMatrix &matrix)
 {
-    panicIf(!matrix.finalized(),
-            "contentHashOf requires a finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "contentHashOf requires a finalized matrix");
     return fnv1a(matrix.triplets().data(),
                  matrix.nnz() * tripletBytes);
 }
@@ -279,11 +279,11 @@ CbmWriter::CbmWriter(const std::string &path, Index rows, Index cols,
     : path(path), out(path, std::ios::binary | std::ios::trunc),
       runningHash(fnvOffsetBasis)
 {
-    fatalIf(rows == 0 || cols == 0,
-            "cbm: matrix dimensions must be positive");
-    fatalIf(chunkTargetNnz == 0,
-            "cbm: chunk granularity must be positive");
-    fatalIf(!out, "cbm: cannot open '" + path + "' for writing");
+    COPERNICUS_FATAL_IF(rows == 0 || cols == 0,
+                        "cbm: matrix dimensions must be positive");
+    COPERNICUS_FATAL_IF(chunkTargetNnz == 0,
+                        "cbm: chunk granularity must be positive");
+    COPERNICUS_FATAL_IF(!out, "cbm: cannot open '" + path + "' for writing");
     header.version = cbmVersion;
     header.rows = rows;
     header.cols = cols;
@@ -299,20 +299,20 @@ CbmWriter::~CbmWriter() = default;
 void
 CbmWriter::append(const Triplet &t)
 {
-    panicIf(finished, "cbm: append after finish");
-    fatalIf(t.row >= header.rows || t.col >= header.cols,
-            "cbm: triplet (" + std::to_string(t.row) + ", " +
-                std::to_string(t.col) + ") out of range for " +
-                std::to_string(header.rows) + " x " +
-                std::to_string(header.cols));
-    fatalIf(t.value == Value(0), "cbm: explicit zero at (" +
-                                     std::to_string(t.row) + ", " +
-                                     std::to_string(t.col) + ")");
-    fatalIf(havePrev && (t.row < prev.row ||
-                         (t.row == prev.row && t.col <= prev.col)),
-            "cbm: triplet (" + std::to_string(t.row) + ", " +
-                std::to_string(t.col) +
-                ") breaks canonical row-major order");
+    COPERNICUS_PANIC_IF(finished, "cbm: append after finish");
+    COPERNICUS_FATAL_IF(t.row >= header.rows || t.col >= header.cols,
+                        "cbm: triplet (" + std::to_string(t.row) + ", " +
+                            std::to_string(t.col) + ") out of range for " +
+                            std::to_string(header.rows) + " x " +
+                            std::to_string(header.cols));
+    COPERNICUS_FATAL_IF(t.value == Value(0),
+                        "cbm: explicit zero at (" + std::to_string(t.row) +
+                            ", " + std::to_string(t.col) + ")");
+    COPERNICUS_FATAL_IF(
+        havePrev && (t.row < prev.row ||
+                     (t.row == prev.row && t.col <= prev.col)),
+        "cbm: triplet (" + std::to_string(t.row) + ", " +
+            std::to_string(t.col) + ") breaks canonical row-major order");
 
     if (written % header.chunkTargetNnz == 0) {
         open_chunk.offset = tripletOffset(written);
@@ -341,12 +341,12 @@ CbmWriter::sealChunk()
 std::uint64_t
 CbmWriter::finish()
 {
-    panicIf(finished, "cbm: finish called twice");
+    COPERNICUS_PANIC_IF(finished, "cbm: finish called twice");
     finished = true;
     if (open_chunk.nnz != 0)
         sealChunk();
-    fatalIf(directory.size() > UINT32_MAX,
-            "cbm: too many chunks for the directory");
+    COPERNICUS_FATAL_IF(directory.size() > UINT32_MAX,
+                        "cbm: too many chunks for the directory");
 
     header.nnz = written;
     header.contentHash = runningHash;
@@ -360,7 +360,7 @@ CbmWriter::finish()
     out.seekp(0);
     out.write(reinterpret_cast<const char *>(&header), sizeof(header));
     out.flush();
-    fatalIf(!out, "cbm: write to '" + path + "' failed");
+    COPERNICUS_FATAL_IF(!out, "cbm: write to '" + path + "' failed");
     out.close();
     return header.contentHash;
 }
@@ -369,8 +369,8 @@ std::uint64_t
 writeCbmFile(const std::string &path, const TripletMatrix &matrix,
              std::uint64_t epoch, std::uint32_t chunkTargetNnz)
 {
-    panicIf(!matrix.finalized(),
-            "writeCbmFile requires a finalized matrix");
+    COPERNICUS_PANIC_IF(!matrix.finalized(),
+                        "writeCbmFile requires a finalized matrix");
     CbmWriter writer(path, matrix.rows(), matrix.cols(), epoch,
                      chunkTargetNnz);
     for (const Triplet &t : matrix.triplets())
@@ -423,7 +423,8 @@ CbmReader::CbmReader(const std::string &path) : file(path)
 const Triplet *
 CbmReader::chunkData(std::uint32_t i) const
 {
-    panicIf(i >= directory.size(), "cbm: chunk index out of range");
+    COPERNICUS_PANIC_IF(i >= directory.size(),
+                        "cbm: chunk index out of range");
     // Payload records start at offset 64 and are 12 bytes apiece, so
     // every chunk start satisfies Triplet's 4-byte alignment on top
     // of the page-aligned mapping.

@@ -13,7 +13,7 @@ forEachTileStreaming(const TripletSource &source, Index partitionSize,
                      const StreamPartitionOptions &options,
                      const std::function<void(Tile &&)> &consume)
 {
-    fatalIf(partitionSize == 0, "partition size must be positive");
+    COPERNICUS_FATAL_IF(partitionSize == 0, "partition size must be positive");
 
     const Index gridRows =
         static_cast<Index>(ceilDiv(source.rows(), partitionSize));
@@ -32,8 +32,8 @@ forEachTileStreaming(const TripletSource &source, Index partitionSize,
         ++counted;
     });
     stats.sourceScans = 1;
-    panicIf(counted != source.nnz(),
-            "TripletSource scan count disagrees with its nnz()");
+    COPERNICUS_PANIC_IF(counted != source.nnz(),
+                        "TripletSource scan count disagrees with its nnz()");
 
     const std::uint64_t budget =
         std::max<std::uint64_t>(options.maxBufferedNnz, 1);
@@ -71,9 +71,10 @@ forEachTileStreaming(const TripletSource &source, Index partitionSize,
         });
         ++stats.sourceScans;
         ++stats.passes;
-        panicIf(buffer.size() != passNnz,
-                "streaming pass buffered a different count than the "
-                "counting pass predicted");
+        COPERNICUS_PANIC_IF(
+            buffer.size() != passNnz,
+            "streaming pass buffered a different count than the "
+            "counting pass predicted");
         stats.peakBufferedNnz =
             std::max<std::uint64_t>(stats.peakBufferedNnz,
                                     buffer.size());

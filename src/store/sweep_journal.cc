@@ -219,28 +219,28 @@ SweepJournal::load(const JournalIdentity &identity)
             }
             const std::string kind = value.stringOr("kind", "");
             if (!sawHeader) {
-                fatalIf(kind != "header",
-                        "sweep journal '" + journalPath +
-                            "': first record is not an identity "
-                            "header — not a sweep journal");
+                COPERNICUS_FATAL_IF(kind != "header",
+                                    "sweep journal '" + journalPath +
+                                        "': first record is not an identity "
+                                        "header — not a sweep journal");
                 std::uint64_t version = 0;
                 double versionNumber = 0;
                 if (readNumber(value, "version", versionNumber))
                     version =
                         static_cast<std::uint64_t>(versionNumber);
-                fatalIf(version != journalVersion,
-                        "sweep journal '" + journalPath +
-                            "': unsupported version " +
-                            std::to_string(version));
+                COPERNICUS_FATAL_IF(version != journalVersion,
+                                    "sweep journal '" + journalPath +
+                                        "': unsupported version " +
+                                        std::to_string(version));
                 JournalIdentity stored;
-                fatalIf(!readU64(value, "matrix_hash",
-                                 stored.matrixHash) ||
-                            !readU64(value, "matrix_epoch",
-                                     stored.matrixEpoch) ||
-                            !readU64(value, "config_hash",
-                                     stored.configHash),
-                        "sweep journal '" + journalPath +
-                            "': corrupt identity header");
+                COPERNICUS_FATAL_IF(!readU64(value, "matrix_hash",
+                                             stored.matrixHash) ||
+                                        !readU64(value, "matrix_epoch",
+                                                 stored.matrixEpoch) ||
+                                        !readU64(value, "config_hash",
+                                                 stored.configHash),
+                                    "sweep journal '" + journalPath +
+                                        "': corrupt identity header");
                 const auto stale = [&](const char *what,
                                        std::uint64_t was,
                                        std::uint64_t now) {
@@ -276,22 +276,24 @@ SweepJournal::load(const JournalIdentity &identity)
                                   row->partitionSize),
                           *row);
         }
-        fatalIf(!sawHeader, "sweep journal '" + journalPath +
-                                "': no identity header found — not a "
-                                "sweep journal");
+        COPERNICUS_FATAL_IF(
+            !sawHeader, "sweep journal '" + journalPath +
+                            "': no identity header found — not a "
+                            "sweep journal");
         resumed = cells.size();
     }
 
     out.open(journalPath, std::ios::binary | std::ios::app);
-    fatalIf(!out, "sweep journal: cannot open '" + journalPath +
-                      "' for appending");
+    COPERNICUS_FATAL_IF(!out, "sweep journal: cannot open '" + journalPath +
+                                  "' for appending");
     if (existing.empty())
         out << serializeHeader(identity) << '\n';
     else if (existing.back() != '\n')
         out << '\n'; // terminate the torn line before appending
     out.flush();
-    fatalIf(!out,
-            "sweep journal: write to '" + journalPath + "' failed");
+    COPERNICUS_FATAL_IF(
+        !out,
+        "sweep journal: write to '" + journalPath + "' failed");
 }
 
 std::size_t
@@ -325,8 +327,9 @@ SweepJournal::record(const StudyRow &row)
     // nothing, a kill mid-write tears only the final line.
     out << line << '\n';
     out.flush();
-    fatalIf(!out,
-            "sweep journal: write to '" + journalPath + "' failed");
+    COPERNICUS_FATAL_IF(
+        !out,
+        "sweep journal: write to '" + journalPath + "' failed");
 }
 
 } // namespace copernicus

@@ -57,8 +57,8 @@ class TripletMatrixSource : public TripletSource
     explicit TripletMatrixSource(const TripletMatrix &matrix)
         : source(&matrix)
     {
-        panicIf(!matrix.finalized(),
-                "TripletMatrixSource requires a finalized matrix");
+        COPERNICUS_PANIC_IF(!matrix.finalized(),
+                            "TripletMatrixSource requires a finalized matrix");
     }
 
     Index rows() const override { return source->rows(); }

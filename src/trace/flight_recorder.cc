@@ -18,7 +18,8 @@ FlightRecorder::global()
 void
 FlightRecorder::setCapacity(std::size_t newCapacity)
 {
-    fatalIf(newCapacity == 0, "FlightRecorder capacity must be >= 1");
+    COPERNICUS_FATAL_IF(newCapacity == 0,
+                        "FlightRecorder capacity must be >= 1");
     const MutexLock lock(mutex);
     ring.clear();
     capacity = newCapacity;
@@ -104,7 +105,7 @@ void
 FlightRecorder::dumpToFile(const std::string &path) const
 {
     std::ofstream out(path);
-    fatalIf(!out, "FlightRecorder: cannot open '" + path + "'");
+    COPERNICUS_FATAL_IF(!out, "FlightRecorder: cannot open '" + path + "'");
     dump(out);
     out << '\n';
 }

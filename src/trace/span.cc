@@ -34,7 +34,8 @@ SpanCollector::global()
 void
 SpanCollector::setCapacity(std::size_t newCapacity)
 {
-    fatalIf(newCapacity == 0, "SpanCollector capacity must be >= 1");
+    COPERNICUS_FATAL_IF(newCapacity == 0,
+                        "SpanCollector capacity must be >= 1");
     const MutexLock lock(mutex);
     ring.clear();
     capacity = newCapacity;

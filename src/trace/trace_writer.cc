@@ -22,8 +22,9 @@ TraceWriter::durationEvent(std::string_view track,
                            std::string_view name, Cycles start,
                            Cycles end)
 {
-    panicIf(end < start, "TraceWriter: duration event ends before it "
-                         "starts");
+    COPERNICUS_PANIC_IF(
+        end < start, "TraceWriter: duration event ends before it "
+                     "starts");
     Event event;
     event.phase = 'X';
     event.pid = currentPid;
@@ -154,7 +155,7 @@ void
 TraceWriter::writeFile(const std::string &path) const
 {
     std::ofstream out(path);
-    fatalIf(!out, "TraceWriter: cannot open '" + path + "'");
+    COPERNICUS_FATAL_IF(!out, "TraceWriter: cannot open '" + path + "'");
     write(out);
 }
 

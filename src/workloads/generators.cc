@@ -28,8 +28,8 @@ cellKey(Index r, Index c)
 TripletMatrix
 randomMatrix(Index n, double density, Rng &rng)
 {
-    fatalIf(density < 0.0 || density > 1.0,
-            "randomMatrix density must be in [0, 1]");
+    COPERNICUS_FATAL_IF(density < 0.0 || density > 1.0,
+                        "randomMatrix density must be in [0, 1]");
     TripletMatrix matrix(n, n);
     const double cells = static_cast<double>(n) * n;
     if (density >= 0.05) {
@@ -57,10 +57,16 @@ randomMatrix(Index n, double density, Rng &rng)
 TripletMatrix
 bandMatrix(Index n, Index k, Rng &rng, double fill)
 {
-    fatalIf(k == 0, "band width must be positive");
+    COPERNICUS_FATAL_IF(k == 0, "band width must be positive");
     TripletMatrix matrix(n, n);
     // a(i,j) = 0 when |i - j| > k/2, i.e. kept when 2|i - j| <= k.
     const Index half = k / 2;
+    // Reserve the band's entry bound: n rows of at most 2*half + 1
+    // entries. Growing by doubling instead frees a run of multi-megabyte
+    // buffers, after which glibc raises its mmap threshold: later large
+    // buffers then stay in the thread arenas and raise peak RSS.
+    matrix.reserve(std::size_t(n) *
+                   std::min<std::size_t>(2 * std::size_t(half) + 1, n));
     for (Index r = 0; r < n; ++r) {
         const Index c_begin = r > half ? r - half : 0;
         const Index c_end = std::min<Index>(n, r + half + 1);
@@ -152,7 +158,8 @@ TripletMatrix
 rmatGraph(Index n, std::size_t edges, Rng &rng, double a, double b,
           double c)
 {
-    fatalIf(a + b + c > 1.0, "R-MAT quadrant probabilities exceed 1");
+    COPERNICUS_FATAL_IF(a + b + c > 1.0,
+                        "R-MAT quadrant probabilities exceed 1");
     Index scale = 0;
     while ((Index(1) << scale) < n)
         ++scale;
@@ -298,8 +305,8 @@ prunedLayer(Index rows, Index cols, double density, Rng &rng,
 TripletMatrix
 embeddingAccess(Index batch, Index tableSize, Index lookups, Rng &rng)
 {
-    fatalIf(lookups > tableSize,
-            "embeddingAccess: more lookups than table entries");
+    COPERNICUS_FATAL_IF(lookups > tableSize,
+                        "embeddingAccess: more lookups than table entries");
     TripletMatrix matrix(batch, tableSize);
     for (Index row = 0; row < batch; ++row) {
         std::unordered_set<Index> hit;

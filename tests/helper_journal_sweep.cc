@@ -44,7 +44,7 @@ parsePartitions(const std::string &arg)
     std::string token;
     while (std::getline(in, token, ','))
         sizes.push_back(static_cast<Index>(std::stoul(token)));
-    fatalIf(sizes.empty(), "no partition sizes in '" + arg + "'");
+    COPERNICUS_FATAL_IF(sizes.empty(), "no partition sizes in '" + arg + "'");
     return sizes;
 }
 
@@ -72,7 +72,7 @@ main(int argc, char **argv)
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             const auto next = [&] {
-                fatalIf(i + 1 >= argc, arg + " needs a value");
+                COPERNICUS_FATAL_IF(i + 1 >= argc, arg + " needs a value");
                 return std::string(argv[++i]);
             };
             if (arg == "--partitions")
@@ -88,9 +88,10 @@ main(int argc, char **argv)
             else
                 fatal("unexpected argument '" + arg + "'");
         }
-        fatalIf(journalPath.empty() || csvPath.empty(),
-                "usage: helper_journal_sweep <journal> <csv> "
-                "[--partitions 8,16] [--slow-ms N] [--stats FILE]");
+        COPERNICUS_FATAL_IF(
+            journalPath.empty() || csvPath.empty(),
+            "usage: helper_journal_sweep <journal> <csv> "
+            "[--partitions 8,16] [--slow-ms N] [--stats FILE]");
 
         StudyConfig cfg;
         cfg.partitionSizes = parsePartitions(partitions);

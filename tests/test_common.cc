@@ -88,12 +88,31 @@ TEST(StatusTest, FatalErrorsAreCopernicusErrors)
     EXPECT_THROW(panic("x"), Error);
 }
 
-TEST(StatusTest, ConditionalHelpersFireOnlyWhenTrue)
+TEST(StatusTest, CheckFormsBuildMessageOnlyOnFailure)
 {
-    EXPECT_NO_THROW(fatalIf(false, "no"));
-    EXPECT_NO_THROW(panicIf(false, "no"));
-    EXPECT_THROW(fatalIf(true, "yes"), FatalError);
-    EXPECT_THROW(panicIf(true, "yes"), PanicError);
+    int built = 0;
+    const auto message = [&built](const char *text) {
+        ++built;
+        return std::string(text);
+    };
+    COPERNICUS_FATAL_IF(false, message("fatal check passed"));
+    COPERNICUS_PANIC_IF(1 + 1 == 3, message("panic check passed"));
+    COPERNICUS_DCHECK(true, message("debug check passed"));
+    EXPECT_EQ(built, 0);
+
+    try {
+        COPERNICUS_FATAL_IF(true, message("bad input ") + std::to_string(7));
+        ADD_FAILURE() << "a failing COPERNICUS_FATAL_IF did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "bad input 7");
+    }
+    try {
+        COPERNICUS_PANIC_IF(true, message("broken invariant"));
+        ADD_FAILURE() << "a failing COPERNICUS_PANIC_IF did not throw";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "broken invariant");
+    }
+    EXPECT_EQ(built, 2);
 }
 
 TEST(RngTest, DeterministicForSameSeed)

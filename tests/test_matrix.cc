@@ -83,6 +83,29 @@ TEST(TripletMatrixTest, FinalizeDropsCancelledEntries)
     EXPECT_FLOAT_EQ(m.at(0, 1), 1.0f);
 }
 
+TEST(TripletMatrixTest, FinalizeOfRowMajorInputStillSumsAndDrops)
+{
+    // Strictly increasing input skips the sort; zeros still drop.
+    TripletMatrix sorted(2, 3);
+    sorted.add(0, 0, 1.0f);
+    sorted.add(0, 2, 0.0f);
+    sorted.add(1, 1, 2.0f);
+    sorted.finalize();
+    ASSERT_EQ(sorted.nnz(), 2u);
+    EXPECT_EQ(sorted.triplets()[0], (Triplet{0, 0, 1.0f}));
+    EXPECT_EQ(sorted.triplets()[1], (Triplet{1, 1, 2.0f}));
+
+    // Row-major with repeats: the repeats are summed.
+    TripletMatrix repeated(2, 3);
+    repeated.add(0, 1, 1.0f);
+    repeated.add(0, 1, 2.0f);
+    repeated.add(1, 0, 3.0f);
+    repeated.add(1, 0, -3.0f);
+    repeated.finalize();
+    ASSERT_EQ(repeated.nnz(), 1u);
+    EXPECT_EQ(repeated.triplets()[0], (Triplet{0, 1, 3.0f}));
+}
+
 TEST(TripletMatrixTest, AtReturnsZeroForMissing)
 {
     TripletMatrix m(3, 3);

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.hh"
 #include "matrix/mm_io.hh"
@@ -300,6 +305,104 @@ TEST(MmIoTest, MappedPathMatchesStreamPath)
     const auto fromMap = readMatrixMarketFile(path);
     EXPECT_TRUE(fromStream == fromMap);
     std::remove(path.c_str());
+}
+
+/** A real general 2 x 2 file whose one entry is (1, 2) = @p token. */
+std::string
+oneEntryFile(const std::string &token)
+{
+    return "%%MatrixMarket matrix coordinate real general\n"
+           "2 2 1\n"
+           "1 2 " +
+           token + "\n";
+}
+
+/** Parse @p text through the stream path, or the mapped-file path. */
+TripletMatrix
+parseVia(bool mapped, const std::string &text)
+{
+    if (!mapped) {
+        std::istringstream in(text);
+        return readMatrixMarket(in);
+    }
+    const std::string path = testing::TempDir() + "/copernicus_mm_token.mtx";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << text;
+    }
+    struct Remove
+    {
+        const std::string &path;
+        ~Remove() { std::remove(path.c_str()); }
+    } remove{path};
+    return readMatrixMarketFile(path);
+}
+
+// What a value token may be: the C library's strtod grammar, whole
+// token consumed. Each row pins the value the entry gets after the
+// cast to Value, through both parse paths.
+TEST(MmIoTest, ValueTokensParseAsStrtodDoes)
+{
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    const std::string seventyDigits =
+        "1234567890123456789012345678901234567890"
+        "123456789012345678901234567890";
+    ASSERT_EQ(seventyDigits.size(), 70u);
+    const std::vector<std::pair<std::string, float>> accepted = {
+        {"3", 3.0f},
+        {"+2.5", 2.5f},
+        {".5", 0.5f},
+        {"5.", 5.0f},
+        {"1E+2", 100.0f},
+        {"1e-3", static_cast<float>(1e-3)},
+        {"0x1p3", 8.0f},
+        {"inf", inf},
+        {"-INF", -inf},
+        {"1e999", inf},
+        {seventyDigits, inf},
+    };
+    for (const bool mapped : {false, true}) {
+        for (const auto &[token, value] : accepted) {
+            SCOPED_TRACE((mapped ? "mapped: " : "stream: ") + token);
+            const TripletMatrix m = parseVia(mapped, oneEntryFile(token));
+            ASSERT_EQ(m.nnz(), 1u);
+            EXPECT_EQ(m.at(0, 1), value);
+        }
+        SCOPED_TRACE(mapped ? "mapped: nan" : "stream: nan");
+        const TripletMatrix m = parseVia(mapped, oneEntryFile("nan"));
+        ASSERT_EQ(m.nnz(), 1u);
+        EXPECT_TRUE(std::isnan(m.at(0, 1)));
+    }
+}
+
+TEST(MmIoTest, ValueTokensThatAreZeroDropTheEntry)
+{
+    // -0 is zero; 1e-310 is a subnormal double that the cast to a
+    // 32-bit Value flushes to zero.
+    for (const bool mapped : {false, true}) {
+        for (const std::string token : {"-0", "1e-310"}) {
+            SCOPED_TRACE((mapped ? "mapped: " : "stream: ") + token);
+            EXPECT_EQ(parseVia(mapped, oneEntryFile(token)).nnz(), 0u);
+        }
+    }
+}
+
+TEST(MmIoTest, MalformedValueTokensAreRejected)
+{
+    for (const bool mapped : {false, true}) {
+        for (const std::string token :
+             {"1.5x", "--1", "1,5", "+", ".", "1e", "0x"}) {
+            SCOPED_TRACE((mapped ? "mapped: " : "stream: ") + token);
+            try {
+                parseVia(mapped, oneEntryFile(token));
+                ADD_FAILURE() << "accepted '" << token << "'";
+            } catch (const FatalError &e) {
+                EXPECT_EQ(std::string(e.what()),
+                          "MatrixMarket: malformed entry '1 2 " + token +
+                              "'");
+            }
+        }
+    }
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -325,6 +326,61 @@ TEST(PrometheusTest, WriterOutputPassesValidator)
     EXPECT_NE(text.find("# TYPE copernicus_test_requests_total "
                         "counter"),
               std::string::npos);
+}
+
+TEST(PrometheusTest, HistogramExportsExactOneTwoFiveBuckets)
+{
+    // The serve latency shape: 1000 bins of 100 us over [0, 100 ms).
+    StatGroup group("prom_ladder");
+    DistributionStat dist(group, "lat", "latency", 0, 100000, 1000);
+    dist.sample(-3); // underflow
+    for (int i = 0; i < 5000; ++i)
+        dist.sample((i * 7919) % 120000); // across the range, and past it
+    const DistributionStat::Snapshot snap = dist.snapshot();
+    const double scale = 1e-6;
+
+    PrometheusWriter writer;
+    writer.histogram("copernicus_test_ladder_seconds", "Latency.",
+                     {{{{"endpoint", "advise"}}, snap}}, scale);
+    const std::string text = writer.text();
+    std::string error;
+    EXPECT_TRUE(validatePrometheusText(text, error)) << error;
+
+    // Every finite bound is an exact bin edge: its count must equal a
+    // recount of the snapshot's bins up to that edge.
+    const double width = (snap.hi - snap.lo) / 1000.0;
+    std::vector<std::size_t> edges;
+    std::istringstream lines(text);
+    std::string line;
+    const std::string prefix =
+        "copernicus_test_ladder_seconds_bucket{endpoint=\"advise\",le=\"";
+    while (std::getline(lines, line)) {
+        if (line.rfind(prefix, 0) != 0)
+            continue;
+        const std::size_t close = line.find('"', prefix.size());
+        ASSERT_NE(close, std::string::npos) << line;
+        const std::string le = line.substr(prefix.size(),
+                                           close - prefix.size());
+        const auto count = std::stoull(line.substr(close + 3));
+        if (le == "+Inf") {
+            EXPECT_EQ(count, snap.count);
+            continue;
+        }
+        const double bound = std::stod(le);
+        std::uint64_t recount = snap.underflow;
+        std::size_t edge = 0;
+        for (std::size_t b = 0; b < snap.bins.size(); ++b) {
+            if ((snap.lo + static_cast<double>(b + 1) * width) * scale >
+                bound)
+                break;
+            recount += snap.bins[b];
+            edge = b + 1;
+        }
+        EXPECT_EQ(count, recount) << line;
+        edges.push_back(edge);
+    }
+    EXPECT_EQ(edges, (std::vector<std::size_t>{1, 2, 5, 10, 20, 50, 100,
+                                                200, 500, 1000}));
 }
 
 TEST(PrometheusTest, LabelValuesAreEscaped)
