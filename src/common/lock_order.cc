@@ -17,7 +17,6 @@ lockOrderRegistry()
         {"serve.memo", lock_rank::serveMemo},
         {"serve.inflight", lock_rank::serveInflight},
         {"serve.spans", lock_rank::serveSpans},
-        {"study.cache", lock_rank::studyCache},
         {"store.sweep_journal", lock_rank::sweepJournal},
         {"stat.distribution", lock_rank::statDistribution},
         {"trace.span_collector", lock_rank::spanCollector},

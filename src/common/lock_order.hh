@@ -31,7 +31,7 @@ namespace copernicus {
 /** One entry of the lock hierarchy. */
 struct LockLevel
 {
-    /** Dotted lock name: "serve.admit", "study.cache", ... */
+    /** Dotted lock name: "serve.admit", "trace.span_collector", ... */
     std::string name;
 
     /**
@@ -52,7 +52,6 @@ inline constexpr int serveAdmit = 20;    ///< admission state
 inline constexpr int serveMemo = 25;     ///< advise/plan result memo
 inline constexpr int serveInflight = 30; ///< --top in-flight registry
 inline constexpr int serveSpans = 40;    ///< request-span log
-inline constexpr int studyCache = 50;    ///< partitioning memo slots
 inline constexpr int sweepJournal = 55;  ///< checkpoint journal append
 inline constexpr int statDistribution = 70; ///< DistributionStat bins
 inline constexpr int spanCollector = 80;    ///< span ring

@@ -21,7 +21,7 @@
  * out of order, so a latent deadlock fails deterministically in tests
  * instead of intermittently in production.
  *
- * Condition-variable-paired mutexes (thread_pool's sleep mutex, the
+ * Condition-variable-paired mutexes (thread_pool's queue mutex, the
  * server's admission mutex) keep std::mutex + std::unique_lock: the
  * wait/notify dance releases and reacquires inside the waiter, which
  * clang's static analysis cannot model without lying to it. Those two

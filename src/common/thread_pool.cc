@@ -1,8 +1,10 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 
 namespace copernicus {
 
@@ -21,7 +23,6 @@ std::atomic<unsigned> jobs_override{0};
 
 /** Process-wide counters; pools are short-lived, the totals are not. */
 std::atomic<std::uint64_t> ctr_tasks{0};
-std::atomic<std::uint64_t> ctr_steals{0};
 std::atomic<std::uint64_t> ctr_parallel_fors{0};
 std::atomic<std::uint64_t> ctr_serial_loops{0};
 
@@ -46,14 +47,57 @@ laneNowUs()
             .count());
 }
 
-/** State of one in-flight parallelFor, on the caller's stack. */
+/** State of one fanned-out parallelFor, on the caller's stack. */
 struct ForJob
 {
+    ForJob(std::size_t count, const std::function<void(std::size_t)> &fn,
+           std::size_t helperCount)
+        : n(count), body(fn), context(currentTraceContext()),
+          helpers(helperCount)
+    {
+    }
+
+    /** Claim and run indices one at a time until none is left. */
+    void
+    claim()
+    {
+        // Bodies inherit the caller's trace identity: a span opened
+        // inside one parents under the span that issued the
+        // parallelFor, whichever lane runs it.
+        const TraceContextScope scope(context);
+        for (std::size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+            if (failed.load(std::memory_order_relaxed))
+                return;
+            try {
+                body(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(mutex);
+                if (!error)
+                    error = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
+            }
+        }
+    }
+
+    /** A helper lane is done, its lane span included. */
+    void
+    helperFinished()
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (--helpers == 0)
+            done.notify_all();
+    }
+
+    const std::size_t n;
+    const std::function<void(std::size_t)> &body;
+    const TraceContext context;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
     std::mutex mutex;
     std::condition_variable done;
-    std::size_t pending = 0; ///< chunks not yet finished, under mutex
-    std::exception_ptr error;
-    std::atomic<bool> failed{false};
+    std::size_t helpers;      ///< helper lanes not yet finished, under mutex
+    std::exception_ptr error; ///< first body exception, under mutex
 };
 
 } // namespace
@@ -97,26 +141,19 @@ ThreadPool::ThreadPool(unsigned jobs) : njobs(effectiveJobs(jobs))
     laneEpoch(); // pin the lane clock before any worker starts
     if (njobs <= 1)
         return;
-    lanes.reserve(njobs);
-    for (unsigned slot = 0; slot < njobs; ++slot)
-        lanes.push_back(std::make_unique<Lane>());
     workers.reserve(njobs - 1);
-    for (unsigned slot = 1; slot < njobs; ++slot)
-        workers.emplace_back([this, slot] { workerLoop(slot); });
+    for (unsigned lane = 1; lane < njobs; ++lane)
+        workers.emplace_back([this, lane] { workerLoop(lane); });
 }
 
 ThreadPool::~ThreadPool()
 {
-    if (njobs <= 1)
-        return;
-    // Drain submit() tasks nobody is waiting on, then stop.
-    while (runOneTask(0)) {
-    }
+    // Workers drain queued submit() tasks nobody waits on, then exit.
     {
-        const std::lock_guard<std::mutex> lock(sleepMutex);
-        stopping.store(true, std::memory_order_release);
+        const std::lock_guard<std::mutex> lock(mutex);
+        stopping = true;
     }
-    sleepCv.notify_all();
+    wakeCv.notify_all();
     for (std::thread &worker : workers)
         worker.join();
 }
@@ -139,7 +176,6 @@ ThreadPool::globalCounters()
 {
     Counters counters;
     counters.tasksRun = ctr_tasks.load(std::memory_order_relaxed);
-    counters.steals = ctr_steals.load(std::memory_order_relaxed);
     counters.parallelFors =
         ctr_parallel_fors.load(std::memory_order_relaxed);
     counters.serialLoops =
@@ -169,90 +205,46 @@ ThreadPool::drainLaneSpans()
 }
 
 void
-ThreadPool::pushTask(unsigned slot, std::function<void()> task)
+ThreadPool::runTask(unsigned lane, const std::function<void()> &fn)
 {
-    Lane &lane = *lanes[slot % lanes.size()];
-    {
-        const MutexLock lock(lane.mutex);
-        lane.queue.push_back(std::move(task));
-    }
-    queued.fetch_add(1, std::memory_order_release);
-}
-
-unsigned
-ThreadPool::nextSubmitSlot()
-{
-    return submitSlot.fetch_add(1, std::memory_order_relaxed) % njobs;
-}
-
-void
-ThreadPool::wake()
-{
-    // Lock so a worker between its predicate check and its block
-    // cannot miss the notification (queued is read outside the mutex).
-    const std::lock_guard<std::mutex> lock(sleepMutex);
-    sleepCv.notify_all();
-}
-
-bool
-ThreadPool::runOneTask(unsigned slot)
-{
-    std::function<void()> task;
-    // Own deque first (front = newest, cache-warm)...
-    {
-        Lane &own = *lanes[slot];
-        const MutexLock lock(own.mutex);
-        if (!own.queue.empty()) {
-            task = std::move(own.queue.front());
-            own.queue.pop_front();
-        }
-    }
-    // ...then steal the oldest task from the next busy lane.
-    if (!task) {
-        for (unsigned i = 1; i < njobs && !task; ++i) {
-            Lane &victim = *lanes[(slot + i) % njobs];
-            const MutexLock lock(victim.mutex);
-            if (!victim.queue.empty()) {
-                task = std::move(victim.queue.back());
-                victim.queue.pop_back();
-                ctr_steals.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    }
-    if (!task)
-        return false;
-    queued.fetch_sub(1, std::memory_order_acquire);
-
     const bool record = laneRecording();
     const std::uint64_t start = record ? laneNowUs() : 0;
     {
         const TaskScope scope;
-        task();
+        fn();
     }
     if (record) {
-        const LaneSpan span{slot, start, laneNowUs()};
+        const LaneSpan span{lane, start, laneNowUs()};
         const std::lock_guard<std::mutex> lock(lane_mutex);
         lane_spans.push_back(span);
     }
     ctr_tasks.fetch_add(1, std::memory_order_relaxed);
-    return true;
 }
 
 void
-ThreadPool::workerLoop(unsigned slot)
+ThreadPool::push(Task task)
+{
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        queue.push_back(std::move(task));
+    }
+    wakeCv.notify_one();
+}
+
+void
+ThreadPool::workerLoop(unsigned lane)
 {
     for (;;) {
-        if (runOneTask(slot))
-            continue;
-        std::unique_lock<std::mutex> lock(sleepMutex);
-        sleepCv.wait(lock, [this] {
-            return stopping.load(std::memory_order_acquire) ||
-                   queued.load(std::memory_order_acquire) > 0;
-        });
-        if (stopping.load(std::memory_order_acquire) &&
-            queued.load(std::memory_order_acquire) == 0) {
-            return;
+        Task task;
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            wakeCv.wait(lock, [this] { return stopping || !queue.empty(); });
+            if (queue.empty())
+                return; // stopping, and the queue is drained
+            task = std::move(queue.front());
+            queue.pop_front();
         }
+        task(lane);
     }
 }
 
@@ -270,56 +262,18 @@ ThreadPool::parallelFor(std::size_t n,
     }
     ctr_parallel_fors.fetch_add(1, std::memory_order_relaxed);
 
-    // Chunk so each lane sees a few tasks (steal granularity) without
-    // per-index scheduling overhead.
-    const std::size_t chunk =
-        std::max<std::size_t>(1, n / (std::size_t(njobs) * 4));
-    const std::size_t chunks = (n + chunk - 1) / chunk;
-
-    ForJob job;
-    job.pending = chunks;
-    // Chunks inherit the caller's trace identity: a span opened inside
-    // the body parents under the span that issued the parallelFor, no
-    // matter which lane runs the chunk.
-    const TraceContext context = currentTraceContext();
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(n, begin + chunk);
-        pushTask(static_cast<unsigned>(c % njobs),
-                 [&job, &body, &context, begin, end] {
-                     if (!job.failed.load(std::memory_order_relaxed)) {
-                         const TraceContextScope scope(context);
-                         try {
-                             for (std::size_t i = begin; i < end; ++i)
-                                 body(i);
-                         } catch (...) {
-                             const std::lock_guard<std::mutex> lock(
-                                 job.mutex);
-                             if (!job.error)
-                                 job.error = std::current_exception();
-                             job.failed.store(
-                                 true, std::memory_order_relaxed);
-                         }
-                     }
-                     const std::lock_guard<std::mutex> lock(job.mutex);
-                     if (--job.pending == 0)
-                         job.done.notify_all();
-                 });
+    const std::size_t helpers = std::min<std::size_t>(njobs, n) - 1;
+    ForJob job(n, body, helpers);
+    for (std::size_t h = 0; h < helpers; ++h) {
+        push([&job](unsigned lane) {
+            runTask(lane, [&job] { job.claim(); });
+            job.helperFinished();
+        });
     }
-    wake();
-
-    // The caller is the last lane: help until the loop drains.
-    for (;;) {
-        {
-            const std::lock_guard<std::mutex> lock(job.mutex);
-            if (job.pending == 0)
-                break;
-        }
-        if (!runOneTask(0)) {
-            std::unique_lock<std::mutex> lock(job.mutex);
-            job.done.wait_for(lock, std::chrono::milliseconds(2),
-                              [&job] { return job.pending == 0; });
-        }
+    runTask(0, [&job] { job.claim(); });
+    {
+        std::unique_lock<std::mutex> lock(job.mutex);
+        job.done.wait(lock, [&job] { return job.helpers == 0; });
     }
     if (job.error)
         std::rethrow_exception(job.error);
@@ -336,8 +290,6 @@ ThreadPoolStats::ThreadPoolStats() : grp("thread_pool")
     };
     add("tasks_run", "pool tasks executed on any lane",
         static_cast<double>(counters.tasksRun));
-    add("steals", "tasks taken from another lane's deque",
-        static_cast<double>(counters.steals));
     add("parallel_fors", "parallelFor calls that fanned out",
         static_cast<double>(counters.parallelFors));
     add("serial_loops",

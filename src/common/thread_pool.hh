@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing thread pool for the host-side sweep hot paths.
+ * Thread pool for the host-side sweep hot paths.
  *
  * The characterization is a large Cartesian sweep (workloads x formats
  * x partition sizes) of *pure* evaluations: every design point reads
@@ -10,21 +10,25 @@
  * this pool is designed for.
  *
  * Topology: `jobs` execution lanes total. A ThreadPool(jobs) spawns
- * `jobs - 1` worker threads; the thread that calls parallelFor() is
- * the jobs-th lane and executes tasks itself while it waits. Each lane
- * owns a deque: owners pop from the front (LIFO for cache locality),
- * idle lanes steal from the back of a victim's deque (FIFO, oldest
- * work first). With jobs <= 1 no threads are ever spawned and every
- * entry point degrades to a plain serial loop — the graceful
- * single-thread fallback.
+ * `jobs - 1` worker threads that take tasks from one mutex-guarded
+ * FIFO; the thread that calls parallelFor() is the jobs-th lane. A
+ * parallelFor() over n indices queues min(jobs, n) - 1 helper tasks,
+ * and the caller plus each helper claims indices one at a time from a
+ * shared atomic counter until none is left, so a slow index never
+ * strands a batch of others behind it. The call returns once its
+ * helpers have finished, so their lane spans are recorded by then.
+ * With jobs <= 1 no threads are ever spawned and every entry point
+ * degrades to a plain serial loop — the graceful single-thread
+ * fallback.
  *
  * Nesting: a parallelFor() issued from inside a pool task (any pool)
  * runs serially inline on the calling lane. This keeps nested sweeps
  * (Study::run -> planFormats) deadlock-free without a scheduler.
  *
  * Exceptions: the first exception thrown by a parallelFor body is
- * captured and rethrown on the calling thread after the loop drains;
- * submit() propagates through the returned future.
+ * captured and rethrown on the calling thread once every lane has
+ * finished; indices not yet started by then are skipped. submit()
+ * propagates through the returned future.
  *
  * The `jobs` knob resolves through effectiveJobs(): explicit value >
  * process-wide override (--jobs) > COPERNICUS_JOBS > hardware
@@ -34,7 +38,6 @@
 #ifndef COPERNICUS_COMMON_THREAD_POOL_HH
 #define COPERNICUS_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -46,9 +49,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/mutex.hh"
 #include "common/stat_group.hh"
-#include "common/thread_annotations.hh"
 #include "common/trace_context.hh"
 
 namespace copernicus {
@@ -69,7 +70,7 @@ void setJobsOverride(unsigned jobs);
  */
 unsigned effectiveJobs(unsigned requested = 0);
 
-/** Work-stealing pool of `jobs` execution lanes. */
+/** Pool of `jobs` execution lanes sharing one task queue. */
 class ThreadPool
 {
   public:
@@ -86,11 +87,12 @@ class ThreadPool
     unsigned jobs() const { return njobs; }
 
     /**
-     * Run body(0) .. body(n-1), each exactly once. Indices are chunked
-     * and distributed over the lanes; the caller participates until
-     * the loop drains. Determinism contract: the body must write only
-     * to state indexed by its argument. Serial inline when jobs <= 1,
-     * n <= 1, or when called from inside any pool task.
+     * Run body(0) .. body(n-1), each exactly once. Up to min(jobs, n)
+     * lanes, the caller among them, claim indices one at a time; the
+     * call returns once every lane has finished. Determinism contract:
+     * the body must write only to state indexed by its argument.
+     * Serial inline when jobs <= 1, n <= 1, or when called from inside
+     * any pool task.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
@@ -115,12 +117,12 @@ class ThreadPool
             (*task)();
             return future;
         }
-        pushTask(nextSubmitSlot(),
-                 [task, context = currentTraceContext()] {
-                     const TraceContextScope scope(context);
-                     (*task)();
-                 });
-        wake();
+        push([task, context = currentTraceContext()](unsigned lane) {
+            runTask(lane, [&] {
+                const TraceContextScope scope(context);
+                (*task)();
+            });
+        });
         return future;
     }
 
@@ -131,13 +133,12 @@ class ThreadPool
     static bool inPoolTask();
 
     /**
-     * Process-wide pool/steal counters, aggregated over every pool
-     * instance (Study::run builds short-lived pools per sweep).
+     * Process-wide pool counters, aggregated over every pool instance
+     * (Study::run builds a short-lived pool per sweep).
      */
     struct Counters
     {
         std::uint64_t tasksRun = 0;      ///< tasks executed on any lane
-        std::uint64_t steals = 0;        ///< tasks taken from another lane
         std::uint64_t parallelFors = 0;  ///< parallelFor calls that fanned out
         std::uint64_t serialLoops = 0;   ///< parallelFor calls run serially
     };
@@ -164,33 +165,26 @@ class ThreadPool
     static std::vector<LaneSpan> drainLaneSpans();
 
   private:
-    /**
-     * One lane's deque; the owner locks briefly, thieves likewise.
-     * The lane mutex is unranked: it is a leaf lock (nothing is ever
-     * acquired under it) and lanes of one pool never nest.
-     */
-    struct Lane
-    {
-        Mutex mutex;
-        std::deque<std::function<void()>> queue
-            COPERNICUS_GUARDED_BY(mutex);
-    };
+    /** A queued task; it is handed the lane that runs it. */
+    using Task = std::function<void(unsigned lane)>;
 
-    void workerLoop(unsigned slot);
-    bool runOneTask(unsigned slot);
-    void pushTask(unsigned slot, std::function<void()> task);
-    void wake();
-    unsigned nextSubmitSlot();
+    /**
+     * Run @p fn as a pool task on @p lane: nested fan-out inside it
+     * runs inline, and it is counted and, when recording, kept as a
+     * lane span.
+     */
+    static void runTask(unsigned lane, const std::function<void()> &fn);
+
+    void workerLoop(unsigned lane);
+    void push(Task task);
 
     unsigned njobs = 1;
-    std::vector<std::unique_ptr<Lane>> lanes; ///< slot 0 = caller lane
-    std::vector<std::thread> workers;         ///< own slots 1..njobs-1
-    std::atomic<std::size_t> queued{0};       ///< tasks sitting in deques
-    std::atomic<unsigned> submitSlot{0};
-    std::atomic<bool> stopping{false};
+    std::vector<std::thread> workers; ///< lanes 1..njobs-1; 0 = caller
     /** CV-paired: stays std::mutex (documented exclusion, mutex.hh). */
-    std::mutex sleepMutex;
-    std::condition_variable sleepCv;
+    std::mutex mutex;
+    std::condition_variable wakeCv;
+    std::deque<Task> queue; ///< under mutex
+    bool stopping = false;  ///< under mutex
 };
 
 /**

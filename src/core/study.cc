@@ -1,8 +1,6 @@
 #include "core/study.hh"
 
-#include <atomic>
 #include <fstream>
-#include <optional>
 
 #include "analysis/table_writer.hh"
 #include "common/status.hh"
@@ -171,127 +169,57 @@ Study::makeRow(const std::string &workload, const Partitioning &parts,
     return row;
 }
 
-const Partitioning &
-Study::partitionsFor(std::size_t w, Index p) const
-{
-    PartitionSlot *slot;
-    {
-        const MutexLock lock(*cacheMutex);
-        slot = &cache[std::make_pair(w, p)];
-    }
-    // The slot is built outside the map lock so distinct keys
-    // partition concurrently (run() fans the combinations out on the
-    // pool); call_once serialises only same-key racers. std::map
-    // nodes are stable and entries are never erased, so the reference
-    // outlives both locks.
-    std::call_once(slot->once, [&] {
-        const ScopedTimer part_timer("study.run.partition");
-        const ScopedSpan part_span("study.partition", "study");
-        slot->parts = partition(matrices[w].second, p);
-    });
-    return slot->parts;
-}
-
 StudyResult
 Study::run() const
 {
     const ScopedTimer timer("study.run");
     const ScopedSpan span("study.run", "study");
     const CompressTotals compressBefore = compressTotals();
+    ThreadPool pool(cfg.jobs);
 
-    const unsigned jobs = effectiveJobs(cfg.jobs);
-    std::optional<ThreadPool> pool;
-    if (jobs > 1)
-        pool.emplace(jobs);
+    // Partition every (workload, partition size) combination once,
+    // workload-major, into its own slot.
+    const std::size_t sizes = cfg.partitionSizes.size();
+    std::vector<Partitioning> parts(matrices.size() * sizes);
+    pool.parallelFor(parts.size(), [&](std::size_t c) {
+        const ScopedTimer part_timer("study.run.partition");
+        const ScopedSpan part_span("study.partition", "study");
+        parts[c] = partition(matrices[c / sizes].second,
+                             cfg.partitionSizes[c % sizes]);
+    });
 
-    // Build every (workload, partition size) combination first. At
-    // jobs > 1 the combinations fan out on the pool — partitionsFor()
-    // constructs per slot, so distinct keys partition concurrently —
-    // and the design-point enumeration below then only reads cached
-    // references.
-    std::vector<std::pair<std::size_t, Index>> combos;
-    combos.reserve(matrices.size() * cfg.partitionSizes.size());
-    for (std::size_t w = 0; w < matrices.size(); ++w)
-        for (Index p : cfg.partitionSizes)
-            combos.emplace_back(w, p);
-    if (pool && combos.size() > 1) {
-        pool->parallelFor(combos.size(), [&](std::size_t i) {
-            partitionsFor(combos[i].first, combos[i].second);
-        });
-    }
-
-    struct Point
-    {
-        std::size_t w;
-        const Partitioning *parts;
-        FormatKind kind;
-    };
-    std::vector<Point> points;
-    points.reserve(combos.size() * cfg.formats.size());
-    for (const auto &[w, p] : combos) {
-        const Partitioning &parts = partitionsFor(w, p);
-        for (FormatKind kind : cfg.formats)
-            points.push_back({w, &parts, kind});
-    }
-
+    // One design point per (combination, format), each writing only
+    // its own row, so completion order cannot change the result.
+    // Per-partition traces are kept only when the points run one at a
+    // time: interleaved timelines would be meaningless, and worker
+    // lanes cover the parallel case. Cancellation is polled before
+    // each point starts; the first CancelledError stops the loop and
+    // discards every row.
+    const std::size_t formats = cfg.formats.size();
     StudyResult result;
-    result.rows.resize(points.size());
-    if (pool && points.size() > 1) {
-        // Each design point is pure and writes only its own row, so
-        // completion order cannot change the result; tracing is forced
-        // off because interleaved per-partition timelines would be
-        // meaningless (worker lanes cover the parallel case).
-        // Cancellation is polled at the same boundary as the serial
-        // path: a worker about to start a design point sees the flag
-        // and skips, and the caller rethrows once the loop drains.
-        std::atomic<bool> cancelled{false};
-        pool->parallelFor(points.size(), [&](std::size_t i) {
-            if (cancelled.load(std::memory_order_relaxed))
+    result.rows.resize(parts.size() * formats);
+    TraceSink *sink = pool.jobs() > 1 && result.rows.size() > 1
+                          ? &noTraceSink()
+                          : nullptr;
+    pool.parallelFor(result.rows.size(), [&](std::size_t i) {
+        if (cfg.cancelCheck && cfg.cancelCheck())
+            throw CancelledError(
+                "Study::run cancelled between design points");
+        const Partitioning &combo = parts[i / formats];
+        const std::string &workload = matrices[i / formats / sizes].first;
+        const FormatKind kind = cfg.formats[i % formats];
+        if (cfg.journal) {
+            const StudyRow *done = cfg.journal->completed(
+                workload, kind, combo.partitionSize);
+            if (done != nullptr) {
+                result.rows[i] = *done;
                 return;
-            if (cfg.cancelCheck && cfg.cancelCheck()) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
             }
-            const Point &pt = points[i];
-            const std::string &workload = matrices[pt.w].first;
-            if (cfg.journal) {
-                const StudyRow *done = cfg.journal->completed(
-                    workload, pt.kind, pt.parts->partitionSize);
-                if (done != nullptr) {
-                    result.rows[i] = *done;
-                    return;
-                }
-            }
-            result.rows[i] = makeRow(workload, *pt.parts, pt.kind,
-                                     &noTraceSink());
-            if (cfg.journal)
-                cfg.journal->record(result.rows[i]);
-        });
-        if (cancelled.load(std::memory_order_relaxed))
-            throw CancelledError("Study::run cancelled between design "
-                                 "points");
-    } else {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (cfg.cancelCheck && cfg.cancelCheck()) {
-                throw CancelledError(
-                    "Study::run cancelled between design points");
-            }
-            const Point &pt = points[i];
-            const std::string &workload = matrices[pt.w].first;
-            if (cfg.journal) {
-                const StudyRow *done = cfg.journal->completed(
-                    workload, pt.kind, pt.parts->partitionSize);
-                if (done != nullptr) {
-                    result.rows[i] = *done;
-                    continue;
-                }
-            }
-            result.rows[i] = makeRow(workload, *pt.parts, pt.kind,
-                                     nullptr);
-            if (cfg.journal)
-                cfg.journal->record(result.rows[i]);
         }
-    }
+        result.rows[i] = makeRow(workload, combo, kind, sink);
+        if (cfg.journal)
+            cfg.journal->record(result.rows[i]);
+    });
 
     if (cfg.hls.secondStageCompression &&
         SpanCollector::global().enabled()) {
@@ -324,7 +252,8 @@ Study::evaluate(const std::string &workload, FormatKind kind,
     for (std::size_t w = 0; w < matrices.size(); ++w) {
         if (matrices[w].first != workload)
             continue;
-        return makeRow(workload, partitionsFor(w, partitionSize), kind,
+        return makeRow(workload,
+                       partition(matrices[w].second, partitionSize), kind,
                        nullptr);
     }
     fatal("Study: unknown workload '" + workload + "'");

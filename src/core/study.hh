@@ -15,15 +15,11 @@
 
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "analysis/summary.hh"
-#include "common/lock_order.hh"
-#include "common/mutex.hh"
 #include "fpga/power_model.hh"
 #include "fpga/resource_model.hh"
 #include "hls/hls_config.hh"
@@ -182,31 +178,9 @@ class Study
                      const Partitioning &parts, FormatKind kind,
                      TraceSink *sink) const;
 
-    /**
-     * The partitioning of workload @p w at size @p p, built on first
-     * use. Thread-safe, and callers with *different* keys build
-     * concurrently: the map mutex only guards slot creation, while a
-     * per-slot once_flag serialises same-key racers. The returned
-     * reference stays valid for the Study's lifetime (entries are
-     * never dropped; std::map nodes do not move).
-     */
-    const Partitioning &partitionsFor(std::size_t w, Index p) const;
-
-    /** One partitioning-cache slot: built at most once. */
-    struct PartitionSlot
-    {
-        std::once_flag once;
-        Partitioning parts;
-    };
-
     StudyConfig cfg;
     FormatRegistry registry;
     std::vector<std::pair<std::string, TripletMatrix>> matrices;
-    /** Partitioning cache keyed by (workload index, partition size). */
-    mutable std::map<std::pair<std::size_t, Index>, PartitionSlot> cache;
-    /** Behind a pointer so Study stays movable (benches move Studies). */
-    mutable std::unique_ptr<Mutex> cacheMutex =
-        std::make_unique<Mutex>(lock_rank::studyCache);
 };
 
 } // namespace copernicus

@@ -104,7 +104,6 @@ documentedMetricFamilies()
         "copernicus_serve_memo_bytes",
         "copernicus_serve_request_duration_seconds",
         "copernicus_thread_pool_tasks_total",
-        "copernicus_thread_pool_steals_total",
         "copernicus_flightrec_wide_events_total",
         "copernicus_flightrec_wide_events_dropped_total",
         "copernicus_spans_recorded_total",

@@ -556,16 +556,51 @@ Server::consumeSniff(const std::shared_ptr<Conn> &conn)
 void
 Server::consumeNdjson(const std::shared_ptr<Conn> &conn)
 {
-    std::size_t pos;
-    while ((pos = conn->rxBuffer.find('\n')) != std::string::npos) {
-        std::string line = conn->rxBuffer.substr(0, pos);
-        conn->rxBuffer.erase(0, pos + 1);
+    // A line over the cap gets one bad_request and counts as a bad
+    // line; the connection stays open.
+    const auto rejectLongLine = [&] {
+        *badLines += 1;
+        *badLinesOther += 1;
+        respond(conn, false, 0,
+                errorResponse(0, "", serve_error::badRequest,
+                              "request line exceeds the " +
+                                  std::to_string(opts.maxFrameBytes) +
+                                  " byte limit"));
+    };
+    // The newline search resumes where the previous one stopped, and
+    // consumed lines leave the buffer in one erase, so a line that
+    // arrives over many reads costs linear time.
+    std::string &rx = conn->rxBuffer;
+    std::size_t lineStart = 0;
+    std::size_t end;
+    while ((end = rx.find('\n', conn->rxScanned)) != std::string::npos) {
+        conn->rxScanned = end + 1;
+        const std::size_t begin = lineStart;
+        lineStart = end + 1;
+        if (conn->discardingLine) {
+            conn->discardingLine = false; // the over-long line ends here
+            continue;
+        }
+        if (end - begin > opts.maxFrameBytes) {
+            rejectLongLine();
+            continue;
+        }
+        std::string line = rx.substr(begin, end - begin);
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         if (line.find_first_not_of(" \t") == std::string::npos)
             continue;
         handlePayload(conn, line, /*binary=*/false, /*wireStreamId=*/0);
     }
+    rx.erase(0, lineStart);
+    if (conn->discardingLine) {
+        rx.clear();
+    } else if (rx.size() > opts.maxFrameBytes) {
+        rejectLongLine();
+        conn->discardingLine = true;
+        std::string().swap(rx); // drop the line and its memory
+    }
+    conn->rxScanned = rx.size();
 }
 
 bool
@@ -1013,7 +1048,7 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
 
     const std::uint64_t endUs = nowUs();
     stats.latencyUs->sample(static_cast<double>(endUs - startUs));
-    {
+    if (!opts.tracePath.empty()) {
         const MutexLock lock(spansMutex);
         requestSpans.push_back(
             {request.endpoint, request.id, startUs, endUs, outcome});
@@ -1599,9 +1634,6 @@ Server::metricsText() const
     writer.counter("copernicus_thread_pool_tasks_total",
                    "Pool tasks executed on any lane.",
                    {{{}, static_cast<double>(poolCounters.tasksRun)}});
-    writer.counter("copernicus_thread_pool_steals_total",
-                   "Tasks taken from another lane's deque.",
-                   {{{}, static_cast<double>(poolCounters.steals)}});
 
     const FlightRecorder &recorder = FlightRecorder::global();
     writer.counter(

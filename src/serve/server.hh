@@ -100,9 +100,12 @@ struct ServeOptions
     Index maxMatrixDim = 4096;
 
     /**
-     * Per-frame payload cap on binary connections. A frame declaring
-     * more is answered bad_request on its stream and its payload is
-     * discarded without buffering; the connection survives.
+     * Per-request payload cap. A binary frame declaring more is
+     * answered bad_request on its stream and its payload is discarded
+     * without buffering. An NDJSON line longer than this is answered
+     * bad_request as soon as its buffered part passes the cap, then
+     * discarded through its newline. Either way the connection
+     * survives.
      */
     std::uint64_t maxFrameBytes = defaultMaxFrameBytes;
 
@@ -225,7 +228,10 @@ class Server
      */
     std::string metricsText() const;
 
-    /** Request spans recorded so far (tests; snapshot under lock). */
+    /**
+     * Request spans recorded so far (tests; snapshot under lock).
+     * Recorded only when tracePath is set, the one reader at drain.
+     */
     std::vector<RequestSpan> spans() const;
 
     const ServeOptions &options() const { return opts; }
@@ -275,6 +281,10 @@ class Server
         // --- loop-thread-only parse state ---
         Protocol protocol = Protocol::Sniffing;
         std::string rxBuffer;
+        /** NDJSON: rxBuffer bytes already searched for a newline. */
+        std::size_t rxScanned = 0;
+        /** NDJSON: an over-long line was answered; drop through '\n'. */
+        bool discardingLine = false;
         FrameDecoder decoder;
         bool wantWrite = false;  ///< EPOLLOUT currently armed
         bool readPaused = false; ///< EPOLLIN disarmed: tx backlog

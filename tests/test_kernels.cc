@@ -11,7 +11,6 @@
 
 #include "common/rng.hh"
 #include "kernels/dot_engine.hh"
-#include "kernels/spgemm.hh"
 #include "kernels/spmm.hh"
 #include "kernels/spmv.hh"
 #include "workloads/generators.hh"
@@ -234,90 +233,6 @@ TEST(SpmmTest, EquivalentToColumnwiseSpmv)
         for (Index r = 0; r < 20; ++r)
             EXPECT_NEAR(product(r, c), y[r], 1e-4);
     }
-}
-
-TEST(SpgemmTest, SmallHandProduct)
-{
-    TripletMatrix a(2, 2), b(2, 2);
-    a.add(0, 0, 2.0f);
-    a.add(0, 1, 1.0f);
-    a.add(1, 1, 3.0f);
-    b.add(0, 1, 4.0f);
-    b.add(1, 0, 5.0f);
-    a.finalize();
-    b.finalize();
-    const auto c = spgemm(a, b);
-    // [2 1; 0 3] * [0 4; 5 0] = [5 8; 15 0]
-    EXPECT_FLOAT_EQ(c.at(0, 0), 5.0f);
-    EXPECT_FLOAT_EQ(c.at(0, 1), 8.0f);
-    EXPECT_FLOAT_EQ(c.at(1, 0), 15.0f);
-    EXPECT_EQ(c.nnz(), 3u);
-}
-
-TEST(SpgemmTest, IdentityIsNeutral)
-{
-    Rng rng(41);
-    const auto a = randomMatrix(24, 0.2, rng);
-    TripletMatrix eye(24, 24);
-    for (Index i = 0; i < 24; ++i)
-        eye.add(i, i, 1.0f);
-    eye.finalize();
-    EXPECT_TRUE(spgemm(a, eye) == a);
-    EXPECT_TRUE(spgemm(eye, a) == a);
-}
-
-TEST(SpgemmTest, MatchesDenseProduct)
-{
-    Rng rng(42);
-    const auto a = randomMatrix(20, 0.3, rng);
-    const auto b = randomMatrix(20, 0.3, rng);
-    const auto c = spgemm(a, b);
-
-    const auto ad = a.toDense();
-    const auto bd = b.toDense();
-    for (Index i = 0; i < 20; ++i) {
-        for (Index j = 0; j < 20; ++j) {
-            Value expect = 0;
-            for (Index k = 0; k < 20; ++k)
-                expect += ad(i, k) * bd(k, j);
-            EXPECT_NEAR(c.at(i, j), expect, 1e-3);
-        }
-    }
-}
-
-TEST(SpgemmTest, RectangularShapes)
-{
-    TripletMatrix a(2, 3), b(3, 4);
-    a.add(0, 2, 1.0f);
-    b.add(2, 3, 7.0f);
-    a.finalize();
-    b.finalize();
-    const auto c = spgemm(a, b);
-    EXPECT_EQ(c.rows(), 2u);
-    EXPECT_EQ(c.cols(), 4u);
-    EXPECT_FLOAT_EQ(c.at(0, 3), 7.0f);
-    EXPECT_EQ(c.nnz(), 1u);
-}
-
-TEST(SpgemmTest, InnerDimensionMismatchIsFatal)
-{
-    TripletMatrix a(2, 3), b(4, 2);
-    a.finalize();
-    b.finalize();
-    EXPECT_THROW(spgemm(a, b), FatalError);
-}
-
-TEST(SpgemmTest, SquareOfAdjacencyCountsPaths)
-{
-    // A^2 of a path graph counts 2-hop paths.
-    TripletMatrix path(4, 4);
-    for (Index i = 0; i + 1 < 4; ++i)
-        path.add(i, i + 1, 1.0f);
-    path.finalize();
-    const auto sq = spgemm(path, path);
-    EXPECT_FLOAT_EQ(sq.at(0, 2), 1.0f);
-    EXPECT_FLOAT_EQ(sq.at(1, 3), 1.0f);
-    EXPECT_EQ(sq.nnz(), 2u);
 }
 
 } // namespace

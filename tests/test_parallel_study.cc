@@ -2,17 +2,26 @@
  * @file
  * Determinism contract of the parallel sweep engine: Study::run() and
  * planFormats() must produce bit-identical results at any jobs setting,
- * and a sweep with second-stage compression on repeats exactly.
+ * a sweep with second-stage compression on repeats exactly, and a
+ * cancelled journaled sweep resumes to the uninterrupted result.
  */
 
+#include <atomic>
+#include <cstdio>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/rng.hh"
+#include "common/status.hh"
 #include "core/scheduler.hh"
 #include "core/study.hh"
 #include "matrix/partitioner.hh"
+#include "store/sweep_journal.hh"
 #include "workloads/generators.hh"
 
 using namespace copernicus;
@@ -56,19 +65,39 @@ expectRowsIdentical(const std::vector<StudyRow> &a,
     }
 }
 
-StudyResult
-runStudy(unsigned jobs, bool compress = false)
+StudyConfig
+studyConfig(unsigned jobs, bool compress = false)
 {
-    Rng rngRandom(11);
-    Rng rngBand(12);
     StudyConfig cfg;
     cfg.partitionSizes = {8, 16};
     cfg.jobs = jobs;
     cfg.hls.secondStageCompression = compress;
+    return cfg;
+}
+
+StudyResult
+runStudy(const StudyConfig &cfg)
+{
+    Rng rngRandom(11);
+    Rng rngBand(12);
     Study study(cfg);
     study.addWorkload("random", randomMatrix(96, 0.05, rngRandom));
     study.addWorkload("band", bandMatrix(96, 4, rngBand));
     return study.run();
+}
+
+StudyResult
+runStudy(unsigned jobs, bool compress = false)
+{
+    return runStudy(studyConfig(jobs, compress));
+}
+
+std::string
+csvOf(const StudyResult &result)
+{
+    std::ostringstream out;
+    result.writeCsv(out);
+    return out.str();
 }
 
 } // namespace
@@ -106,4 +135,45 @@ TEST(ParallelStudyTest, PlanFormatsIsBitIdenticalAcrossJobsSettings)
                     HlsConfig(), defaultRegistry(), 4);
     EXPECT_EQ(serial.perTile, parallel.perTile);
     EXPECT_EQ(serial.histogram, parallel.histogram);
+}
+
+TEST(ParallelStudyTest, CancelThenResumeMatchesAtEveryJobs)
+{
+    const std::string baseline = csvOf(runStudy(1));
+    const std::size_t points = 2 * 2 * paperFormats().size();
+    const int budget = 10;
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const std::string path = ::testing::TempDir() +
+                                 "parallel_resume_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 std::to_string(jobs) + ".ndjson";
+        std::remove(path.c_str());
+        const StudyConfig cfg = studyConfig(jobs);
+        const JournalIdentity id{
+            1, 0, sweepConfigHash(cfg.partitionSizes, cfg.formats)};
+
+        // Every lane polls one shared budget; exactly `budget` polls
+        // let their design point run, and each of those is journaled
+        // before the CancelledError leaves run().
+        {
+            StudyConfig interrupted = cfg;
+            auto polls = std::make_shared<std::atomic<int>>(budget);
+            interrupted.cancelCheck = [polls] {
+                return polls->fetch_sub(1) <= 0;
+            };
+            interrupted.journal = std::make_shared<SweepJournal>(path, id);
+            EXPECT_THROW(runStudy(interrupted), CancelledError);
+        }
+
+        // The resumed run restores those rows, evaluates the rest, and
+        // writes the uninterrupted CSV.
+        StudyConfig resumed = cfg;
+        resumed.journal = std::make_shared<SweepJournal>(path, id);
+        EXPECT_EQ(resumed.journal->resumedCells(),
+                  static_cast<std::size_t>(budget));
+        EXPECT_LT(static_cast<std::size_t>(budget), points);
+        EXPECT_EQ(csvOf(runStudy(resumed)), baseline);
+        std::remove(path.c_str());
+    }
 }

@@ -73,13 +73,67 @@ rawConnect(const std::string &path)
     return fd;
 }
 
+/** Send all of @p data on nonblocking @p fd; false on error/timeout. */
+bool
+rawSendAll(int fd, const std::string &data)
+{
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+        const ssize_t n = ::send(fd, data.data() + sent,
+                                 data.size() - sent, MSG_NOSIGNAL);
+        if (n > 0) {
+            sent += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+            errno != EINTR)
+            return false;
+        pollfd writable{fd, POLLOUT, 0};
+        if (::poll(&writable, 1, 10000) <= 0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The next '\n'-terminated line from nonblocking @p fd, buffering the
+ * excess in @p rx; "" when none arrives within @p timeoutMs.
+ */
+std::string
+rawReadLine(int fd, std::string &rx, int timeoutMs)
+{
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeoutMs);
+    std::size_t end;
+    while ((end = rx.find('\n')) == std::string::npos) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now())
+                .count();
+        pollfd readable{fd, POLLIN, 0};
+        if (left <= 0 ||
+            ::poll(&readable, 1, static_cast<int>(left)) <= 0)
+            return "";
+        char buf[4096];
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n == 0)
+            return "";
+        if (n > 0)
+            rx.append(buf, static_cast<std::size_t>(n));
+    }
+    std::string line = rx.substr(0, end);
+    rx.erase(0, end + 1);
+    return line;
+}
+
 /** Start a quiet server; drain it on teardown. */
 class ServeTest : public ::testing::Test
 {
   protected:
     void
     startServer(std::size_t queueCapacity = 8, unsigned workers = 0,
-                const std::string &tracePath = "")
+                const std::string &tracePath = "",
+                std::uint64_t maxFrameBytes = defaultMaxFrameBytes)
     {
         savedLevel = logLevel();
         setLogLevel(LogLevel::Warn);
@@ -88,6 +142,7 @@ class ServeTest : public ::testing::Test
         options.queueCapacity = queueCapacity;
         options.workers = workers;
         options.tracePath = tracePath;
+        options.maxFrameBytes = maxFrameBytes;
         // The lint gate has its own dedicated test; skipping it here
         // keeps each fixture startup fast.
         options.checkRegistry = false;
@@ -113,6 +168,27 @@ class ServeTest : public ::testing::Test
             ServeClient::connectUnix(server->options().socketPath);
         c.setReceiveTimeoutMs(30000);
         return c;
+    }
+
+    /** One stat of the server's "serve" group (-1 when absent). */
+    double
+    serveStat(const std::string &name) const
+    {
+        JsonValue root;
+        if (!parseJson(server->statsJson(), root))
+            return -1;
+        const JsonValue *groups = root.find("groups");
+        if (groups == nullptr)
+            return -1;
+        for (const JsonValue &group : groups->elements) {
+            const JsonValue *stats = group.find("stats");
+            if (group.stringOr("group", "") != "serve" || stats == nullptr)
+                continue;
+            for (const JsonValue &stat : stats->elements)
+                if (stat.stringOr("name", "") == name)
+                    return stat.numberOr("value", -1);
+        }
+        return -1;
     }
 
     std::unique_ptr<Server> server;
@@ -434,7 +510,10 @@ TEST_F(ServeTest, DeadlineCancelsStudyBetweenDesignPoints)
 
 TEST_F(ServeTest, GracefulDrainFinishesInflightAndRejectsNew)
 {
-    startServer(/*queueCapacity=*/4);
+    // Request spans are recorded only for a trace, written at drain.
+    const std::string tracePath = ::testing::TempDir() + "drain_trace_" +
+                                  std::to_string(::getpid()) + ".json";
+    startServer(/*queueCapacity=*/4, /*workers=*/0, tracePath);
 
     // An in-flight request started before the drain...
     std::thread inflight([this] {
@@ -465,6 +544,51 @@ TEST_F(ServeTest, GracefulDrainFinishesInflightAndRejectsNew)
             sawSleepOk = true;
     EXPECT_TRUE(sawSleepOk);
     server.reset();
+    std::remove(tracePath.c_str());
+}
+
+TEST_F(ServeTest, RequestSpansAreKeptOnlyForATrace)
+{
+    // Without a trace path nothing reads the request lanes, so a
+    // long-lived daemon must not grow a record per request.
+    startServer();
+    ServeClient c = client();
+    for (int i = 0; i < 100; ++i)
+        ASSERT_TRUE(c.call("ping").boolOr("ok", false));
+    EXPECT_TRUE(server->spans().empty());
+}
+
+TEST_F(ServeTest, OverlongNdjsonLineIsAnsweredThenDiscarded)
+{
+    const std::uint64_t cap = 64 * 1024;
+    startServer(/*queueCapacity=*/8, /*workers=*/0, /*tracePath=*/"", cap);
+    const double badBefore = serveStat("bad_lines");
+    const double otherBefore = serveStat("bad_lines.other");
+    const int fd = rawConnect(server->options().socketPath);
+    ASSERT_GE(fd, 0);
+
+    // Four times the cap and no newline: the daemon answers once as
+    // soon as the line passes the cap, instead of buffering it.
+    std::string rx;
+    ASSERT_TRUE(rawSendAll(fd, std::string(4 * cap, 'x')));
+    JsonValue response;
+    const std::string rejected = rawReadLine(fd, rx, 10000);
+    ASSERT_TRUE(parseJson(rejected, response))
+        << "no answer before the newline";
+    EXPECT_FALSE(response.boolOr("ok", true));
+    EXPECT_EQ(response.stringOr("error", ""), "bad_request");
+
+    // The rest of the line is dropped through its newline, and the
+    // same connection serves the next request.
+    ASSERT_TRUE(rawSendAll(fd, "\n{\"id\": 7, \"op\": \"ping\"}\n"));
+    const std::string pong = rawReadLine(fd, rx, 10000);
+    ASSERT_TRUE(parseJson(pong, response)) << pong;
+    EXPECT_TRUE(response.boolOr("ok", false)) << pong;
+    EXPECT_DOUBLE_EQ(response.numberOr("id", 0), 7);
+    EXPECT_TRUE(rx.empty()) << rx;
+    EXPECT_DOUBLE_EQ(serveStat("bad_lines"), badBefore + 1);
+    EXPECT_DOUBLE_EQ(serveStat("bad_lines.other"), otherBefore + 1);
+    ::close(fd);
 }
 
 TEST_F(ServeTest, StatsEndpointExportsServeGroup)

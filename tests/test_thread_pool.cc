@@ -2,12 +2,15 @@
  * @file
  * ThreadPool contract tests: indexed-slot determinism, the serial
  * fallbacks (jobs = 1, nested calls), exception propagation, submit()
- * futures, the jobs-resolution chain and the observability counters.
+ * futures, concurrent callers on one pool, the jobs-resolution chain
+ * and the observability counters.
  */
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +103,38 @@ TEST(ThreadPool, SubmitDeliversValuesAndExceptions)
     ThreadPool serial(1);
     auto inline_value = serial.submit([] { return 7; });
     EXPECT_EQ(inline_value.get(), 7);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool)
+{
+    // What ThreadPool::global() sees when planFormats and the bench
+    // generators share it: two external parallelFor callers and a
+    // submitter on one queue at once.
+    ThreadPool pool(4);
+    const std::size_t n = 10000;
+    std::vector<std::atomic<int>> first(n);
+    std::vector<std::atomic<int>> second(n);
+    const auto sweep = [&pool, n](std::vector<std::atomic<int>> &visits) {
+        pool.parallelFor(n, [&visits](std::size_t i) { ++visits[i]; });
+    };
+    std::vector<std::future<int>> futures;
+    std::thread callerA([&] { sweep(first); });
+    std::thread callerB([&] { sweep(second); });
+    std::thread submitter([&] {
+        for (int k = 0; k < 100; ++k)
+            futures.push_back(pool.submit([k] { return k; }));
+    });
+    callerA.join();
+    callerB.join();
+    submitter.join();
+
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(first[i].load(), 1) << "index " << i;
+        EXPECT_EQ(second[i].load(), 1) << "index " << i;
+    }
+    ASSERT_EQ(futures.size(), 100u);
+    for (int k = 0; k < 100; ++k)
+        EXPECT_EQ(futures[k].get(), k);
 }
 
 TEST(ThreadPool, EffectiveJobsResolutionChain)
