@@ -27,7 +27,7 @@
 #include "common/status.hh"
 #include "common/thread_pool.hh"
 #include "matrix/triplet_matrix.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 #include "trace/trace_writer.hh"
 #include "workloads/generators.hh"
 #include "workloads/suite_catalog.hh"
@@ -167,14 +167,14 @@ writeBenchArtifacts()
         // Pool workers never emit into the writer directly (it is
         // single-threaded); their activity is recorded as lane spans
         // and serialised here, after all parallel work is done.
-        emitWorkerLanes(benchTraceWriter(), ThreadPool::drainLaneSpans());
+        benchTraceWriter().recordWorkerLanes(ThreadPool::drainLaneSpans());
         benchTraceWriter().writeFile(flags.tracePath);
         std::fprintf(stderr, "wrote Chrome trace (%zu events) to %s\n",
                      benchTraceWriter().eventCount(),
                      flags.tracePath.c_str());
     }
     if (flags.profile || !flags.statsJsonPath.empty()) {
-        const ProfileStats stats;
+        const SpanTotalsStats stats;
         const ThreadPoolStats poolStats;
         if (flags.profile)
             stats.dump(std::cerr);
@@ -192,10 +192,11 @@ writeBenchArtifacts()
 /**
  * Parse `--trace <path>`, `--stats-json <path>`, `--profile` and
  * `--jobs N`; unknown arguments are ignored so benches can add their
- * own. Installs the global trace sink / enables the profile registry
- * and registers an atexit hook that writes the artifacts, so a bench
- * body needs no further code. `--jobs N` caps every pool in the
- * process (equivalent to COPERNICUS_JOBS=N in the environment).
+ * own. Installs the global trace sink / enables span recording (the
+ * span totals are the profile group) and registers an atexit hook
+ * that writes the artifacts, so a bench body needs no further code.
+ * `--jobs N` caps every pool in the process (equivalent to
+ * COPERNICUS_JOBS=N in the environment).
  */
 inline void
 parseBenchFlags(int argc, char **argv)
@@ -216,7 +217,7 @@ parseBenchFlags(int argc, char **argv)
         }
     }
     if (flags.profile || !flags.statsJsonPath.empty())
-        ProfileRegistry::global().setEnabled(true);
+        SpanCollector::global().setEnabled(true);
     if (!flags.tracePath.empty()) {
         setActiveTraceSink(&benchTraceWriter());
         ThreadPool::setLaneRecording(true);

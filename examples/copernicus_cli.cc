@@ -16,8 +16,9 @@
  *   --stats-json out.json  the per-format pipeline StatGroups (and the
  *                          profile group with --profile) as JSON, on
  *                          top of the text dump
- *   --profile              time the host-side hot paths (encoders,
- *                          Study::run, scheduler) and dump the profile
+ *   --profile              record spans and dump their per-name totals
+ *                          (study.run, study.partition, study.encode,
+ *                          scheduler.plan, ...) as the profile
  *                          StatGroup
  *   --jobs N               worker lanes for the parallel sweep paths
  *                          (Study::run, planFormats); equivalent to
@@ -99,7 +100,7 @@
 #include "pipeline/event_sim.hh"
 #include "serve/client.hh"
 #include "serve/protocol_doc.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 #include "trace/trace_writer.hh"
 #include "workloads/generators.hh"
 
@@ -436,7 +437,7 @@ cliMain(int argc, char **argv)
     }
     std::printf("copernicus_cli — sparse-format characterizer\n\n");
     if (opts.profile || !opts.statsJsonPath.empty())
-        ProfileRegistry::global().setEnabled(true);
+        SpanCollector::global().setEnabled(true);
     if (opts.jobs != 0)
         setJobsOverride(opts.jobs);
     if (!opts.tracePath.empty())
@@ -540,7 +541,7 @@ cliMain(int argc, char **argv)
                         &writer);
         // Pool workers never write into a TraceWriter directly; their
         // activity was recorded as lane spans and is serialised here.
-        emitWorkerLanes(writer, ThreadPool::drainLaneSpans());
+        writer.recordWorkerLanes(ThreadPool::drainLaneSpans());
         writer.writeFile(opts.tracePath);
         std::printf("\nwrote Chrome trace (%zu events) to %s — open "
                     "in Perfetto or chrome://tracing\n",
@@ -561,10 +562,10 @@ cliMain(int argc, char **argv)
         for (const auto &stats_group : all)
             stats_group->dump(std::cout);
 
-        // Built last so it sees every timed scope of this run.
-        std::unique_ptr<ProfileStats> prof;
+        // Built last so it sees every span of this run.
+        std::unique_ptr<SpanTotalsStats> prof;
         if (opts.profile) {
-            prof = std::make_unique<ProfileStats>();
+            prof = std::make_unique<SpanTotalsStats>();
             prof->dump(std::cout);
             groups.push_back(&prof->group());
         }
@@ -577,7 +578,7 @@ cliMain(int argc, char **argv)
                     groups.size(), opts.statsJsonPath.c_str());
     } else if (opts.profile) {
         std::printf("\n");
-        ProfileStats().dump(std::cout);
+        SpanTotalsStats().dump(std::cout);
     }
     return 0;
 }

@@ -21,7 +21,6 @@ lockOrderRegistry()
         {"stat.distribution", lock_rank::statDistribution},
         {"trace.span_collector", lock_rank::spanCollector},
         {"trace.flight_recorder", lock_rank::flightRecorder},
-        {"trace.profile_registry", lock_rank::profileRegistry},
     };
     return registry;
 }

@@ -51,12 +51,11 @@ inline constexpr int serveStreams = 16;  ///< per-connection streams
 inline constexpr int serveAdmit = 20;    ///< admission state
 inline constexpr int serveMemo = 25;     ///< advise/plan result memo
 inline constexpr int serveInflight = 30; ///< --top in-flight registry
-inline constexpr int serveSpans = 40;    ///< request-span log
+inline constexpr int serveSpans = 40;    ///< request-lane ring
 inline constexpr int sweepJournal = 55;  ///< checkpoint journal append
 inline constexpr int statDistribution = 70; ///< DistributionStat bins
 inline constexpr int spanCollector = 80;    ///< span ring
 inline constexpr int flightRecorder = 90;   ///< wide-event ring
-inline constexpr int profileRegistry = 100; ///< host profiler table
 
 } // namespace lock_rank
 

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/arena.hh"
-#include "trace/profile.hh"
 
 namespace copernicus {
 
@@ -102,7 +101,6 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
              bool keepPayloads)
 {
     const auto start = std::chrono::steady_clock::now();
-    const ScopedTimer timer("compress.tile");
 
     const std::vector<TypedStream> typed = tile.typedStreams();
     TileCompression result;

@@ -4,7 +4,7 @@
 
 #include "common/status.hh"
 #include "common/thread_pool.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -55,7 +55,7 @@ planFormats(const Partitioning &parts,
     COPERNICUS_FATAL_IF(candidates.empty(),
                         "planFormats needs at least one candidate format");
 
-    const ScopedTimer timer("scheduler.plan");
+    const ScopedSpan span("scheduler.plan", "scheduler");
     FormatPlan plan;
     const std::size_t n = parts.tiles.size();
     plan.perTile.resize(n, candidates.front());

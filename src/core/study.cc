@@ -9,7 +9,6 @@
 #include "compress/second_stage.hh"
 #include "store/container.hh"
 #include "store/sweep_journal.hh"
-#include "trace/profile.hh"
 #include "trace/span.hh"
 
 namespace copernicus {
@@ -143,7 +142,6 @@ StudyRow
 Study::makeRow(const std::string &workload, const Partitioning &parts,
                FormatKind kind, TraceSink *sink) const
 {
-    const ScopedTimer timer("study.run.pipeline");
     // One span per design point: at jobs > 1 the pool's context
     // propagation parents it under the span that issued the
     // parallelFor, so encodes attach to their request's study.run.
@@ -172,7 +170,6 @@ Study::makeRow(const std::string &workload, const Partitioning &parts,
 StudyResult
 Study::run() const
 {
-    const ScopedTimer timer("study.run");
     const ScopedSpan span("study.run", "study");
     const CompressTotals compressBefore = compressTotals();
     ThreadPool pool(cfg.jobs);
@@ -182,7 +179,6 @@ Study::run() const
     const std::size_t sizes = cfg.partitionSizes.size();
     std::vector<Partitioning> parts(matrices.size() * sizes);
     pool.parallelFor(parts.size(), [&](std::size_t c) {
-        const ScopedTimer part_timer("study.run.partition");
         const ScopedSpan part_span("study.partition", "study");
         parts[c] = partition(matrices[c / sizes].second,
                              cfg.partitionSizes[c % sizes]);

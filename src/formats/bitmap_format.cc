@@ -1,13 +1,10 @@
 #include "formats/bitmap_format.hh"
 
-#include "trace/profile.hh"
-
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 BitmapCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.Bitmap");
     const auto &nz = tile.nonzeros();
     auto encoded = std::make_unique<BitmapEncoded>(tile.size(),
                                                    tile.nnz());

@@ -1,13 +1,10 @@
 #include "formats/coo_format.hh"
 
-#include "trace/profile.hh"
-
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 CooCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.COO");
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     auto encoded = std::make_unique<CooEncoded>(p, tile.nnz());

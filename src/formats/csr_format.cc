@@ -1,13 +1,10 @@
 #include "formats/csr_format.hh"
 
-#include "trace/profile.hh"
-
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 CsrCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.CSR");
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();

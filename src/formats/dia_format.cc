@@ -3,14 +3,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/profile.hh"
-
 namespace copernicus {
 
 std::unique_ptr<EncodedTile>
 DiaCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.DIA");
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();

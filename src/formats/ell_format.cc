@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/status.hh"
-#include "trace/profile.hh"
 
 namespace copernicus {
 
@@ -21,7 +20,6 @@ EllCodec::widthFor(const Tile &tile) const
 std::unique_ptr<EncodedTile>
 EllCodec::encode(const Tile &tile) const
 {
-    const ScopedTimer timer("encode.ELL");
     const Index p = tile.size();
     const auto &nz = tile.nonzeros();
     const TileStats &feat = tile.features();

@@ -513,8 +513,8 @@ Server::loopRead(const std::shared_ptr<Conn> &conn)
                 return false;
             break;
           case Protocol::Ndjson:
-            conn->rxBuffer.append(buf, static_cast<std::size_t>(n));
-            consumeNdjson(conn);
+            consumeNdjson(conn,
+                          std::string_view(buf, static_cast<std::size_t>(n)));
             break;
           case Protocol::Binary:
             conn->decoder.feed(buf, static_cast<std::size_t>(n));
@@ -539,7 +539,11 @@ Server::consumeSniff(const std::shared_ptr<Conn> &conn)
         std::min<std::size_t>(rx.size(), framingMagic.size());
     if (rx.compare(0, probe, framingMagic.data(), probe) != 0) {
         conn->protocol = Protocol::Ndjson;
-        consumeNdjson(conn);
+        // consumeNdjson buffers into rxBuffer, so it reads the sniffed
+        // bytes from a string of their own.
+        std::string first;
+        first.swap(conn->rxBuffer);
+        consumeNdjson(conn, first);
         return true;
     }
     if (rx.size() < framingMagic.size())
@@ -554,53 +558,47 @@ Server::consumeSniff(const std::shared_ptr<Conn> &conn)
 }
 
 void
-Server::consumeNdjson(const std::shared_ptr<Conn> &conn)
+Server::consumeNdjson(const std::shared_ptr<Conn> &conn,
+                      std::string_view in)
 {
-    // A line over the cap gets one bad_request and counts as a bad
-    // line; the connection stays open.
-    const auto rejectLongLine = [&] {
-        *badLines += 1;
-        *badLinesOther += 1;
-        respond(conn, false, 0,
-                errorResponse(0, "", serve_error::badRequest,
-                              "request line exceeds the " +
-                                  std::to_string(opts.maxFrameBytes) +
-                                  " byte limit"));
-    };
-    // The newline search resumes where the previous one stopped, and
-    // consumed lines leave the buffer in one erase, so a line that
-    // arrives over many reads costs linear time.
+    // rxBuffer holds only the line still waiting for its newline, and
+    // the cap is checked before a read is appended to it, so it never
+    // grows past the cap. A line over the cap gets one bad_request as
+    // soon as it passes the cap, counts as a bad line, and is dropped
+    // through its newline; the connection stays open.
     std::string &rx = conn->rxBuffer;
-    std::size_t lineStart = 0;
-    std::size_t end;
-    while ((end = rx.find('\n', conn->rxScanned)) != std::string::npos) {
-        conn->rxScanned = end + 1;
-        const std::size_t begin = lineStart;
-        lineStart = end + 1;
+    while (!in.empty()) {
+        const std::size_t newline = in.find('\n');
+        const std::string_view piece = in.substr(0, newline);
+        if (!conn->discardingLine) {
+            if (rx.size() + piece.size() > opts.maxFrameBytes) {
+                *badLines += 1;
+                *badLinesOther += 1;
+                respond(conn, false, 0,
+                        errorResponse(
+                            0, "", serve_error::badRequest,
+                            "request line exceeds the " +
+                                std::to_string(opts.maxFrameBytes) +
+                                " byte limit"));
+                conn->discardingLine = true;
+                std::string().swap(rx); // drop the line and its memory
+            } else {
+                rx.append(piece);
+            }
+        }
+        if (newline == std::string_view::npos)
+            return;
+        in.remove_prefix(newline + 1);
         if (conn->discardingLine) {
             conn->discardingLine = false; // the over-long line ends here
             continue;
         }
-        if (end - begin > opts.maxFrameBytes) {
-            rejectLongLine();
-            continue;
-        }
-        std::string line = rx.substr(begin, end - begin);
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.find_first_not_of(" \t") == std::string::npos)
-            continue;
-        handlePayload(conn, line, /*binary=*/false, /*wireStreamId=*/0);
-    }
-    rx.erase(0, lineStart);
-    if (conn->discardingLine) {
+        if (!rx.empty() && rx.back() == '\r')
+            rx.pop_back();
+        if (rx.find_first_not_of(" \t") != std::string::npos)
+            handlePayload(conn, rx, /*binary=*/false, /*wireStreamId=*/0);
         rx.clear();
-    } else if (rx.size() > opts.maxFrameBytes) {
-        rejectLongLine();
-        conn->discardingLine = true;
-        std::string().swap(rx); // drop the line and its memory
     }
-    conn->rxScanned = rx.size();
 }
 
 bool
@@ -1050,7 +1048,7 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
     stats.latencyUs->sample(static_cast<double>(endUs - startUs));
     if (!opts.tracePath.empty()) {
         const MutexLock lock(spansMutex);
-        requestSpans.push_back(
+        requestSpans.push(
             {request.endpoint, request.id, startUs, endUs, outcome});
     }
     {
@@ -1076,14 +1074,15 @@ Server::runRequest(std::shared_ptr<Conn> conn, ServeRequest request,
         const MutexLock lock(conn->streamsMutex);
         conn->streams.erase(stream.streamId);
     }
-    respond(conn, stream.binary, stream.streamId, response);
-    releaseAdmission();
-
-    // The shutdown endpoint's response must reach the tx buffer before
-    // the drain can race the connection teardown, so drain starts
-    // last.
+    // A shutdown stops admission before its response leaves, so a
+    // client that reads {"draining": true} and sends again is refused.
+    // The drain still waits for this request's admission, released
+    // only once the response is in the tx buffer, so the response is
+    // delivered before the connections are torn down.
     if (request.endpoint == Endpoint::Shutdown)
         beginShutdown();
+    respond(conn, stream.binary, stream.streamId, response);
+    releaseAdmission();
 }
 
 void
@@ -1660,7 +1659,7 @@ std::vector<RequestSpan>
 Server::spans() const
 {
     const MutexLock lock(spansMutex);
-    return requestSpans;
+    return requestSpans.snapshot();
 }
 
 void
@@ -1707,14 +1706,11 @@ Server::waitDrained()
     if (!opts.tracePath.empty()) {
         TraceWriter writer;
         writer.beginScope("serve");
-        {
-            const MutexLock lock(spansMutex);
-            for (const RequestSpan &span : requestSpans) {
-                writer.durationEvent(endpointName(span.endpoint),
-                                     "r" + std::to_string(span.id) +
-                                         " " + span.outcome,
-                                     span.startUs, span.endUs);
-            }
+        for (const RequestSpan &span : spans()) {
+            writer.durationEvent(endpointName(span.endpoint),
+                                 "r" + std::to_string(span.id) + " " +
+                                     span.outcome,
+                                 span.startUs, span.endUs);
         }
         if (opts.observability) {
             // The span tree rides in the same Chrome trace: one scope,

@@ -72,6 +72,8 @@
 #include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/result_memo.hh"
+#include "trace/bounded_ring.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -103,9 +105,9 @@ struct ServeOptions
      * Per-request payload cap. A binary frame declaring more is
      * answered bad_request on its stream and its payload is discarded
      * without buffering. An NDJSON line longer than this is answered
-     * bad_request as soon as its buffered part passes the cap, then
-     * discarded through its newline. Either way the connection
-     * survives.
+     * bad_request as soon as it passes the cap, without buffering past
+     * it, then discarded through its newline. Either way the
+     * connection survives.
      */
     std::uint64_t maxFrameBytes = defaultMaxFrameBytes;
 
@@ -155,7 +157,7 @@ struct ServeOptions
     FormatParams lintParams;
 };
 
-/** One request-lane trace record (flushed to tracePath at drain). */
+/** One request-lane trace record (written to tracePath at drain). */
 struct RequestSpan
 {
     Endpoint endpoint = Endpoint::Ping;
@@ -229,8 +231,11 @@ class Server
     std::string metricsText() const;
 
     /**
-     * Request spans recorded so far (tests; snapshot under lock).
-     * Recorded only when tracePath is set, the one reader at drain.
+     * The most recent request lanes, oldest first (snapshot under
+     * lock). Recorded only when tracePath is set, the one reader at
+     * drain, and bounded like the span ring: at most
+     * SpanCollector::defaultCapacity, so the drain trace's request
+     * lanes cover the same recent window as its spans.
      */
     std::vector<RequestSpan> spans() const;
 
@@ -280,9 +285,11 @@ class Server
 
         // --- loop-thread-only parse state ---
         Protocol protocol = Protocol::Sniffing;
+        /**
+         * Sniffing: the first bytes. NDJSON: the unfinished line,
+         * never longer than the frame cap.
+         */
         std::string rxBuffer;
-        /** NDJSON: rxBuffer bytes already searched for a newline. */
-        std::size_t rxScanned = 0;
         /** NDJSON: an over-long line was answered; drop through '\n'. */
         bool discardingLine = false;
         FrameDecoder decoder;
@@ -334,7 +341,9 @@ class Server
         std::map<int, std::shared_ptr<Conn>> &connsByFd);
     bool loopRead(const std::shared_ptr<Conn> &conn);
     bool consumeSniff(const std::shared_ptr<Conn> &conn);
-    void consumeNdjson(const std::shared_ptr<Conn> &conn);
+    /** Split @p in into NDJSON lines, buffering the unfinished one. */
+    void consumeNdjson(const std::shared_ptr<Conn> &conn,
+                       std::string_view in);
     bool consumeBinary(const std::shared_ptr<Conn> &conn);
     void closeConn(std::map<int, std::shared_ptr<Conn>> &connsByFd,
                    const std::shared_ptr<Conn> &conn);
@@ -445,8 +454,8 @@ class Server
     ThreadPoolStats poolStats;
 
     mutable Mutex spansMutex{lock_rank::serveSpans};
-    std::vector<RequestSpan> requestSpans
-        COPERNICUS_GUARDED_BY(spansMutex);
+    BoundedRing<RequestSpan> requestSpans COPERNICUS_GUARDED_BY(
+        spansMutex){SpanCollector::defaultCapacity};
 
     /** In-flight registry for --top, under inflightMutex. */
     mutable Mutex inflightMutex{lock_rank::serveInflight};

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/status.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -37,7 +37,7 @@ conjugateGradient(const CsrMatrix &a, const std::vector<Value> &b,
     COPERNICUS_FATAL_IF(b.size() != a.rows(),
                         "CG right-hand-side length mismatch");
 
-    const ScopedTimer timer("solver.cg");
+    const ScopedSpan span("solver.cg", "solver");
 
     const std::size_t n = b.size();
     SolveResult result;

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/status.hh"
-#include "trace/profile.hh"
+#include "trace/span.hh"
 
 namespace copernicus {
 
@@ -16,7 +16,7 @@ pageRank(const TripletMatrix &adjacency, double damping, double tolerance,
     COPERNICUS_FATAL_IF(damping <= 0.0 || damping >= 1.0,
                         "pageRank damping must be in (0, 1)");
 
-    const ScopedTimer timer("solver.pagerank");
+    const ScopedSpan span("solver.pagerank", "solver");
     const Index n = adjacency.rows();
 
     // Out-degree (weighted) per vertex.

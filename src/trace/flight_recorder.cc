@@ -16,53 +16,38 @@ FlightRecorder::global()
 }
 
 void
-FlightRecorder::setCapacity(std::size_t newCapacity)
+FlightRecorder::setCapacity(std::size_t capacity)
 {
-    COPERNICUS_FATAL_IF(newCapacity == 0,
-                        "FlightRecorder capacity must be >= 1");
     const MutexLock lock(mutex);
-    ring.clear();
-    capacity = newCapacity;
-    head = 0;
-    total = 0;
+    ring.setCapacity(capacity);
 }
 
 void
 FlightRecorder::record(std::string wideEventJson)
 {
     const MutexLock lock(mutex);
-    ++total;
-    if (ring.size() < capacity) {
-        ring.push_back(std::move(wideEventJson));
-        return;
-    }
-    ring[head] = std::move(wideEventJson);
-    head = (head + 1) % capacity;
+    ring.push(std::move(wideEventJson));
 }
 
 std::vector<std::string>
 FlightRecorder::snapshot() const
 {
     const MutexLock lock(mutex);
-    std::vector<std::string> events;
-    events.reserve(ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        events.push_back(ring[(head + i) % ring.size()]);
-    return events;
+    return ring.snapshot();
 }
 
 std::uint64_t
 FlightRecorder::recorded() const
 {
     const MutexLock lock(mutex);
-    return total;
+    return ring.recorded();
 }
 
 std::uint64_t
 FlightRecorder::dropped() const
 {
     const MutexLock lock(mutex);
-    return total - ring.size();
+    return ring.dropped();
 }
 
 void
@@ -70,8 +55,6 @@ FlightRecorder::clear()
 {
     const MutexLock lock(mutex);
     ring.clear();
-    head = 0;
-    total = 0;
 }
 
 void

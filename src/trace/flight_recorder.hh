@@ -30,6 +30,7 @@
 #include "common/lock_order.hh"
 #include "common/mutex.hh"
 #include "common/thread_annotations.hh"
+#include "trace/bounded_ring.hh"
 
 namespace copernicus {
 
@@ -77,10 +78,7 @@ class FlightRecorder
 
   private:
     mutable Mutex mutex{lock_rank::flightRecorder};
-    std::vector<std::string> ring COPERNICUS_GUARDED_BY(mutex);
-    std::size_t capacity COPERNICUS_GUARDED_BY(mutex) = 512;
-    std::size_t head COPERNICUS_GUARDED_BY(mutex) = 0;
-    std::uint64_t total COPERNICUS_GUARDED_BY(mutex) = 0;
+    BoundedRing<std::string> ring COPERNICUS_GUARDED_BY(mutex){512};
 };
 
 } // namespace copernicus

@@ -1,9 +1,9 @@
 #include "trace/span.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "common/json.hh"
-#include "common/status.hh"
 
 namespace copernicus {
 
@@ -32,40 +32,35 @@ SpanCollector::global()
 }
 
 void
-SpanCollector::setCapacity(std::size_t newCapacity)
+SpanCollector::setCapacity(std::size_t capacity)
 {
-    COPERNICUS_FATAL_IF(newCapacity == 0,
-                        "SpanCollector capacity must be >= 1");
     const MutexLock lock(mutex);
-    ring.clear();
-    capacity = newCapacity;
-    head = 0;
-    total = 0;
+    ring.setCapacity(capacity);
 }
 
 void
 SpanCollector::record(SpanRecord span)
 {
+    const double seconds =
+        span.endUs > span.startUs
+            ? static_cast<double>(span.endUs - span.startUs) * 1e-6
+            : 0.0;
     const MutexLock lock(mutex);
-    ++total;
-    if (ring.size() < capacity) {
-        ring.push_back(std::move(span));
-        return;
-    }
-    ring[head] = std::move(span);
-    head = (head + 1) % capacity;
+    auto it = byName.find(span.name);
+    if (it == byName.end())
+        it = byName.emplace(span.name, SpanTotal{span.name}).first;
+    SpanTotal &total = it->second;
+    ++total.calls;
+    total.seconds += seconds;
+    total.maxSeconds = std::max(total.maxSeconds, seconds);
+    ring.push(std::move(span));
 }
 
 std::vector<SpanRecord>
 SpanCollector::snapshot() const
 {
     const MutexLock lock(mutex);
-    std::vector<SpanRecord> spans;
-    spans.reserve(ring.size());
-    // Once the ring has lapped, head is the oldest retained slot.
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        spans.push_back(ring[(head + i) % ring.size()]);
-    return spans;
+    return ring.snapshot();
 }
 
 std::vector<SpanRecord>
@@ -83,14 +78,25 @@ std::uint64_t
 SpanCollector::recorded() const
 {
     const MutexLock lock(mutex);
-    return total;
+    return ring.recorded();
 }
 
 std::uint64_t
 SpanCollector::dropped() const
 {
     const MutexLock lock(mutex);
-    return total - ring.size();
+    return ring.dropped();
+}
+
+std::vector<SpanTotal>
+SpanCollector::totals() const
+{
+    const MutexLock lock(mutex);
+    std::vector<SpanTotal> out;
+    out.reserve(byName.size());
+    for (const auto &[name, total] : byName)
+        out.push_back(total);
+    return out;
 }
 
 void
@@ -98,8 +104,26 @@ SpanCollector::clear()
 {
     const MutexLock lock(mutex);
     ring.clear();
-    head = 0;
-    total = 0;
+    byName.clear();
+}
+
+SpanTotalsStats::SpanTotalsStats(const SpanCollector &collector)
+    : grp("profile")
+{
+    auto add = [this](const std::string &name, const char *desc,
+                      double value) {
+        auto stat = std::make_unique<ScalarStat>(grp, name, desc);
+        *stat = value;
+        owned.push_back(std::move(stat));
+    };
+    for (const SpanTotal &total : collector.totals()) {
+        add(total.name + ".calls", "spans recorded under the name",
+            static_cast<double>(total.calls));
+        add(total.name + ".seconds", "total wall-clock seconds inside",
+            total.seconds);
+        add(total.name + ".max_seconds", "longest single span",
+            total.maxSeconds);
+    }
 }
 
 } // namespace copernicus

@@ -1,7 +1,6 @@
 /**
  * @file
- * Request-scoped span recording: the causally-linked counterpart of
- * ScopedTimer.
+ * Span recording: the library's one host timer.
  *
  * A span is one named interval of work attributed to a trace
  * (request) and to a parent span, so the spans of one request assemble
@@ -10,9 +9,11 @@
  * thread pool scattered them over (common/trace_context carries the
  * parent identity into pool tasks).
  *
- * Recording is a bounded ring in SpanCollector — always safe to leave
- * on, never grows without bound — and a disabled ScopedSpan costs one
- * relaxed atomic load, mirroring ScopedTimer's contract, so the
+ * SpanCollector keeps the recent spans in a bounded ring — always safe
+ * to leave on, never grows without bound — and folds every span into a
+ * per-name total (calls, summed and longest seconds). Those totals are
+ * the host profile that `--profile` and `--stats-json` print. A
+ * disabled ScopedSpan costs one relaxed atomic load, so the
  * instrumentation stays in the library's hot paths unconditionally.
  */
 
@@ -22,14 +23,18 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/lock_order.hh"
 #include "common/mutex.hh"
+#include "common/stat_group.hh"
 #include "common/thread_annotations.hh"
 #include "common/trace_context.hh"
+#include "trace/bounded_ring.hh"
 
 namespace copernicus {
 
@@ -48,18 +53,33 @@ struct SpanRecord
     void writeJson(std::ostream &out) const;
 };
 
+/** Every recorded span of one name, folded together. */
+struct SpanTotal
+{
+    std::string name;
+    std::uint64_t calls = 0;
+    double seconds = 0;
+    double maxSeconds = 0;
+};
+
 /**
- * Process-wide bounded ring of completed spans.
+ * Process-wide bounded ring of completed spans plus their per-name
+ * totals.
  *
  * record() and snapshot() are mutex-guarded with short critical
- * sections (one slot move / one vector copy); when the ring laps,
- * the oldest spans are overwritten and dropped() counts them, so a
- * long-lived daemon keeps the most recent history without unbounded
- * growth — the same always-on posture as the flight recorder.
+ * sections (one slot move and one table update / one vector copy);
+ * when the ring laps, the oldest spans are overwritten and dropped()
+ * counts them, so a long-lived daemon keeps the most recent history
+ * without unbounded growth. The totals count every span, dropped ones
+ * included. They hold one entry per span name; the daemon names its
+ * spans with code literals, so no peer can grow the table.
  */
 class SpanCollector
 {
   public:
+    /** Default ring capacity, in spans. */
+    static constexpr std::size_t defaultCapacity = 4096;
+
     /** The collector every ScopedSpan reports to. */
     static SpanCollector &global();
 
@@ -79,7 +99,7 @@ class SpanCollector
         return on.load(std::memory_order_relaxed);
     }
 
-    /** Resize the ring (drops current contents). Capacity >= 1. */
+    /** Resize the ring (drops its contents, keeps the totals). */
     void setCapacity(std::size_t capacity);
 
     void record(SpanRecord span);
@@ -96,18 +116,40 @@ class SpanCollector
     /** Spans overwritten by ring wrap-around. */
     std::uint64_t dropped() const;
 
-    /** Drop every retained span and reset the counters. */
+    /** Per-name totals of every recorded span, sorted by name. */
+    std::vector<SpanTotal> totals() const;
+
+    /** Drop every retained span and reset the counters and totals. */
     void clear();
 
   private:
     std::atomic<bool> on{false};
     mutable Mutex mutex{lock_rank::spanCollector};
-    /** size() < capacity until first lap */
-    std::vector<SpanRecord> ring COPERNICUS_GUARDED_BY(mutex);
-    std::size_t capacity COPERNICUS_GUARDED_BY(mutex) = 4096;
-    /** next overwrite slot once full */
-    std::size_t head COPERNICUS_GUARDED_BY(mutex) = 0;
-    std::uint64_t total COPERNICUS_GUARDED_BY(mutex) = 0;
+    BoundedRing<SpanRecord> ring COPERNICUS_GUARDED_BY(mutex){
+        defaultCapacity};
+    std::map<std::string, SpanTotal, std::less<>> byName
+        COPERNICUS_GUARDED_BY(mutex);
+};
+
+/**
+ * The span totals exported as a StatGroup named "profile": per name
+ * `<name>.calls`, `<name>.seconds` and `<name>.max_seconds`, so the
+ * profile dump shares the text and JSON machinery of every other stat.
+ */
+class SpanTotalsStats
+{
+  public:
+    explicit SpanTotalsStats(const SpanCollector &collector =
+                                 SpanCollector::global());
+
+    const StatGroup &group() const { return grp; }
+
+    void dump(std::ostream &out) const { grp.dump(out); }
+    void dumpJson(std::ostream &out) const { grp.dumpJson(out); }
+
+  private:
+    StatGroup grp;
+    std::vector<std::unique_ptr<ScalarStat>> owned;
 };
 
 /**

@@ -72,6 +72,18 @@ TraceWriter::recordEventSim(const EventSimResult &result)
     }
 }
 
+void
+TraceWriter::recordWorkerLanes(
+    const std::vector<ThreadPool::LaneSpan> &spans)
+{
+    if (spans.empty())
+        return;
+    beginScope("thread_pool");
+    for (const ThreadPool::LaneSpan &span : spans)
+        durationEvent("worker" + std::to_string(span.worker), "task",
+                      span.startUs, span.endUs);
+}
+
 Cycles
 TraceWriter::trackBusy(std::string_view track) const
 {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "pipeline/event_sim.hh"
 #include "trace/trace_sink.hh"
 
@@ -64,6 +65,17 @@ class TraceWriter : public TraceSink
      * read/compute/write) without having had a live sink attached.
      */
     void recordEventSim(const EventSimResult &result);
+
+    /**
+     * Record thread-pool lane spans as one scope ("thread_pool") with
+     * one track per worker lane, so the trace shows what each lane
+     * executed over wall-clock time (microseconds in the viewer's "us"
+     * field). Lanes are collected while
+     * ThreadPool::setLaneRecording(true) is on; the CLI and benches
+     * enable it under --trace and call this just before serialising.
+     * No spans, no scope.
+     */
+    void recordWorkerLanes(const std::vector<ThreadPool::LaneSpan> &spans);
 
     const std::vector<Event> &events() const { return recorded; }
     std::size_t eventCount() const { return recorded.size(); }

@@ -2,9 +2,9 @@
  * @file
  * Unit tests of the observability plane's building blocks: trace
  * context propagation (thread-local scopes, pool capture), the span
- * collector ring and ScopedSpan parenting, the flight recorder, the
- * Prometheus writer/validator pair, and DistributionStat's
- * snapshot/merge API.
+ * collector ring, its per-name totals (the host profile) and
+ * ScopedSpan parenting, the flight recorder, the Prometheus
+ * writer/validator pair, and DistributionStat's snapshot/merge API.
  *
  * Labeled tsan: the snapshot-vs-sample hammer test exists precisely to
  * run under -DCOPERNICUS_SANITIZE=thread — it pins down the satellite
@@ -137,6 +137,114 @@ TEST(SpanCollectorTest, SpansForTraceFilters)
     EXPECT_EQ(collector.spansForTrace(1).size(), 2u);
     EXPECT_EQ(collector.spansForTrace(2).size(), 1u);
     EXPECT_TRUE(collector.spansForTrace(99).empty());
+}
+
+/** Record one finished span of @p name lasting endUs - startUs. */
+void
+recordSpan(SpanCollector &collector, const std::string &name,
+           std::uint64_t startUs, std::uint64_t endUs)
+{
+    SpanRecord span;
+    span.name = name;
+    span.startUs = startUs;
+    span.endUs = endUs;
+    collector.record(std::move(span));
+}
+
+TEST(SpanCollectorTest, DisabledCollectorRecordsNoTotals)
+{
+    SpanCollector collector;
+    ASSERT_FALSE(collector.enabled());
+    {
+        const ScopedSpan span("quiet", "test", collector);
+    }
+    EXPECT_TRUE(collector.totals().empty());
+}
+
+TEST(SpanCollectorTest, TotalsAggregatePerName)
+{
+    SpanCollector collector;
+    collector.setEnabled(true);
+    recordSpan(collector, "loop", 100, 102);
+    recordSpan(collector, "loop", 200, 205);
+    recordSpan(collector, "loop", 300, 303);
+    {
+        const ScopedSpan span("other", "test", collector);
+    }
+    const std::vector<SpanTotal> totals = collector.totals();
+    ASSERT_EQ(totals.size(), 2u);
+    EXPECT_EQ(totals[0].name, "loop"); // sorted by name
+    EXPECT_EQ(totals[0].calls, 3u);
+    EXPECT_NEAR(totals[0].seconds, 10e-6, 1e-12);
+    EXPECT_NEAR(totals[0].maxSeconds, 5e-6, 1e-12);
+    EXPECT_LE(totals[0].maxSeconds, totals[0].seconds);
+    EXPECT_EQ(totals[1].name, "other");
+    EXPECT_EQ(totals[1].calls, 1u);
+    EXPECT_GE(totals[1].seconds, 0.0);
+    EXPECT_LE(totals[1].maxSeconds, totals[1].seconds);
+
+    collector.clear();
+    EXPECT_TRUE(collector.totals().empty());
+    EXPECT_TRUE(collector.enabled()); // clear keeps the enabled state
+}
+
+TEST(SpanCollectorTest, TotalsExportAsProfileGroup)
+{
+    SpanCollector collector;
+    collector.setEnabled(true);
+    {
+        const ScopedSpan span("alpha.beta", "test", collector);
+    }
+    const SpanTotalsStats stats(collector);
+    EXPECT_EQ(stats.group().name(), "profile");
+    EXPECT_NE(stats.group().find("alpha.beta.calls"), nullptr);
+    EXPECT_NE(stats.group().find("alpha.beta.seconds"), nullptr);
+    EXPECT_NE(stats.group().find("alpha.beta.max_seconds"), nullptr);
+
+    std::ostringstream json;
+    stats.dumpJson(json);
+    EXPECT_TRUE(jsonValid(json.str())) << json.str();
+    EXPECT_NE(json.str().find("alpha.beta.calls"), std::string::npos);
+}
+
+TEST(SpanCollectorTest, TotalsCountSpansTheRingDropped)
+{
+    SpanCollector collector;
+    collector.setEnabled(true);
+    collector.setCapacity(2);
+    for (int i = 0; i < 5; ++i) {
+        const ScopedSpan span("lap", "test", collector);
+    }
+    EXPECT_EQ(collector.snapshot().size(), 2u);
+    EXPECT_EQ(collector.dropped(), 3u);
+    const std::vector<SpanTotal> totals = collector.totals();
+    ASSERT_EQ(totals.size(), 1u);
+    EXPECT_EQ(totals[0].calls, 5u);
+}
+
+TEST(SpanCollectorTest, TotalsSurviveConcurrentRecorders)
+{
+    SpanCollector collector;
+    collector.setEnabled(true);
+    std::atomic<int> running{4};
+    std::vector<std::thread> recorders;
+    for (int t = 0; t < 4; ++t) {
+        recorders.emplace_back([&] {
+            for (int i = 0; i < 1000; ++i) {
+                const ScopedSpan span("hammer", "test", collector);
+            }
+            running.fetch_sub(1);
+        });
+    }
+    // Read the totals while the recorders write them.
+    while (running.load() > 0)
+        (void)collector.totals();
+    for (std::thread &recorder : recorders)
+        recorder.join();
+    const std::vector<SpanTotal> totals = collector.totals();
+    ASSERT_EQ(totals.size(), 1u);
+    EXPECT_EQ(totals[0].calls, 4000u);
+    EXPECT_LE(totals[0].maxSeconds, totals[0].seconds);
 }
 
 TEST(ScopedSpanTest, DisabledCollectorRecordsNothing)

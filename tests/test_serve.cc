@@ -558,6 +558,27 @@ TEST_F(ServeTest, RequestSpansAreKeptOnlyForATrace)
     EXPECT_TRUE(server->spans().empty());
 }
 
+TEST_F(ServeTest, TracedRequestLanesAreBounded)
+{
+    // Under a trace the request lanes keep the span ring's recent
+    // window, not one record per request for the daemon's lifetime.
+    const std::string tracePath = ::testing::TempDir() +
+                                  "bounded_lanes_" +
+                                  std::to_string(::getpid()) + ".json";
+    startServer(/*queueCapacity=*/8, /*workers=*/0, tracePath);
+    ServeClient c = client();
+    for (int i = 0; i < 4100; ++i)
+        ASSERT_TRUE(c.call("ping").boolOr("ok", false));
+    const std::vector<RequestSpan> lanes = server->spans();
+    ASSERT_EQ(lanes.size(), 4096u); // the span ring's capacity
+    EXPECT_EQ(lanes.front().id, 5u); // oldest retained
+    EXPECT_EQ(lanes.back().id, 4100u);
+    server->beginShutdown();
+    server->waitDrained();
+    server.reset();
+    std::remove(tracePath.c_str());
+}
+
 TEST_F(ServeTest, OverlongNdjsonLineIsAnsweredThenDiscarded)
 {
     const std::uint64_t cap = 64 * 1024;

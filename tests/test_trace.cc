@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the trace subsystem: TraceWriter's Chrome trace_event
- * output, the TraceSink plumbing through the pipelines, and the
- * ScopedTimer / ProfileRegistry host profiler.
+ * output and the TraceSink plumbing through the pipelines. Spans and
+ * their totals (the host profile) are tested in test_observe.cc.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "common/status.hh"
 #include "pipeline/event_sim.hh"
 #include "pipeline/parallel_pipeline.hh"
-#include "trace/profile.hh"
 #include "trace/trace_writer.hh"
 #include "workloads/generators.hh"
 
@@ -189,60 +188,6 @@ TEST(TraceWriterTest, BackwardsDurationIsRejected)
     TraceWriter writer;
     EXPECT_THROW(writer.durationEvent("read", "p0", 10, 5),
                  PanicError);
-}
-
-TEST(ProfileTest, DisabledRegistryRecordsNothing)
-{
-    ProfileRegistry reg;
-    ASSERT_FALSE(reg.enabled());
-    {
-        ScopedTimer timer("quiet", reg);
-    }
-    EXPECT_TRUE(reg.entries().empty());
-}
-
-TEST(ProfileTest, EnabledRegistryAggregates)
-{
-    ProfileRegistry reg;
-    reg.setEnabled(true);
-    for (int i = 0; i < 3; ++i) {
-        ScopedTimer timer("loop", reg);
-    }
-    {
-        ScopedTimer timer("other", reg);
-    }
-    const auto entries = reg.entries();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].name, "loop"); // sorted by name
-    EXPECT_EQ(entries[0].calls, 3u);
-    EXPECT_GE(entries[0].seconds, 0.0);
-    EXPECT_GE(entries[0].maxSeconds, 0.0);
-    EXPECT_LE(entries[0].maxSeconds, entries[0].seconds);
-    EXPECT_EQ(entries[1].name, "other");
-    EXPECT_EQ(entries[1].calls, 1u);
-
-    reg.clear();
-    EXPECT_TRUE(reg.entries().empty());
-    EXPECT_TRUE(reg.enabled()); // clear keeps the enabled state
-}
-
-TEST(ProfileTest, ProfileStatsExportsEntries)
-{
-    ProfileRegistry reg;
-    reg.setEnabled(true);
-    {
-        ScopedTimer timer("alpha.beta", reg);
-    }
-    const ProfileStats stats(reg);
-    EXPECT_EQ(stats.group().name(), "profile");
-    EXPECT_NE(stats.group().find("alpha.beta.calls"), nullptr);
-    EXPECT_NE(stats.group().find("alpha.beta.seconds"), nullptr);
-    EXPECT_NE(stats.group().find("alpha.beta.max_seconds"), nullptr);
-
-    std::ostringstream json;
-    stats.dumpJson(json);
-    EXPECT_TRUE(jsonValid(json.str()));
-    EXPECT_NE(json.str().find("alpha.beta.calls"), std::string::npos);
 }
 
 TEST(JsonValidTest, AcceptsWellFormedDocuments)
