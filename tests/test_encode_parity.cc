@@ -10,9 +10,15 @@
  * spanning the paper's density range, band matrices, catalog
  * surrogates, every format, p in {8, 16, 32} and jobs in {1, 4}.
  *
+ * The same study runs a second time with second-stage compression on
+ * (study_parity_compress.csv), so the compressed stream sizes and
+ * everything priced from them (bytes, memory cycles, bandwidth
+ * utilization) are pinned row by row as well.
+ *
  * Regenerate the goldens (only ever from a known-good tree) with
  *   COPERNICUS_REGEN_GOLDEN=1 ./test_encode_parity
- * which rewrites tests/golden/study_parity.csv in the source tree.
+ * which rewrites both tests/golden/study_parity.csv and
+ * tests/golden/study_parity_compress.csv in the source tree.
  */
 
 #include <gtest/gtest.h>
@@ -33,19 +39,23 @@ using namespace copernicus;
 
 constexpr Index parityDim = 256;
 
+constexpr const char *plainGolden = "study_parity.csv";
+constexpr const char *compressGolden = "study_parity_compress.csv";
+
 std::string
-goldenPath()
+goldenPath(const char *file)
 {
-    return std::string(COPERNICUS_GOLDEN_DIR) + "/study_parity.csv";
+    return std::string(COPERNICUS_GOLDEN_DIR) + "/" + file;
 }
 
 Study
-makeParityStudy(unsigned jobs)
+makeParityStudy(unsigned jobs, bool secondStage)
 {
     StudyConfig cfg;
     cfg.partitionSizes = {8, 16, 32};
     cfg.formats = allFormats();
     cfg.jobs = jobs;
+    cfg.hls.secondStageCompression = secondStage;
     Study study(std::move(cfg));
 
     const std::vector<double> densities = {0.0001, 0.001, 0.01, 0.1,
@@ -76,18 +86,18 @@ makeParityStudy(unsigned jobs)
 }
 
 std::string
-runParityCsv(unsigned jobs)
+runParityCsv(unsigned jobs, bool secondStage)
 {
     std::ostringstream out;
-    makeParityStudy(jobs).run().writeCsv(out);
+    makeParityStudy(jobs, secondStage).run().writeCsv(out);
     return out.str();
 }
 
 std::string
-loadGolden()
+loadGolden(const char *file)
 {
-    std::ifstream in(goldenPath());
-    EXPECT_TRUE(in.good()) << "missing golden file " << goldenPath();
+    std::ifstream in(goldenPath(file));
+    EXPECT_TRUE(in.good()) << "missing golden file " << goldenPath(file);
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
@@ -119,23 +129,42 @@ expectCsvEqual(const std::string &got, const std::string &golden)
            << " lines)";
 }
 
+/** Compare the serial run with @p file, or rewrite it in regen mode. */
+void
+checkSerial(bool secondStage, const char *file)
+{
+    const std::string csv = runParityCsv(1, secondStage);
+    if (regenRequested()) {
+        std::ofstream out(goldenPath(file));
+        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(file);
+        out << csv;
+        GTEST_SKIP() << "regenerated " << goldenPath(file);
+    }
+    expectCsvEqual(csv, loadGolden(file));
+}
+
 TEST(EncodeParity, StudyCsvMatchesSeedGoldenSerial)
 {
-    const std::string csv = runParityCsv(1);
-    if (regenRequested()) {
-        std::ofstream out(goldenPath());
-        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath();
-        out << csv;
-        GTEST_SKIP() << "regenerated " << goldenPath();
-    }
-    expectCsvEqual(csv, loadGolden());
+    checkSerial(false, plainGolden);
 }
 
 TEST(EncodeParity, StudyCsvMatchesSeedGoldenParallel)
 {
     if (regenRequested())
         GTEST_SKIP() << "regen mode";
-    expectCsvEqual(runParityCsv(4), loadGolden());
+    expectCsvEqual(runParityCsv(4, false), loadGolden(plainGolden));
+}
+
+TEST(EncodeParity, StudyCsvWithSecondStageMatchesGoldenSerial)
+{
+    checkSerial(true, compressGolden);
+}
+
+TEST(EncodeParity, StudyCsvWithSecondStageMatchesGoldenParallel)
+{
+    if (regenRequested())
+        GTEST_SKIP() << "regen mode";
+    expectCsvEqual(runParityCsv(4, true), loadGolden(compressGolden));
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "compress/second_stage.hh"
 #include "formats/bcsr_format.hh"
 #include "formats/coo_format.hh"
 #include "formats/csc_format.hh"
@@ -581,9 +582,11 @@ class ShortWriterTile : public EncodedTile
 TEST(StreamDeclarationTest, WriterShortOfItsDeclaredSizePanics)
 {
     const ShortWriterTile tile;
-    // The size view never runs the writer; the payload view does.
+    // The size view never runs the writer; typedStreams() and the
+    // second stage do, and both refuse the short image.
     EXPECT_EQ(tile.totalBytes(), 8u);
     EXPECT_THROW(tile.typedStreams(), PanicError);
+    EXPECT_THROW(compressTile(tile), PanicError);
 }
 
 } // namespace
