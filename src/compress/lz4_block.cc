@@ -33,19 +33,21 @@ hash4(std::uint32_t sequence)
     return (sequence * 2654435761u) >> (32 - hashBits);
 }
 
-void
-writeLength(std::vector<std::byte> &out, std::size_t rest)
+std::uint8_t *
+writeLength(std::uint8_t *op, std::size_t rest)
 {
     // 15-nibble extension: 255-bytes until a closing byte < 255.
     while (rest >= 255) {
-        out.push_back(std::byte{255});
+        *op++ = 255;
         rest -= 255;
     }
-    out.push_back(std::byte(rest));
+    *op++ = std::uint8_t(rest);
+    return op;
 }
 
-void
-emitSequence(std::vector<std::byte> &out, const std::uint8_t *literals,
+/** Write one sequence at @p op; returns the byte past it. */
+std::uint8_t *
+emitSequence(std::uint8_t *op, const std::uint8_t *literals,
              std::size_t literalLen, std::size_t offset,
              std::size_t matchLen)
 {
@@ -55,19 +57,18 @@ emitSequence(std::vector<std::byte> &out, const std::uint8_t *literals,
         const std::size_t stored = matchLen - minMatch;
         matchNibble = stored < 15 ? stored : 15;
     }
-    out.push_back(std::byte((litNibble << 4) | matchNibble));
+    *op++ = std::uint8_t((litNibble << 4) | matchNibble);
     if (litNibble == 15)
-        writeLength(out, literalLen - 15);
-    const std::size_t at = out.size();
-    out.resize(at + literalLen);
-    if (literalLen != 0)
-        std::memcpy(out.data() + at, literals, literalLen);
+        op = writeLength(op, literalLen - 15);
+    std::memcpy(op, literals, literalLen);
+    op += literalLen;
     if (matchLen == 0)
-        return; // final literal-only token
-    out.push_back(std::byte(offset & 0xff));
-    out.push_back(std::byte(offset >> 8));
+        return op; // final literal-only token
+    *op++ = std::uint8_t(offset & 0xff);
+    *op++ = std::uint8_t(offset >> 8);
     if (matchNibble == 15)
-        writeLength(out, matchLen - minMatch - 15);
+        op = writeLength(op, matchLen - minMatch - 15);
+    return op;
 }
 
 using Table = MatchTable<hashBits>;
@@ -82,7 +83,18 @@ lz4Compress(std::span<const std::byte> src, std::vector<std::byte> &out)
     if (n == 0)
         return 0;
     const auto *in = reinterpret_cast<const std::uint8_t *>(src.data());
-    out.reserve(begin + n + n / 255 + 16);
+    // The image never outgrows this. Let ext(x) be the extension bytes
+    // of a length field holding x: 0 below 15, else (x - 15) / 255 + 1.
+    // A sequence of l literals and an m-byte match (m >= 4) writes a
+    // token, ext(l), the literals, a 2-byte offset and ext(m - 4).
+    // Since 3 + ext(m - 4) <= m - 1 and ext(l) - 1 <= l / 255, that is
+    // at most l + m + l / 255 bytes. The final run of l literals
+    // writes 1 + ext(l) + l <= l + l / 255 + 2. Summed over the block:
+    // at most n + n / 255 + 2 bytes.
+    out.resize(begin + n + n / 255 + 16);
+    std::uint8_t *const start =
+        reinterpret_cast<std::uint8_t *>(out.data()) + begin;
+    std::uint8_t *op = start;
 
     std::size_t anchor = 0;
     if (n > mfLimit) {
@@ -101,21 +113,24 @@ lz4Compress(std::span<const std::byte> src, std::vector<std::byte> &out)
             }
             // Extend forward to the literal tail, backward into the
             // pending literals.
-            std::size_t len = minMatch;
-            while (i + len < matchLimit && in[match + len] == in[i + len])
-                ++len;
+            std::size_t len =
+                minMatch + matchLength(in + match + minMatch,
+                                       in + i + minMatch,
+                                       matchLimit - i - minMatch);
             while (i > anchor && match > 0 && in[i - 1] == in[match - 1]) {
                 --i;
                 --match;
                 ++len;
             }
-            emitSequence(out, in + anchor, i - anchor, i - match, len);
+            op = emitSequence(op, in + anchor, i - anchor, i - match, len);
             i += len;
             anchor = i;
         }
     }
-    emitSequence(out, in + anchor, n - anchor, 0, 0);
-    return out.size() - begin;
+    op = emitSequence(op, in + anchor, n - anchor, 0, 0);
+    const std::size_t written = std::size_t(op - start);
+    out.resize(begin + written);
+    return written;
 }
 
 bool

@@ -1,5 +1,6 @@
 #include "compress/lzf_block.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -31,35 +32,37 @@ hash3(std::uint32_t sequence)
 
 using Table = MatchTable<hashBits>;
 
-void
-flushLiterals(std::vector<std::byte> &out, const std::uint8_t *literals,
+/** Write @p len literals as runs of at most 32; returns the end. */
+std::uint8_t *
+flushLiterals(std::uint8_t *op, const std::uint8_t *literals,
               std::size_t len)
 {
     while (len != 0) {
         const std::size_t run =
             len < maxLiteralRun ? len : maxLiteralRun;
-        out.push_back(std::byte(run - 1));
-        const std::size_t at = out.size();
-        out.resize(at + run);
-        std::memcpy(out.data() + at, literals, run);
+        *op++ = std::uint8_t(run - 1);
+        std::memcpy(op, literals, run);
+        op += run;
         literals += run;
         len -= run;
     }
+    return op;
 }
 
-void
-emitMatch(std::vector<std::byte> &out, std::size_t offset,
-          std::size_t len)
+/** Write one match at @p op; returns the byte past it. */
+std::uint8_t *
+emitMatch(std::uint8_t *op, std::size_t offset, std::size_t len)
 {
     const std::size_t stored = len - 2;
     const std::size_t off = offset - 1;
     if (stored < 7) {
-        out.push_back(std::byte((stored << 5) | (off >> 8)));
+        *op++ = std::uint8_t((stored << 5) | (off >> 8));
     } else {
-        out.push_back(std::byte((7u << 5) | (off >> 8)));
-        out.push_back(std::byte(stored - 7));
+        *op++ = std::uint8_t((7u << 5) | (off >> 8));
+        *op++ = std::uint8_t(stored - 7);
     }
-    out.push_back(std::byte(off & 0xff));
+    *op++ = std::uint8_t(off & 0xff);
+    return op;
 }
 
 } // namespace
@@ -72,7 +75,15 @@ lzfCompress(std::span<const std::byte> src, std::vector<std::byte> &out)
     if (n == 0)
         return 0;
     const auto *in = reinterpret_cast<const std::uint8_t *>(src.data());
-    out.reserve(begin + n + n / maxLiteralRun + 4);
+    // The image never outgrows this. A run of l literals writes l
+    // bytes and ceil(l / 32) <= (l - 1) / 32 + 1 control bytes; a match
+    // of m bytes (3..264) writes 2 or 3, at least one fewer than m.
+    // Matches separate the runs, so there is at most one run more than
+    // there are matches: at most n + n / 32 + 1 bytes in all.
+    out.resize(begin + n + n / maxLiteralRun + 4);
+    std::uint8_t *const start =
+        reinterpret_cast<std::uint8_t *>(out.data()) + begin;
+    std::uint8_t *op = start;
 
     std::size_t anchor = 0;
     if (n >= minMatch) {
@@ -88,18 +99,20 @@ lzfCompress(std::span<const std::byte> src, std::vector<std::byte> &out)
                 ++i;
                 continue;
             }
-            std::size_t len = minMatch;
-            while (len < maxMatch && i + len < n &&
-                   in[match + len] == in[i + len])
-                ++len;
-            flushLiterals(out, in + anchor, i - anchor);
-            emitMatch(out, i - match, len);
+            const std::size_t len =
+                minMatch +
+                matchLength(in + match + minMatch, in + i + minMatch,
+                            std::min(maxMatch, n - i) - minMatch);
+            op = flushLiterals(op, in + anchor, i - anchor);
+            op = emitMatch(op, i - match, len);
             i += len;
             anchor = i;
         }
     }
-    flushLiterals(out, in + anchor, n - anchor);
-    return out.size() - begin;
+    op = flushLiterals(op, in + anchor, n - anchor);
+    const std::size_t written = std::size_t(op - start);
+    out.resize(begin + written);
+    return written;
 }
 
 bool

@@ -1,6 +1,7 @@
 /**
  * @file
- * The single-probe match table the LZ block codecs share.
+ * The single-probe match table and the forward match extension the LZ
+ * block codecs share.
  *
  * Each thread keeps one table for all the blocks it compresses, so no
  * block pays to clear 16-32 KiB first. Positions are stored against a
@@ -15,8 +16,10 @@
 #define COPERNICUS_COMPRESS_MATCH_TABLE_HH
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace copernicus {
@@ -57,6 +60,36 @@ class MatchTable
     std::uint32_t base = 0; ///< entries <= base belong to earlier blocks
     std::uint32_t top = 0;  ///< the base of the next block
 };
+
+/**
+ * Length of the common prefix of @p earlier and @p later, at most
+ * @p limit bytes; both ranges must be readable for @p limit bytes.
+ * Compares 8 bytes at a time: the first differing byte of two words
+ * is found from the lowest set bit of their XOR (the highest on a
+ * big-endian host), then a byte loop finishes the tail.
+ */
+inline std::size_t
+matchLength(const std::uint8_t *earlier, const std::uint8_t *later,
+            std::size_t limit)
+{
+    std::size_t len = 0;
+    while (len + 8 <= limit) {
+        std::uint64_t a;
+        std::uint64_t b;
+        std::memcpy(&a, earlier + len, sizeof(a));
+        std::memcpy(&b, later + len, sizeof(b));
+        if (const std::uint64_t diff = a ^ b; diff != 0) {
+            const int bits = std::endian::native == std::endian::little
+                                 ? std::countr_zero(diff)
+                                 : std::countl_zero(diff);
+            return len + std::size_t(bits) / 8;
+        }
+        len += 8;
+    }
+    while (len < limit && earlier[len] == later[len])
+        ++len;
+    return len;
+}
 
 } // namespace copernicus
 

@@ -1,8 +1,10 @@
 #include "compress/second_stage.hh"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "common/arena.hh"
 
@@ -26,23 +28,82 @@ counters()
 }
 
 /**
- * Compress @p raw with @p compressor and verify the roundtrip into
- * arena scratch. Returns false (candidate discarded) if the image is
- * malformed or fails the byte comparison.
+ * True when @p image decompresses with @p codec to exactly @p raw
+ * (never empty: only images that beat STORE are verified); the check
+ * is decoded into arena scratch.
  */
 bool
-tryCandidate(const StreamCompressor &compressor,
-             std::span<const std::byte> raw, std::vector<std::byte> &out)
+roundtrips(const StreamCompressor &codec, std::span<const std::byte> image,
+           std::span<const std::byte> raw)
 {
-    out.clear();
-    compressor.compress(raw, out);
     Arena &arena = encodeArena();
     const ArenaScope scope(arena);
     std::byte *check = arena.alloc<std::byte>(raw.size());
-    if (!compressor.decompress(out, {check, raw.size()}))
-        return false;
-    return raw.empty() ||
+    return codec.decompress(image, {check, raw.size()}) &&
            std::memcmp(check, raw.data(), raw.size()) == 0;
+}
+
+/** One codec's image of a stream, held in a per-thread buffer. */
+struct Candidate
+{
+    const StreamCompressor *codec = nullptr;
+    const std::vector<std::byte> *image = nullptr;
+};
+
+/**
+ * Select the stored form of one stream: the smallest image among the
+ * codecs @p choice allows that beats STORE after the container header
+ * and decompresses back to @p raw, LZ4 first on a tie; STORE if there
+ * is none. Images are ordered by size first and only the selected one
+ * is verified, so losing candidates pay no decompress.
+ */
+CompressedStream
+compressStream(StreamClass cls, const char *name, Wire wire,
+               std::span<const std::byte> raw, SecondStageChoice choice,
+               bool keepPayloads)
+{
+    CompressedStream out;
+    out.cls = cls;
+    out.name = name;
+    out.wire = wire;
+    out.rawBytes = Bytes(raw.size());
+    out.family = CompressionFamily::Store;
+    out.payloadBytes = out.rawBytes;
+
+    thread_local std::vector<std::byte> lz4Image;
+    thread_local std::vector<std::byte> lzfImage;
+    std::array<Candidate, 2> candidates;
+    std::size_t count = 0;
+    const auto consider = [&](const StreamCompressor &codec,
+                              std::vector<std::byte> &image) {
+        image.clear();
+        codec.compress(raw, image);
+        if (Bytes(image.size()) + streamHeaderBytes < out.rawBytes)
+            candidates[count++] = {&codec, &image};
+    };
+    if (choice == SecondStageChoice::Auto ||
+        choice == SecondStageChoice::Lz4)
+        consider(lz4Compressor(), lz4Image);
+    if (choice == SecondStageChoice::Auto ||
+        choice == SecondStageChoice::Lzf)
+        consider(lzfCompressor(), lzfImage);
+    if (count == 2 &&
+        candidates[1].image->size() < candidates[0].image->size())
+        std::swap(candidates[0], candidates[1]);
+
+    for (std::size_t k = 0; k < count; ++k) {
+        const Candidate &candidate = candidates[k];
+        if (!roundtrips(*candidate.codec, *candidate.image, raw))
+            continue;
+        out.family = candidate.codec->family();
+        out.payloadBytes = Bytes(candidate.image->size());
+        if (keepPayloads)
+            out.payload = *candidate.image;
+        return out;
+    }
+    if (keepPayloads)
+        out.payload.assign(raw.begin(), raw.end());
+    return out;
 }
 
 } // namespace
@@ -102,51 +163,14 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
 {
     const auto start = std::chrono::steady_clock::now();
 
-    const std::vector<TypedStream> typed = tile.typedStreams();
     TileCompression result;
-    result.streams.reserve(typed.size());
-
-    std::vector<std::byte> candidate;
-    std::vector<std::byte> best;
-    for (const TypedStream &stream : typed) {
-        CompressedStream out;
-        out.cls = stream.cls;
-        out.name = stream.name;
-        out.wire = stream.wire;
-        out.rawBytes = stream.size();
-        out.family = CompressionFamily::Store;
-        out.payloadBytes = out.rawBytes;
-
-        const SecondStageChoice choice = policy.forClass(stream.cls);
-        const bool tryLz4 = choice == SecondStageChoice::Auto ||
-                            choice == SecondStageChoice::Lz4;
-        const bool tryLzf = choice == SecondStageChoice::Auto ||
-                            choice == SecondStageChoice::Lzf;
-
-        best.clear();
-        // A candidate wins only if it beats the current stored size —
-        // which starts at the STORE cost, so compression that loses
-        // (after the container header) is rejected by construction.
-        for (const StreamCompressor *compressor :
-             {tryLz4 ? &lz4Compressor() : nullptr,
-              tryLzf ? &lzfCompressor() : nullptr}) {
-            if (compressor == nullptr)
-                continue;
-            if (!tryCandidate(*compressor, stream.bytes, candidate))
-                continue;
-            if (Bytes(candidate.size()) + streamHeaderBytes <
-                out.storedBytes()) {
-                out.family = compressor->family();
-                out.payloadBytes = Bytes(candidate.size());
-                best.swap(candidate);
-            }
-        }
-        if (keepPayloads)
-            out.payload = out.family == CompressionFamily::Store
-                              ? stream.bytes
-                              : best;
-        result.streams.push_back(std::move(out));
-    }
+    // No format declares more than five streams (ELL+COO's).
+    result.streams.reserve(5);
+    tile.visitStreams([&](StreamClass cls, const char *name, Wire wire,
+                          std::span<const std::byte> raw) {
+        result.streams.push_back(compressStream(
+            cls, name, wire, raw, policy.forClass(cls), keepPayloads));
+    });
 
     const auto elapsed = std::chrono::steady_clock::now() - start;
     Counters &c = counters();

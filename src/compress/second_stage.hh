@@ -15,6 +15,13 @@
  * try-both-pick-smaller mode and a STORE passthrough whenever
  * compression loses.
  *
+ * Streams are read in place through the declaration's visit view, and
+ * each codec compresses into a per-thread buffer, so a tile costs what
+ * its encoders cost: no copy of a payload, and no allocation beyond
+ * the result's stream list (and the images kept on request). Only the
+ * selected image is roundtrip-verified; an image that fails is never
+ * selected.
+ *
  * Accounting contract: a STORE stream ships the raw serialized bytes
  * unchanged, so storedBytes() <= rawBytes() always, and disabling the
  * second stage is exactly the all-STORE policy: stored sizes are
@@ -114,12 +121,15 @@ struct TileCompression
 /**
  * Run second-stage selection over @p tile's typed streams.
  *
- * Every compressed candidate is roundtrip-verified (decompressed and
- * byte-compared against the raw payload) before it may be selected;
- * a candidate that fails verification is discarded in favor of STORE
- * — a storage format that cannot prove it preserves the stream never
- * wins. With @p keepPayloads the winning compressed images are
- * retained on the result for inspection.
+ * Per stream, each codec the policy allows compresses the payload;
+ * the images whose stored size (payload plus container header) is
+ * below the raw size are ordered by size, LZ4 first on a tie. The
+ * selected image is roundtrip-verified (decompressed and
+ * byte-compared against the raw payload) and an image that fails is
+ * never selected: the next one is verified instead, and STORE is the
+ * result when none passes. The outcome is the smallest verified
+ * image that beats STORE. With @p keepPayloads the selected images
+ * are retained on the result for inspection.
  */
 TileCompression compressTile(const EncodedTile &tile,
                              const CompressionPolicy &policy = {},

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/arena.hh"
+
 namespace copernicus {
 
 namespace {
@@ -13,15 +15,18 @@ forEachSorted(const std::unordered_map<std::uint64_t, Value> &table,
               Fn &&fn)
 {
     // The packed key sorts row-major, so one sort of the keys yields
-    // the canonical COO ordering.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(table.size());
+    // the canonical COO ordering. The keys live in arena scratch, so
+    // serializing a tile allocates nothing.
+    Arena &arena = encodeArena();
+    const ArenaScope scope(arena);
+    std::uint64_t *const keys = arena.alloc<std::uint64_t>(table.size());
+    std::uint64_t *end = keys;
     for (const auto &[key, value] : table)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t key : keys)
-        fn(static_cast<Index>(key >> 32),
-           static_cast<Index>(key & 0xffffffffULL), table.at(key));
+        *end++ = key;
+    std::sort(keys, end);
+    for (const std::uint64_t *key = keys; key != end; ++key)
+        fn(static_cast<Index>(*key >> 32),
+           static_cast<Index>(*key & 0xffffffffULL), table.at(*key));
 }
 
 } // namespace

@@ -84,16 +84,30 @@ class EncodedTile
     }
 
     /**
-     * Every declared stream serialized, in declaration order, for
-     * second-stage compression. Panics if a stream's writer emits a
-     * byte count other than its declared size.
+     * Hand every declared stream's payload to @p visit(cls, name,
+     * wire, bytes), in declaration order (the visit view of
+     * typed_stream.hh: arrays in place, images from the thread's
+     * scratch buffer). Panics if a stream's writer emits a byte count
+     * other than its declared size.
      */
+    template <typename Visitor>
+    void
+    visitStreams(Visitor &&visit) const
+    {
+        StreamDeclarer declare(visit);
+        declareStreams(declare);
+    }
+
+    /** A copy of every declared stream's payload, in declaration order. */
     std::vector<TypedStream>
     typedStreams() const
     {
         std::vector<TypedStream> payloads;
-        StreamDeclarer declare(payloads);
-        declareStreams(declare);
+        visitStreams([&](StreamClass cls, const char *name, Wire wire,
+                         std::span<const std::byte> bytes) {
+            payloads.push_back(
+                {cls, name, wire, {bytes.begin(), bytes.end()}});
+        });
         return payloads;
     }
 

@@ -40,25 +40,23 @@ WireBytes::total() const
     return sum;
 }
 
-TypedStream &
-StreamDeclarer::begin(StreamClass cls, const char *name, Wire wire,
-                      Bytes size)
+std::vector<std::byte> &
+StreamDeclarer::imageScratch(Bytes size)
 {
-    TypedStream &stream = payloads->emplace_back();
-    stream.cls = cls;
-    stream.name = name;
-    stream.wire = wire;
-    stream.bytes.reserve(size);
-    return stream;
+    thread_local std::vector<std::byte> scratch;
+    scratch.clear();
+    scratch.reserve(size);
+    return scratch;
 }
 
 void
-StreamDeclarer::finish(const TypedStream &stream, Bytes declared)
+StreamDeclarer::checkImage(const char *name, Bytes declared,
+                           const std::vector<std::byte> &image)
 {
-    if (stream.size() != declared)
-        panic(std::string("stream '") + stream.name + "' declares " +
+    if (image.size() != declared)
+        panic(std::string("stream '") + name + "' declares " +
               std::to_string(declared) + " bytes but serializes " +
-              std::to_string(stream.size()));
+              std::to_string(image.size()));
 }
 
 } // namespace copernicus

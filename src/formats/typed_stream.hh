@@ -14,26 +14,32 @@
  *    latency of memory access" (Section 4.2). Several arrays may ride
  *    one wire: COO's (row, col, value) tuples travel interleaved, and
  *    JDS's perm rides with its jdPtr;
- *  - per-array payloads (TypedStream) for second-stage compression
- *    (src/compress), which picks a codec per class because index,
- *    offset and value streams have very different statistics (Qin et
- *    al., PAPERS.md);
+ *  - per-array payloads for second-stage compression (src/compress),
+ *    which picks a codec per class because index, offset and value
+ *    streams have very different statistics (Qin et al., PAPERS.md);
  *  - the byte totals behind bandwidth utilization.
  *
- * Sizes are declared up front, so the size view neither allocates nor
- * serializes. A payload is the native little-endian image of its
- * array (the same bytes the DDR interface would move); formats with
- * non-contiguous storage (DIA's headers, LIL's column lists, DOK's
- * hash table) assemble a deterministic canonical image in a writer
- * that runs only when payloads are collected. A writer that emits a
- * byte count other than its declared size is a panic, so sizes and
- * payloads cannot drift apart.
+ * A StreamDeclarer offers two views of a declaration. The size view
+ * sums the declared sizes per wire; it neither allocates nor
+ * serializes. The visit view hands each stream's payload, the native
+ * little-endian image of its array (the same bytes the DDR interface
+ * would move), to a visitor as a byte span. A contiguous array is
+ * visited in place, with no copy. Formats with non-contiguous storage
+ * (DIA's headers, LIL's column lists, DOK's hash table) assemble a
+ * deterministic canonical image in a writer; writers run only in the
+ * visit view, into one scratch buffer per thread. A writer that emits
+ * a byte count other than its declared size is a panic, so sizes and
+ * payloads cannot drift apart. The span a visitor receives is valid
+ * only during the call, and a visitor must not re-enter
+ * declareStreams on its thread: the next image would overwrite the
+ * scratch buffer under it.
  */
 
 #ifndef COPERNICUS_FORMATS_TYPED_STREAM_HH
 #define COPERNICUS_FORMATS_TYPED_STREAM_HH
 
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstring>
 #include <span>
@@ -83,7 +89,7 @@ class WireBytes
     std::size_t count = 0;
 };
 
-/** One serialized memory stream of an encoded tile. */
+/** A copy of one memory stream of an encoded tile (typedStreams()). */
 struct TypedStream
 {
     StreamClass cls = StreamClass::Value;
@@ -115,7 +121,8 @@ appendScalarBytes(std::vector<std::byte> &out, const T *data,
 
 /**
  * Receives one encoded tile's stream declarations, either summing
- * their sizes per wire or collecting their serialized payloads.
+ * their sizes per wire (size view) or handing each stream's payload to
+ * a visitor (visit view); see the file comment.
  */
 class StreamDeclarer
 {
@@ -123,53 +130,70 @@ class StreamDeclarer
     /** Size view: add each declared size to its wire in @p out. */
     explicit StreamDeclarer(WireBytes &out) : sizes(&out) {}
 
-    /** Payload view: append one serialized stream per declaration. */
-    explicit StreamDeclarer(std::vector<TypedStream> &out)
-        : payloads(&out)
+    /**
+     * Visit view: call @p visit(cls, name, wire, bytes) once per
+     * stream, in declaration order, with the serialized payload.
+     */
+    template <typename Visitor>
+        requires std::invocable<Visitor &, StreamClass, const char *,
+                                Wire, std::span<const std::byte>>
+    explicit StreamDeclarer(Visitor &visit)
+        : visitor(&visit),
+          call([](void *target, StreamClass cls, const char *name,
+                  Wire wire, std::span<const std::byte> bytes) {
+              (*static_cast<Visitor *>(target))(cls, name, wire, bytes);
+          })
     {}
 
-    /** Declare a contiguous scalar array, serialized as-is. */
+    /** Declare a contiguous scalar array, visited in place. */
     template <typename Range>
     void
     array(StreamClass cls, const char *name, Wire wire,
           const Range &range)
     {
-        const auto *data = std::data(range);
-        const std::size_t count = std::size(range);
-        image(cls, name, wire, Bytes(count) * sizeof(*data),
-              [&](std::vector<std::byte> &out) {
-                  appendScalarBytes(out, data, count);
-              });
+        const auto elements = std::span(std::data(range), std::size(range));
+        static_assert(std::is_trivially_copyable_v<
+                      typename decltype(elements)::element_type>);
+        const std::span<const std::byte> bytes = std::as_bytes(elements);
+        if (sizes != nullptr) {
+            sizes->add(wire, Bytes(bytes.size()));
+            return;
+        }
+        call(visitor, cls, name, wire, bytes);
     }
 
     /**
      * Declare an assembled image of @p size bytes. @p write appends
-     * the image to the vector it is given; it runs only in the
-     * payload view and must append exactly @p size bytes.
+     * the image to the vector it is given; it runs only in the visit
+     * view and must append exactly @p size bytes.
      */
     template <typename Writer>
     void
     image(StreamClass cls, const char *name, Wire wire, Bytes size,
           Writer &&write)
     {
-        if (payloads == nullptr) {
+        if (sizes != nullptr) {
             sizes->add(wire, size);
             return;
         }
-        TypedStream &stream = begin(cls, name, wire, size);
-        write(stream.bytes);
-        finish(stream, size);
+        std::vector<std::byte> &scratch = imageScratch(size);
+        write(scratch);
+        checkImage(name, size, scratch);
+        call(visitor, cls, name, wire, scratch);
     }
 
   private:
-    TypedStream &begin(StreamClass cls, const char *name, Wire wire,
-                       Bytes size);
+    /** This thread's image buffer, emptied, with room for @p size. */
+    static std::vector<std::byte> &imageScratch(Bytes size);
 
-    /** Panic unless @p stream serialized exactly @p declared bytes. */
-    static void finish(const TypedStream &stream, Bytes declared);
+    /** Panic unless @p image holds exactly @p declared bytes. */
+    static void checkImage(const char *name, Bytes declared,
+                           const std::vector<std::byte> &image);
 
     WireBytes *sizes = nullptr;
-    std::vector<TypedStream> *payloads = nullptr;
+    void *visitor = nullptr;
+    void (*call)(void *, StreamClass, const char *, Wire,
+                 std::span<const std::byte>) = nullptr;
 };
 
 } // namespace copernicus
