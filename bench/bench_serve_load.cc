@@ -34,9 +34,9 @@
  * connection is a tiny closed-loop state machine (build request, send,
  * await response, repeat), so the invariant stays the same: every
  * issued request must be answered, and the sweep fails loudly on any
- * lost response. A final cold/warm pair against the advise endpoint
- * measures the server-side result memo and asserts the warm payload is
- * byte-identical to the populating miss.
+ * lost response. A final cold/warm pair against the plan_formats
+ * endpoint measures the server-side result memo and asserts the warm
+ * payload is byte-identical to the populating miss.
  */
 
 #include <algorithm>
@@ -123,7 +123,7 @@ clientLoop(const std::string &socketPath, unsigned seedIndex,
     client.setReceiveTimeoutMs(30000);
 
     // The advise/plan requests reuse a small pool of specs, so the
-    // result memo sees repeats across clients.
+    // result memo sees plan repeats across clients.
     const std::string adviseParams =
         "{\"matrix\": {\"kind\": \"band\", \"n\": 192, \"width\": " +
         std::to_string(4 + (seedIndex % 3) * 4) +
@@ -590,9 +590,9 @@ main(int argc, char **argv)
     tcpServer.beginShutdown();
     tcpServer.waitDrained();
 
-    // Result-memo cold vs warm: the same advise request twice against
-    // a plane-off server (no per-request trace ids), so the warm
-    // response must be byte-identical to the populating miss.
+    // Result-memo cold vs warm: the same plan_formats request twice
+    // against a plane-off server (no per-request trace ids), so the
+    // warm response must be byte-identical to the populating miss.
     const std::string memoSocketPath =
         "/tmp/copernicus_bench_serve_memo.sock";
     ServeOptions memoOptions;
@@ -608,9 +608,9 @@ main(int argc, char **argv)
     // unavoidable work (regenerating + content-hashing the matrix for
     // the memo key).
     const std::string memoRequest =
-        "{\"op\": \"advise\", \"id\": 1, \"params\": {\"matrix\": "
-        "{\"kind\": \"random\", \"n\": 1024, \"density\": 0.02, "
-        "\"seed\": 7}, \"goal\": \"latency\"}}";
+        "{\"op\": \"plan_formats\", \"id\": 1, \"params\": "
+        "{\"matrix\": {\"kind\": \"random\", \"n\": 1024, "
+        "\"density\": 0.02, \"seed\": 7}, \"partition_size\": 16}}";
     const auto coldStart = std::chrono::steady_clock::now();
     const std::string coldResponse =
         memoClient.requestLine(memoRequest);
@@ -661,8 +661,9 @@ main(int argc, char **argv)
         "TCP_NODELAY;\nwithout it Nagle would hold each sub-MSS "
         "response back until the peer's\ndelayed ACK (tens of ms), "
         "which would dominate every latency column above.\n");
-    std::printf("\nresult memo (advise, random n=1024): cold %.1f us, "
-                "warm %.1f us (%.1fx), payloads byte-identical\n",
+    std::printf("\nresult memo (plan_formats, random n=1024): cold "
+                "%.1f us, warm %.1f us (%.1fx), payloads "
+                "byte-identical\n",
                 memoColdUs, memoWarmUs,
                 memoWarmUs > 0 ? memoColdUs / memoWarmUs : 0.0);
 
@@ -712,7 +713,7 @@ main(int argc, char **argv)
         writeJsonNumber(json, r.p99Us);
         json << '}' << (i + 1 < sweep.size() ? "," : "") << '\n';
     }
-    json << "  ],\n  \"memo\": {\"op\": \"advise\", \"cold_us\": ";
+    json << "  ],\n  \"memo\": {\"op\": \"plan_formats\", \"cold_us\": ";
     writeJsonNumber(json, memoColdUs);
     json << ", \"warm_us\": ";
     writeJsonNumber(json, memoWarmUs);

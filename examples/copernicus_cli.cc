@@ -25,14 +25,8 @@
  *                          COPERNICUS_JOBS=N, default = hardware
  *                          concurrency. Results are bit-identical at
  *                          any setting.
- *   --lint                 run the multi-pass static analyzer (same
- *                          driver as copernicus_lint) at the selected
- *                          partition sizes and exit with its status
- *                          instead of characterizing anything.
- *                          Forwards the analyzer flags: --list-passes,
- *                          --passes=a,b, --json, --sarif=PATH,
- *                          --baseline=PATH, --werror, --no-oracle,
- *                          --no-grammar
+ *
+ * The static analyzer has its own front end, copernicus_lint.
  *
  * Client mode (talks to a running copernicus_serve daemon instead of
  * characterizing in-process):
@@ -86,7 +80,6 @@
 #include <unistd.h>
 
 #include "analysis/lint_driver.hh"
-#include "analysis/schedule_check.hh"
 #include "analysis/stats_report.hh"
 #include "analysis/table_writer.hh"
 #include "common/prometheus.hh"
@@ -99,7 +92,6 @@
 #include "matrix/stats.hh"
 #include "pipeline/event_sim.hh"
 #include "serve/client.hh"
-#include "serve/protocol_doc.hh"
 #include "trace/span.hh"
 #include "trace/trace_writer.hh"
 #include "workloads/generators.hh"
@@ -114,8 +106,6 @@ struct CliOptions
     std::string tracePath;
     std::string statsJsonPath;
     bool profile = false;
-    bool lint = false;
-    LintDriverOptions lintDriver;
     unsigned jobs = 0;
     std::vector<std::string> positional;
 
@@ -143,29 +133,6 @@ parseArgs(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--profile") {
             opts.profile = true;
-        } else if (arg == "--lint") {
-            opts.lint = true;
-        } else if (arg == "--list-passes") {
-            opts.lint = true;
-            opts.lintDriver.listPasses = true;
-        } else if (arg == "--lint-json" || arg == "--json") {
-            opts.lintDriver.json = true;
-        } else if (arg == "--werror") {
-            opts.lintDriver.werror = true;
-        } else if (arg == "--no-oracle") {
-            opts.lintDriver.lint.runOracle = false;
-        } else if (arg == "--no-grammar") {
-            opts.lintDriver.lint.runGrammar = false;
-        } else if (arg.rfind("--passes=", 0) == 0) {
-            std::istringstream names(arg.substr(9));
-            std::string token;
-            while (std::getline(names, token, ','))
-                if (!token.empty())
-                    opts.lintDriver.passes.push_back(token);
-        } else if (arg.rfind("--sarif=", 0) == 0) {
-            opts.lintDriver.sarifPath = arg.substr(8);
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            opts.lintDriver.baselinePath = arg.substr(11);
         } else if (arg == "--trace" || arg == "--stats-json") {
             COPERNICUS_FATAL_IF(i + 1 >= argc, arg + " needs a file argument");
             (arg == "--trace" ? opts.tracePath
@@ -423,18 +390,11 @@ cliMain(int argc, char **argv)
                    ? 0
                    : 1;
     }
-    if (opts.lint) {
-        LintDriverOptions driver = opts.lintDriver;
-        if (opts.positional.size() > 1)
-            driver.lint.partitionSizes =
-                parsePartitionSizes(opts.positional[1]);
-        const ProtocolSurface surface = collectServeProtocolSurface();
-        driver.lint.protocol = &surface;
-        if (!driver.json && !driver.listPasses)
-            std::printf("copernicus_cli --lint — multi-pass "
-                        "schedule/format analyzer\n");
-        return runLintDriver(driver, std::cout);
-    }
+    const std::vector<Index> sizes =
+        opts.positional.size() > 1
+            ? parsePartitionSizes(opts.positional[1])
+            : std::vector<Index>{8, 16, 32};
+
     std::printf("copernicus_cli — sparse-format characterizer\n\n");
     if (opts.profile || !opts.statsJsonPath.empty())
         SpanCollector::global().setEnabled(true);
@@ -451,11 +411,6 @@ cliMain(int argc, char **argv)
         Rng rng(123);
         return randomMatrix(512, 0.03, rng);
     }();
-
-    const std::vector<Index> sizes =
-        opts.positional.size() > 1
-            ? parsePartitionSizes(opts.positional[1])
-            : std::vector<Index>{8, 16, 32};
 
     const auto stats = computeStats(matrix);
     std::printf("matrix: %u x %u, %zu nnz, density %.5g, bandwidth %u, "

@@ -2,7 +2,7 @@
  * @file
  * copernicus_lint — multi-pass static analyzer for the cycle model.
  *
- *   copernicus_lint                  # default passes at p = 8,16,32
+ *   copernicus_lint                  # every pass at p = 8,16,32
  *   copernicus_lint 8,16             # choose partition sizes
  *   copernicus_lint --list-passes    # show the pass table and exit
  *   copernicus_lint --passes=a,b     # run only the named passes
@@ -10,12 +10,10 @@
  *   copernicus_lint --sarif=PATH     # also write SARIF 2.1.0
  *   copernicus_lint --baseline=PATH  # suppress accepted findings
  *   copernicus_lint --werror         # warnings fail the build
- *   copernicus_lint --no-oracle      # skip the model-vs-walker oracle
- *   copernicus_lint --no-grammar     # skip encoded-tile validation
- *   copernicus_lint --no-store      # skip .cbm container integrity
- *   copernicus_lint --cbm=PATH      # also lint a real .cbm artifact
+ *   copernicus_lint --cbm=PATH       # also lint a real .cbm artifact
  *
- * Runs every analyzer pass over the full format registry: schedule-spec
+ * `--passes=` is the only way to choose passes. Without it the tool
+ * runs every analyzer pass over the full format registry: schedule-spec
  * structure, hlsc decoder-body cross-checks, hyperparameter contracts,
  * encoded-tile grammar, the closed-form-vs-walker cycle oracle,
  * symbolic overflow analysis of the cycle/byte accounting, BRAM
@@ -56,13 +54,7 @@ lintMain(int argc, char **argv)
     LintDriverOptions options;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--no-oracle")
-            options.lint.runOracle = false;
-        else if (arg == "--no-grammar")
-            options.lint.runGrammar = false;
-        else if (arg == "--no-store")
-            options.lint.runStore = false;
-        else if (arg.rfind("--cbm=", 0) == 0)
+        if (arg.rfind("--cbm=", 0) == 0)
             options.lint.storeContainers.push_back(arg.substr(6));
         else if (arg == "--list-passes")
             options.listPasses = true;

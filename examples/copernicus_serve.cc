@@ -17,16 +17,17 @@
  *   --timeout-ms MS    default per-request deadline for requests that
  *                      do not carry timeout_ms (default: none)
  *   --max-dim N        per-request matrix dimension cap (default 4096)
- *   --memo-bytes N     byte budget of the advise/plan_formats result
- *                      memo (default 8 MiB; 0 disables memoization)
+ *   --memo-bytes N     byte budget of the plan_formats result memo
+ *                      (default 8 MiB; 0 disables memoization)
  *   --max-frame-bytes N  per-frame payload cap on binary-framing
  *                      connections (default 16 MiB)
  *   --stats-json PATH  write the serve/thread_pool stat groups as
  *                      JSON at drain
  *   --trace PATH       write the request-lane Chrome trace at drain
- *   --no-lint          skip the startup registry contract check
- *   --lint-full        extend the startup check with the grammar and
- *                      model-vs-walker oracle passes (slower)
+ *   --no-lint          skip the startup lint gate (every lint pass
+ *                      not marked slow)
+ *   --lint-full        run every lint pass at startup, the slow tile
+ *                      sweeps (grammar, oracle, compress) too
  *
  * Observability flags:
  *

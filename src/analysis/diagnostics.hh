@@ -13,8 +13,8 @@
  *
  * Severity maps to process exit status through lintExitCode(), the one
  * place the mapping is defined: 0 = clean, 1 = errors (or warnings
- * under --werror), 2 = warnings only. copernicus_lint and
- * `copernicus_cli --lint` both return it verbatim.
+ * under --werror), 2 = warnings only. copernicus_lint returns it
+ * verbatim.
  */
 
 #ifndef COPERNICUS_ANALYSIS_DIAGNOSTICS_HH

@@ -108,7 +108,8 @@ parsePartitionSizes(const std::string &arg)
         Index size = 0;
         const char *end = token.data() + token.size();
         const auto [stop, ec] = std::from_chars(token.data(), end, size);
-        COPERNICUS_FATAL_IF(ec != std::errc() || stop != end, malformed);
+        COPERNICUS_FATAL_IF(ec != std::errc() || stop != end || size == 0,
+                            malformed);
         sizes.push_back(size);
     }
     COPERNICUS_FATAL_IF(sizes.empty(), malformed);

@@ -1,14 +1,13 @@
 /**
  * @file
- * Shared driver behind the lint command-line surfaces.
+ * The driver behind `copernicus_lint`, the one lint front end.
  *
- * `copernicus_lint` and `copernicus_cli --lint` accept the same flag
- * set and must behave identically; both parse argv into a
- * LintDriverOptions and hand it here. The driver runs the pass
- * manager (optionally a named subset), applies a baseline file,
- * surfaces stale baseline entries as warnings, emits human text or
- * JSON to the given stream plus an optional SARIF file, and maps the
- * final report to an exit code via lintExitCode().
+ * The tool parses argv into a LintDriverOptions and hands it here. The
+ * driver runs the pass manager (every pass, or the subset `--passes=`
+ * names), applies a baseline file, surfaces stale baseline entries as
+ * warnings, emits human text or JSON to the given stream plus an
+ * optional SARIF file, and maps the final report to an exit code via
+ * lintExitCode().
  */
 
 #ifndef COPERNICUS_ANALYSIS_LINT_DRIVER_HH
@@ -22,11 +21,11 @@
 
 namespace copernicus {
 
-/** Parsed lint CLI flags; `lint` carries the pass gates. */
+/** Parsed lint CLI flags; `lint` carries what the passes check. */
 struct LintDriverOptions
 {
     LintOptions lint;
-    /** Exact pass names to run; empty means the default gated set. */
+    /** Exact pass names to run; empty means every registered pass. */
     std::vector<std::string> passes;
     bool listPasses = false;   ///< print the pass table and exit 0
     bool json = false;         ///< machine-readable report on stdout
@@ -45,8 +44,8 @@ int runLintDriver(const LintDriverOptions &options, std::ostream &out);
 /**
  * Parse a comma-separated partition-size list such as "8,16,32", the
  * positional argument of copernicus_lint and copernicus_cli. A
- * malformed list (an entry that is not an unsigned 32-bit number, or
- * no entry at all) is a FatalError.
+ * malformed list (an entry that is not a positive unsigned 32-bit
+ * number, or no entry at all) is a FatalError.
  */
 std::vector<Index> parsePartitionSizes(const std::string &arg);
 

@@ -9,6 +9,7 @@
 #include "analysis/source_scan.hh"
 #include "common/math.hh"
 #include "formats/size_model.hh"
+#include "hls/schedule_ir.hh"
 
 namespace copernicus {
 
@@ -40,9 +41,9 @@ ceilDiv128(U128 a, U128 b)
 
 /**
  * TileFeatures with every knob pinned to its maximum over @p envelope
- * (or all-zero for the empty-tile fixed-overhead bound). The shadow
- * fold below resolves ScheduleFeature against this instead of a real
- * tile.
+ * (or all-zero for the empty-tile fixed-overhead bound). The model's
+ * own closed-form fold (hls/schedule_ir.hh) resolves ScheduleFeature
+ * against this instead of a real tile.
  */
 struct EnvelopeFeatures
 {
@@ -103,83 +104,6 @@ emptyTileFeatures(Index p)
     return f;
 }
 
-U128
-knobCycles128(CycleKnob knob, const HlsConfig &config,
-              const EnvelopeFeatures &features)
-{
-    switch (knob) {
-      case CycleKnob::UnitCycle: return 1;
-      case CycleKnob::TwoCycles: return 2;
-      case CycleKnob::BramReadLatency: return config.bramReadLatency;
-      case CycleKnob::LoopDepth: return config.loopDepth;
-      case CycleKnob::HashedLoopDepth:
-        return U128(config.loopDepth) + config.hashCycles;
-      case CycleKnob::HashCycles: return config.hashCycles;
-      case CycleKnob::DiagonalScan:
-        return ceilDiv128(features.groupHeaders,
-                          std::max<U128>(config.bramPorts, 1));
-    }
-    return 0;
-}
-
-U128
-pipelined128(U128 trips, U128 depth, U128 ii)
-{
-    return trips == 0 ? 0 : depth + ii * (trips - 1);
-}
-
-/**
- * segmentClosedFormCycles (hls/schedule_ir.cc) re-derived in 128-bit
- * arithmetic. Any rule change there must be mirrored here or the
- * oracle-style agreement test in test_analysis_passes fails.
- */
-U128
-segmentCycles128(const SegmentSpec &segment, const HlsConfig &config,
-                 const EnvelopeFeatures &features)
-{
-    const U128 trips = features.value(segment.trips);
-    const U128 depth = knobCycles128(segment.depth, config, features);
-    switch (segment.kind) {
-      case SegmentKind::Fixed:
-        return trips * depth;
-      case SegmentKind::Pipelined:
-        return pipelined128(
-            trips, depth, knobCycles128(segment.ii, config, features));
-      case SegmentKind::Serial:
-        return trips *
-               pipelined128(features.value(segment.innerTrips), depth,
-                            knobCycles128(segment.ii, config, features));
-      case SegmentKind::RateMax:
-        return std::max(trips * depth,
-                        features.value(segment.innerTrips) *
-                            knobCycles128(segment.rateB, config,
-                                          features));
-    }
-    return 0;
-}
-
-/** Whole-spec shadow fold; also reports the dominating segment. */
-U128
-specCycles128(const ScheduleSpec &spec, const HlsConfig &config,
-              const EnvelopeFeatures &features,
-              std::string *dominating)
-{
-    if (features.value(spec.guard) == 0)
-        return 0;
-    U128 total = 0;
-    U128 best = 0;
-    for (const SegmentSpec &segment : spec.segments) {
-        const U128 cycles =
-            segmentCycles128(segment, config, features);
-        total += cycles;
-        if (dominating != nullptr && cycles >= best) {
-            best = cycles;
-            *dominating = segment.name;
-        }
-    }
-    return total;
-}
-
 /** Worst-case TileShape for the byte-model envelope. */
 TileShape
 envelopeShape(Index p, const FormatParams &params)
@@ -238,11 +162,22 @@ checkAccountingRanges(const LintOptions &options,
         const ScheduleSpec &spec = registry.schedule(kind);
         const std::string name(formatName(kind));
 
-        std::string dominating;
         const U128 perTile =
-            specCycles128(spec, options.hls, full, &dominating);
+            closedFormCycles<U128>(spec, options.hls, full);
         const U128 perEmpty =
-            specCycles128(spec, options.hls, empty, nullptr);
+            closedFormCycles<U128>(spec, options.hls, empty);
+        // The segment the diagnostics name: the costliest one, the
+        // last of equals.
+        std::string dominating;
+        U128 best = 0;
+        for (const SegmentSpec &segment : spec.segments) {
+            const U128 cycles =
+                segmentClosedFormCycles<U128>(segment, options.hls, full);
+            if (cycles >= best) {
+                best = cycles;
+                dominating = segment.name;
+            }
+        }
         if (perTile > u64Max) {
             LintDiagnostic d;
             d.id = "COP061";
@@ -292,8 +227,8 @@ checkAccountingRanges(const LintOptions &options,
         // that multiplies two large features blows past it and gets
         // flagged before anyone raises the envelope into the wrap.
         const Index probeP = Index(1) << 20;
-        const U128 probe = specCycles128(
-            spec, options.hls, fullTileFeatures(probeP), nullptr);
+        const U128 probe = closedFormCycles<U128>(
+            spec, options.hls, fullTileFeatures(probeP));
         if (perTile <= u64Max && probe > u64Max)
             report.warning("COP061", "overflow", name,
                            "cycle folding grows super-linearly: the "
@@ -389,9 +324,10 @@ runOverflowPass(const LintOptions &options, LintReport &report)
     // The accounting hot files: everything that folds cycles or sums
     // bytes on the lint-provable paths.
     static const char *const scanSet[] = {
-        "src/formats/size_model.cc",  "src/formats/schedule_spec.cc",
-        "src/hls/schedule_ir.cc",     "src/hls/decompressor.cc",
-        "src/compress/second_stage.cc", "src/fpga/buffer_model.cc",
+        "src/formats/size_model.cc",    "src/formats/schedule_spec.cc",
+        "src/hls/schedule_ir.hh",       "src/hls/schedule_ir.cc",
+        "src/hls/decompressor.cc",      "src/compress/second_stage.cc",
+        "src/fpga/buffer_model.cc",
     };
     for (const char *relative : scanSet) {
         const std::string path = root + "/" + relative;

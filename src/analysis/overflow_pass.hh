@@ -10,9 +10,11 @@
  *
  *  - COP060: the accounting typedefs themselves must be unsigned and
  *    at least 64 bits wide.
- *  - COP061: every format's closed-form cycle folding is re-evaluated
- *    in unsigned __int128 with every TileFeatures knob pinned to its
- *    envelope maximum, exactly mirroring hls/schedule_ir's rules. A
+ *  - COP061: every format's closed-form cycle fold is evaluated in
+ *    unsigned __int128 with every schedule feature pinned to its
+ *    envelope maximum. The fold is the model's own template
+ *    (closedFormCycles<unsigned __int128> in hls/schedule_ir.hh), not
+ *    a copy of it, so a rule change there is proven here unchanged. A
  *    per-tile result above UINT64_MAX is an error (the uint64 fold
  *    would silently wrap); the aggregate over the envelope's tile
  *    count must keep 8x headroom or a warning is raised. A spec whose

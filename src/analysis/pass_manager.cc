@@ -32,10 +32,13 @@ runBodyPass(const LintOptions &options, LintReport &report)
         const ScheduleSpec &spec = registry.schedule(kind);
         if (!spec.hasInnerBody)
             continue;
+        // A zero partition has no decoder body to schedule; the
+        // contract pass reports it (COP022).
         for (Index p : options.partitionSizes)
-            checkDecoderBody(spec,
-                             decoderBodyFor(kind, options.params, p), p,
-                             options.hls, report);
+            if (p != 0)
+                checkDecoderBody(spec,
+                                 decoderBodyFor(kind, options.params, p),
+                                 p, options.hls, report);
     }
 }
 
@@ -64,25 +67,23 @@ PassManager
 buildStandard()
 {
     PassManager manager;
-    const auto always = [](const LintOptions &) { return true; };
 
     manager.add({"spec",
                  "schedule specs well-formed, segment port budgets",
                  {"COP001", "COP002", "COP003", "COP004"},
-                 false, always, runSpecPass});
+                 false, runSpecPass});
     manager.add({"body",
                  "spec claims vs hlsc-scheduled decoder bodies",
                  {"COP010", "COP011", "COP012", "COP013"},
-                 false, always, runBodyPass});
+                 false, runBodyPass});
     manager.add({"contract",
                  "codec hyperparameter and platform-knob contracts",
                  {"COP020", "COP021", "COP022", "COP023", "COP024"},
-                 false, always, runContractPass});
+                 false, runContractPass});
     manager.add({"grammar",
                  "encoded tiles satisfy their format grammars",
                  {"COP030"},
                  true,
-                 [](const LintOptions &o) { return o.runGrammar; },
                  [](const LintOptions &o, LintReport &r) {
                      runTilePasses(o, true, false, r);
                  }});
@@ -90,7 +91,6 @@ buildStandard()
                  "closed-form cycle model vs the dynamic walker",
                  {"COP040", "COP041"},
                  true,
-                 [](const LintOptions &o) { return o.runOracle; },
                  [](const LintOptions &o, LintReport &r) {
                      runTilePasses(o, false, true, r);
                  }});
@@ -98,46 +98,32 @@ buildStandard()
                  "uint64 accounting proven against the workload "
                  "envelope; narrowing-cast scan",
                  {"COP060", "COP061", "COP062", "COP063"},
-                 false,
-                 [](const LintOptions &o) { return o.runOverflow; },
-                 runOverflowPass});
+                 false, runOverflowPass});
     manager.add({"capacity",
                  "pipelined-chain port pressure and double-buffered "
                  "BRAM budgets",
                  {"COP070", "COP071", "COP072"},
-                 false,
-                 [](const LintOptions &o) { return o.runCapacity; },
-                 runCapacityPass});
+                 false, runCapacityPass});
     manager.add({"thread-safety",
                  "lock-order registry sanity and bare-mutex header "
                  "scan",
                  {"COP080", "COP081", "COP082"},
-                 false,
-                 [](const LintOptions &o) { return o.runThreadSafety; },
-                 runThreadSafetyPass});
+                 false, runThreadSafetyPass});
     manager.add({"protocol",
                  "serve surface (endpoints, wide events, metrics) vs "
                  "its documentation",
                  {"COP090", "COP091", "COP092", "COP093"},
-                 false,
-                 [](const LintOptions &o) {
-                     return o.protocol != nullptr;
-                 },
-                 runProtocolPass});
+                 false, runProtocolPass});
     manager.add({"compress",
                  "second stage never stores more than raw "
                  "(storedBytes <= rawBytes)",
                  {"COP100"},
-                 true,
-                 [](const LintOptions &o) { return o.runCompress; },
-                 runCompressPass});
+                 true, runCompressPass});
     manager.add({"store",
                  ".cbm container invariants (header, chunk "
                  "directory, content hash) with defect injection",
                  {"COP110", "COP111", "COP112"},
-                 false,
-                 [](const LintOptions &o) { return o.runStore; },
-                 runStorePass});
+                 false, runStorePass});
     return manager;
 }
 
@@ -159,13 +145,22 @@ PassManager::find(const std::string &name) const
     return nullptr;
 }
 
+std::vector<std::string>
+PassManager::fastPasses() const
+{
+    std::vector<std::string> names;
+    for (const PassInfo &pass : registered)
+        if (!pass.slow)
+            names.push_back(pass.name);
+    return names;
+}
+
 LintReport
 PassManager::run(const LintOptions &options) const
 {
     LintReport report;
     for (const PassInfo &pass : registered)
-        if (pass.enabledByDefault(options))
-            pass.run(options, report);
+        pass.run(options, report);
     return report;
 }
 

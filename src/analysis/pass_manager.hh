@@ -3,11 +3,12 @@
  * The analyzer's pass framework.
  *
  * Every lint check is a named pass: a description, the rule ids it can
- * emit, a default-enablement predicate over LintOptions, and a run
- * function from (options, report). PassManager::standard() owns the
- * registered list — the same one `copernicus_lint --list-passes`
- * prints and `--passes=a,b` selects from — and runLint() is exactly
- * standard().run(options) with the default selection.
+ * emit, a slow flag for the tile sweeps, and a run function from
+ * (options, report). PassManager::standard() owns the registered list
+ * — the same one `copernicus_lint --list-passes` prints and
+ * `--passes=a,b` selects from. Names are the only switch: runLint()
+ * is exactly standard().run(options), every pass, and the daemon's
+ * start-up gate runs standard().fastPasses() unless asked for all.
  *
  * Passes are independent by contract: each builds what it needs from
  * the options (sharing forEachLintTile for the synthetic sweep) and
@@ -38,11 +39,8 @@ struct PassInfo
     /** Rule ids this pass can emit ("COP060", ...). */
     std::vector<std::string> ids;
 
-    /** True for tile-sweeping passes a quick gate may want off. */
+    /** True for tile-sweeping passes a quick gate leaves out. */
     bool slow = false;
-
-    /** Whether the default selection includes this pass. */
-    std::function<bool(const LintOptions &)> enabledByDefault;
 
     /** Append this pass's findings to the report. */
     std::function<void(const LintOptions &, LintReport &)> run;
@@ -60,14 +58,16 @@ class PassManager
     /** The pass named @p name, or nullptr. */
     const PassInfo *find(const std::string &name) const;
 
-    /** Run the default selection (each pass's enabledByDefault). */
+    /** The names of the passes not marked slow, in run order. */
+    std::vector<std::string> fastPasses() const;
+
+    /** Run every registered pass. */
     LintReport run(const LintOptions &options) const;
 
     /**
      * Run exactly @p selection (registration order, duplicates
-     * collapsed), ignoring the default-enablement gates. An unknown
-     * name produces an error diagnostic (pass "driver") instead of
-     * silently checking nothing.
+     * collapsed). An unknown name produces an error diagnostic (pass
+     * "driver") instead of silently checking nothing.
      */
     LintReport run(const LintOptions &options,
                    const std::vector<std::string> &selection) const;

@@ -26,11 +26,10 @@
  *    model-vs-walker oracle).
  *
  * The deeper passes live beside this file (overflow_pass, capacity_pass,
- * thread_safety_pass, protocol_pass, compress_pass) and everything is
- * orchestrated by analysis/pass_manager. runLint() remains the
- * one-call entry point: copernicus_lint and `copernicus_cli --lint`
- * run it over the full registry and map the report to an exit status
- * with lintExitCode().
+ * thread_safety_pass, protocol_pass, compress_pass, store_pass) and
+ * everything is orchestrated by analysis/pass_manager. Passes are
+ * chosen by name only: runLint() runs every registered pass, and
+ * copernicus_lint's `--passes=a,b` runs a named subset.
  */
 
 #ifndef COPERNICUS_ANALYSIS_SCHEDULE_CHECK_HH
@@ -60,35 +59,6 @@ struct LintOptions
 
     /** Codec hyperparameters (the registry the passes build). */
     FormatParams params;
-
-    /** Run the encoded-tile grammar pass over synthetic tiles. */
-    bool runGrammar = true;
-
-    /** Run the model-vs-walker oracle over synthetic tiles. */
-    bool runOracle = true;
-
-    /** Run the symbolic range/overflow pass (COP060-063). */
-    bool runOverflow = true;
-
-    /** Run the buffer/BRAM capacity dataflow pass (COP070-072). */
-    bool runCapacity = true;
-
-    /** Run the thread-safety contract pass (COP080-082). */
-    bool runThreadSafety = true;
-
-    /**
-     * Run the second-stage compression invariant pass (COP100):
-     * storedBytes <= rawBytes over synthetic tiles. Slow — off by
-     * default like grammar/oracle are in the daemon's quick gate.
-     */
-    bool runCompress = true;
-
-    /**
-     * Run the .cbm container-integrity pass (COP110-112): synthetic
-     * round-trips plus per-rule defect injection against the
-     * inspector.
-     */
-    bool runStore = true;
 
     /**
      * Extra .cbm files to deep-inspect under COP110-112 — real sweep
@@ -159,9 +129,8 @@ void forEachLintTile(const std::vector<Index> &partitionSizes,
                      const std::function<void(Index, const Tile &)> &fn);
 
 /**
- * Run every enabled pass over the full registry (implemented in
- * analysis/pass_manager — this is PassManager::standard() with the
- * default selection).
+ * Run every registered pass over the full registry (implemented in
+ * analysis/pass_manager: this is PassManager::standard().run()).
  */
 LintReport runLint(const LintOptions &options = LintOptions());
 

@@ -108,9 +108,6 @@ checkContainerFile(const std::string &path, LintReport &report)
 void
 runStorePass(const LintOptions &options, LintReport &report)
 {
-    if (!options.runStore)
-        return;
-
     ScratchDir scratch;
     if (scratch.ok()) {
         // Round-trip half: freshly written containers of several

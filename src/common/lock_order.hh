@@ -49,7 +49,7 @@ inline constexpr int serveLoop = 10;     ///< event-loop wake queue
 inline constexpr int serveTx = 14;       ///< per-connection tx buffer
 inline constexpr int serveStreams = 16;  ///< per-connection streams
 inline constexpr int serveAdmit = 20;    ///< admission state
-inline constexpr int serveMemo = 25;     ///< advise/plan result memo
+inline constexpr int serveMemo = 25;     ///< plan_formats result memo
 inline constexpr int serveInflight = 30; ///< --top in-flight registry
 inline constexpr int serveSpans = 40;    ///< request-lane ring
 inline constexpr int sweepJournal = 55;  ///< checkpoint journal append

@@ -1,66 +1,6 @@
 #include "hls/schedule_ir.hh"
 
-#include <algorithm>
-
-#include "common/status.hh"
-#include "hls/schedule.hh"
-
 namespace copernicus {
-
-Cycles
-knobCycles(CycleKnob knob, const HlsConfig &config,
-           const TileFeatures &features)
-{
-    switch (knob) {
-      case CycleKnob::UnitCycle: return 1;
-      case CycleKnob::TwoCycles: return 2;
-      case CycleKnob::BramReadLatency: return config.bramReadLatency;
-      case CycleKnob::LoopDepth: return config.loopDepth;
-      case CycleKnob::HashedLoopDepth:
-        return config.loopDepth + config.hashCycles;
-      case CycleKnob::HashCycles: return config.hashCycles;
-      case CycleKnob::DiagonalScan:
-        return ceilDiv(features.groupHeaders, Cycles(config.bramPorts));
-    }
-    panic("unknown cycle knob");
-}
-
-Cycles
-segmentClosedFormCycles(const SegmentSpec &segment, const HlsConfig &config,
-                        const TileFeatures &features)
-{
-    const Cycles trips = features.value(segment.trips);
-    const Cycles depth = knobCycles(segment.depth, config, features);
-    switch (segment.kind) {
-      case SegmentKind::Fixed:
-        return trips * depth;
-      case SegmentKind::Pipelined:
-        return pipelinedLoop(trips, depth,
-                             knobCycles(segment.ii, config, features));
-      case SegmentKind::Serial:
-        return trips * pipelinedLoop(features.value(segment.innerTrips),
-                                     depth,
-                                     knobCycles(segment.ii, config,
-                                                features));
-      case SegmentKind::RateMax:
-        return std::max(trips * depth,
-                        features.value(segment.innerTrips) *
-                            knobCycles(segment.rateB, config, features));
-    }
-    panic("unknown segment kind");
-}
-
-Cycles
-closedFormCycles(const ScheduleSpec &spec, const HlsConfig &config,
-                 const TileFeatures &features)
-{
-    if (features.value(spec.guard) == 0)
-        return 0;
-    Cycles total = 0;
-    for (const SegmentSpec &segment : spec.segments)
-        total += segmentClosedFormCycles(segment, config, features);
-    return total;
-}
 
 Cycles
 walkScheduleCycles(const ScheduleSpec &spec, const HlsConfig &config,

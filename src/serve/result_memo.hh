@@ -1,10 +1,13 @@
 /**
  * @file
- * Server-side memo of advise/plan_formats results.
+ * Server-side memo of plan_formats results.
  *
  * Format ranking is a per-matrix property (Mpakos et al., PAPERS.md),
  * so the answer to "which format for this matrix under this config" is
- * a pure function of (matrix content, sweep configuration). The serve
+ * a pure function of (matrix content, sweep configuration). Only
+ * plan_formats is memoized: a warm plan skips a per-tile format sweep,
+ * while advise is a cheap heuristic and a lookup must first build and
+ * content-hash the matrix, which is most of what an advise costs. The serve
  * path already computes a canonical content hash of every triplet
  * matrix (store/container.hh, the PR-5 hash the sweep journal trusts
  * for resume-after-SIGKILL); this memo keys on that hash plus an

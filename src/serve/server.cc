@@ -15,7 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "analysis/schedule_check.hh"
+#include "analysis/pass_manager.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/prometheus.hh"
@@ -221,18 +221,17 @@ Server::start()
     if (opts.checkRegistry) {
         LintOptions lint;
         lint.params = opts.lintParams;
-        lint.runGrammar = opts.fullLint;
-        lint.runOracle = opts.fullLint;
-        lint.runCompress = opts.fullLint;
-        // The quick gate keeps the static passes (spec, body,
-        // contract, overflow, capacity, thread-safety, protocol) —
-        // they cost milliseconds; only the tile sweeps gate on
-        // fullLint. A daemon whose own protocol surface drifted from
-        // its documentation refuses to start just like one whose
-        // schedule model is wrong.
+        // The quick gate runs every pass not marked slow (spec, body,
+        // contract, overflow, capacity, thread-safety, protocol,
+        // store); fullLint adds the tile sweeps. A daemon whose own
+        // protocol surface drifted from its documentation refuses to
+        // start just like one whose schedule model is wrong.
         const ProtocolSurface surface = collectServeProtocolSurface();
         lint.protocol = &surface;
-        const LintReport report = runLint(lint);
+        const PassManager &passes = PassManager::standard();
+        const LintReport report =
+            opts.fullLint ? passes.run(lint)
+                          : passes.run(lint, passes.fastPasses());
         COPERNICUS_FATAL_IF(
             !report.ok(),
             "serve: refusing to start, the format registry failed "
@@ -1162,26 +1161,6 @@ Server::dispatch(const ServeRequest &request,
             goalFromName(params.stringOr("goal", "balanced"));
         const bool tailored = params.boolOr("tailored_engine", false);
 
-        // Advice is a pure function of (matrix content, goal,
-        // tailored-engine flag); the memo key binds exactly those.
-        // Params are validated *before* the lookup so a hit and a miss
-        // reject the same malformed requests.
-        MemoKey key;
-        std::string cached;
-        if (memo->enabled()) {
-            key.contentHash = contentHashOf(matrix);
-            std::uint64_t h = fnv1a("advise", 6);
-            const std::string_view goalStr = goalName(goal);
-            h = fnv1a(goalStr.data(), goalStr.size(), h);
-            h = fnv1aValue(tailored, h);
-            key.configHash = h;
-            if (memo->lookup(key, cached)) {
-                obs.memoHit = true;
-                const ScopedSpan span("serve.memo", "serve");
-                return cached;
-            }
-        }
-
         const MatrixStats mstats = computeStats(matrix);
         const Recommendation rec = advise(mstats, goal, tailored);
         std::ostringstream out;
@@ -1202,10 +1181,7 @@ Server::dispatch(const ServeRequest &request,
             << ", \"nnz\": " << mstats.nnz
             << ", \"density\": " << jsonNum(mstats.density)
             << ", \"bandwidth\": " << mstats.bandwidth << "}}";
-        const std::string payload = out.str();
-        if (memo->enabled())
-            memo->insert(key, payload);
-        return payload;
+        return out.str();
       }
 
       case Endpoint::RunStudy: {
@@ -1319,9 +1295,11 @@ Server::dispatch(const ServeRequest &request,
                                     "' (expected bottleneck|compute|bytes)");
         }
 
-        // Like advise: the plan depends only on (matrix content,
-        // partition size, candidate set, objective), all validated
-        // above, so key on exactly those.
+        // The plan depends only on (matrix content, partition size,
+        // candidate set, objective), all validated above, so the memo
+        // key binds exactly those. Params are validated *before* the
+        // lookup so a hit and a miss reject the same malformed
+        // requests.
         MemoKey key;
         std::string cached;
         if (memo->enabled()) {
@@ -1598,7 +1576,7 @@ Server::metricsText() const
     const ResultMemoStats memoStats = memo->stats();
     writer.counter(
         "copernicus_serve_memo_hits_total",
-        "Advise/plan_formats requests served from the result memo.",
+        "plan_formats requests served from the result memo.",
         {{{}, static_cast<double>(memoStats.hits)}});
     writer.counter("copernicus_serve_memo_misses_total",
                    "Result-memo lookups that missed.",

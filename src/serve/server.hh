@@ -112,8 +112,8 @@ struct ServeOptions
     std::uint64_t maxFrameBytes = defaultMaxFrameBytes;
 
     /**
-     * Byte budget of the advise/plan_formats result memo (LRU, keyed
-     * on content hash + config fingerprint); 0 disables memoization.
+     * Byte budget of the plan_formats result memo (LRU, keyed on
+     * content hash + config fingerprint); 0 disables memoization.
      */
     std::uint64_t memoBytes = 8ull << 20;
 
@@ -139,15 +139,15 @@ struct ServeOptions
     std::size_t flightRecorderCapacity = 512;
 
     /**
-     * Refuse to start unless the format registry passes the static
-     * lint passes (spec structure, decoder bodies, contracts). A
-     * daemon serving characterizations from a registry whose schedule
-     * model is wrong would hand out wrong numbers for its whole
-     * lifetime, so this fails fast instead.
+     * Refuse to start unless the format registry passes the lint
+     * passes not marked slow (PassManager::fastPasses()). A daemon
+     * serving characterizations from a registry whose schedule model
+     * is wrong would hand out wrong numbers for its whole lifetime, so
+     * this fails fast instead.
      */
     bool checkRegistry = true;
 
-    /** Also run the grammar + oracle lint passes at startup (slow). */
+    /** Run every lint pass at startup, the slow tile sweeps too. */
     bool fullLint = false;
 
     /**
@@ -314,7 +314,7 @@ class Server
     struct RequestObs
     {
         std::size_t formatsSwept = 0; ///< sweep endpoints only
-        bool memoHit = false; ///< advise/plan_formats served from memo
+        bool memoHit = false; ///< plan_formats served from the memo
     };
 
     /** One in-flight request, for --top's per-request ages. */

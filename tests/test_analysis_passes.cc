@@ -42,16 +42,6 @@ hasId(const LintReport &report, const std::string &id)
                        });
 }
 
-LintOptions
-fastOptions()
-{
-    LintOptions options;
-    options.runGrammar = false;
-    options.runOracle = false;
-    options.runCompress = false;
-    return options;
-}
-
 // ---------------------------------------------------------------- //
 // Diagnostics: formatting, fingerprints, exit codes.
 
@@ -142,13 +132,27 @@ TEST(PassManagerTest, StandardRegistryShape)
     EXPECT_NE(manager.find("protocol"), nullptr);
     EXPECT_NE(manager.find("compress"), nullptr);
     EXPECT_EQ(manager.find("no-such-pass"), nullptr);
+
+    // Exactly the three tile sweeps are slow, so the daemon's quick
+    // start-up gate (fastPasses) runs every other pass.
+    std::vector<std::string> slow;
+    for (const PassInfo &pass : manager.passes())
+        if (pass.slow)
+            slow.push_back(pass.name);
+    EXPECT_EQ(slow, (std::vector<std::string>{"grammar", "oracle",
+                                              "compress"}));
+    EXPECT_EQ(manager.fastPasses(),
+              (std::vector<std::string>{"spec", "body", "contract",
+                                        "overflow", "capacity",
+                                        "thread-safety", "protocol",
+                                        "store"}));
 }
 
 TEST(PassManagerTest, SelectionRunsOnlyNamedPasses)
 {
     // "contract" at a non-power-of-two partition warns (COP024);
     // selecting only "spec" must not surface it.
-    LintOptions options = fastOptions();
+    LintOptions options;
     options.partitionSizes = {12};
     const LintReport contract =
         PassManager::standard().run(options, {"contract"});
@@ -161,7 +165,7 @@ TEST(PassManagerTest, SelectionRunsOnlyNamedPasses)
 TEST(PassManagerTest, UnknownPassNameIsAnError)
 {
     const LintReport report =
-        PassManager::standard().run(fastOptions(), {"bogus"});
+        PassManager::standard().run(LintOptions(), {"bogus"});
     EXPECT_EQ(report.errorCount(), 1u) << report.toString();
     EXPECT_EQ(report.diagnostics[0].pass, "driver");
 }
@@ -172,7 +176,7 @@ TEST(PassManagerTest, UnknownPassNameIsAnError)
 TEST(OverflowPassTest, CleanAtDefaultEnvelope)
 {
     LintReport report;
-    checkAccountingRanges(fastOptions(), AccountingEnvelope(), report);
+    checkAccountingRanges(LintOptions(), AccountingEnvelope(), report);
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
@@ -183,7 +187,7 @@ TEST(OverflowPassTest, AbsurdEnvelopeOverflowsUint64)
     AccountingEnvelope envelope;
     envelope.maxPartition = 8;
     envelope.maxWorkloadNnz = UINT64_MAX;
-    LintOptions options = fastOptions();
+    LintOptions options;
     options.partitionSizes = {8};
     LintReport report;
     checkAccountingRanges(options, envelope, report);
@@ -210,7 +214,7 @@ TEST(OverflowPassTest, AccountingHotFilesAreCastClean)
     // checkout) must be clean; a new narrowing cast in the accounting
     // files fails here before CI.
     LintReport report;
-    runOverflowPass(fastOptions(), report);
+    runOverflowPass(LintOptions(), report);
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
@@ -220,7 +224,7 @@ TEST(OverflowPassTest, AccountingHotFilesAreCastClean)
 TEST(CapacityPassTest, CleanAtDefaultSizes)
 {
     LintReport report;
-    runCapacityPass(fastOptions(), report);
+    runCapacityPass(LintOptions(), report);
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
@@ -259,7 +263,7 @@ TEST(CapacityPassTest, HugePartitionOverflowsBram)
 TEST(ThreadSafetyPassTest, ProcessRegistryAndHeadersClean)
 {
     LintReport report;
-    runThreadSafetyPass(fastOptions(), report);
+    runThreadSafetyPass(LintOptions(), report);
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
@@ -337,7 +341,7 @@ TEST(ProtocolPassTest, DriftFiresEachDirection)
 TEST(ProtocolPassTest, SkippedWithoutSurface)
 {
     LintReport report;
-    runProtocolPass(fastOptions(), report); // protocol == nullptr
+    runProtocolPass(LintOptions(), report); // protocol == nullptr
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
@@ -374,18 +378,8 @@ TEST(StorePassTest, SelfInjectionSuiteRunsClean)
     // The pass round-trips fresh containers and injects one defect per
     // rule class; a sound inspector reports nothing at the top level.
     LintReport report;
-    runStorePass(fastOptions(), report);
+    runStorePass(LintOptions(), report);
     EXPECT_TRUE(report.ok()) << report.toString();
-}
-
-TEST(StorePassTest, GateSkipsThePass)
-{
-    LintOptions options = fastOptions();
-    options.runStore = false;
-    options.storeContainers.push_back("/nonexistent/matrix.cbm");
-    LintReport report;
-    runStorePass(options, report);
-    EXPECT_TRUE(report.diagnostics.empty());
 }
 
 TEST(StorePassTest, FlagsCorruptedUserContainer)
@@ -409,7 +403,7 @@ TEST(StorePassTest, FlagsCorruptedUserContainer)
         f.write(&byte, 1);
     }
 
-    LintOptions options = fastOptions();
+    LintOptions options;
     options.storeContainers.push_back(path);
     LintReport report;
     runStorePass(options, report);
@@ -553,7 +547,6 @@ TEST(LintDriverTest, ListPassesPrintsEveryPassName)
 TEST(LintDriverTest, UnknownPassExitsNonzero)
 {
     LintDriverOptions options;
-    options.lint = fastOptions();
     options.passes = {"bogus"};
     std::ostringstream out;
     EXPECT_EQ(runLintDriver(options, out), 1);
@@ -562,7 +555,6 @@ TEST(LintDriverTest, UnknownPassExitsNonzero)
 TEST(LintDriverTest, MissingBaselineIsAnError)
 {
     LintDriverOptions options;
-    options.lint = fastOptions();
     options.passes = {"spec"};
     options.baselinePath = "/nonexistent/lint_baseline.txt";
     std::ostringstream out;
@@ -573,15 +565,14 @@ TEST(LintDriverTest, MalformedPartitionSizeListIsFatal)
 {
     EXPECT_EQ(parsePartitionSizes("8,16,32"),
               (std::vector<Index>{8, 16, 32}));
-    for (const char *bad :
-         {"", "8,x", "8,,16", "-8", "8x", "99999999999", "lint.txt"})
+    for (const char *bad : {"", "8,x", "8,,16", "-8", "8x", "99999999999",
+                            "lint.txt", "0", "8,0"})
         EXPECT_THROW(parsePartitionSizes(bad), FatalError) << bad;
 }
 
 TEST(LintDriverTest, JsonModeEmitsParseableDocument)
 {
     LintDriverOptions options;
-    options.lint = fastOptions();
     options.passes = {"spec"};
     options.json = true;
     std::ostringstream out;

@@ -6,7 +6,7 @@
  * structurally broken headers), dialect parity (the same request must
  * produce byte-identical response payloads over NDJSON and binary),
  * request multiplexing with out-of-order response claiming, per-stream
- * cancellation, the advise/plan_formats result memo, and EINTR
+ * cancellation, the plan_formats result memo, and EINTR
  * resilience of the client I/O loops under a signal storm.
  *
  * Labeled tsan: the multiplex/cancel tests drive concurrent handlers
@@ -493,69 +493,58 @@ TEST_F(FramingServerTest, MemoHitServesIdenticalPayloadWithoutResweep)
     startServer(
         [](ServeOptions &options) { options.observability = false; });
     ServeClient c = binaryClient();
-    const std::string advise =
-        "{\"op\": \"advise\", \"id\": 7, \"params\": {\"matrix\": "
-        "{\"kind\": \"band\", \"n\": 96, \"width\": 6, \"seed\": 4}, "
-        "\"goal\": \"balanced\"}}";
-    const std::string cold = c.requestLine(advise);
-    EXPECT_TRUE(metricsContain("copernicus_serve_memo_misses_total 1"));
-    const std::string warm = c.requestLine(advise);
-    EXPECT_EQ(cold, warm);
-    EXPECT_TRUE(metricsContain("copernicus_serve_memo_hits_total 1"));
-
-    // plan_formats memoizes independently of advise.
     const std::string plan =
         "{\"op\": \"plan_formats\", \"id\": 8, \"params\": "
         "{\"matrix\": {\"kind\": \"band\", \"n\": 96, \"width\": 6, "
         "\"seed\": 4}, \"partition_size\": 32}}";
-    const std::string planCold = c.requestLine(plan);
-    const std::string planWarm = c.requestLine(plan);
-    EXPECT_EQ(planCold, planWarm);
-    EXPECT_TRUE(metricsContain("copernicus_serve_memo_hits_total 2"));
+    const std::string cold = c.requestLine(plan);
+    EXPECT_TRUE(metricsContain("copernicus_serve_memo_misses_total 1"));
+    const std::string warm = c.requestLine(plan);
+    EXPECT_EQ(cold, warm);
+    EXPECT_TRUE(metricsContain("copernicus_serve_memo_hits_total 1"));
+
+    // advise is not memoized: a repeat neither hits nor misses.
+    const std::string advise =
+        "{\"op\": \"advise\", \"id\": 7, \"params\": {\"matrix\": "
+        "{\"kind\": \"band\", \"n\": 96, \"width\": 6, \"seed\": 4}, "
+        "\"goal\": \"balanced\"}}";
+    EXPECT_EQ(c.requestLine(advise), c.requestLine(advise));
+    EXPECT_TRUE(metricsContain("copernicus_serve_memo_hits_total 1"));
+    EXPECT_TRUE(metricsContain("copernicus_serve_memo_misses_total 1"));
 }
 
 /**
- * The acceptance shape of the memo: a warm advise is served without
- * re-sweeping, observable as a memo hit that records a serve.memo span
- * but no new study.run span.
+ * The acceptance shape of the memo: a warm plan_formats is served
+ * without re-planning, observable as a memo hit that records a
+ * serve.memo span but no new scheduler.plan span.
  */
-TEST_F(FramingServerTest, WarmMemoAdviseRunsNoStudySweep)
+TEST_F(FramingServerTest, WarmMemoPlanFormatsRunsNoPlanSweep)
 {
     startServer(); // observability on (the daemon default)
     ServeClient c = binaryClient();
-    const std::string advise =
-        "{\"op\": \"advise\", \"id\": 1, \"params\": {\"matrix\": "
-        "{\"kind\": \"band\", \"n\": 80, \"width\": 4, \"seed\": 9}, "
-        "\"goal\": \"latency\"}}";
-    // study.run / study.encode / study.partition all live on the
-    // "study" track; a memo hit must record none of them (the advise
-    // handler itself computes on the serve track).
-    const auto countStudySpans = [] {
+    const std::string plan =
+        "{\"op\": \"plan_formats\", \"id\": 1, \"params\": "
+        "{\"matrix\": {\"kind\": \"band\", \"n\": 80, \"width\": 4, "
+        "\"seed\": 9}, \"partition_size\": 16}}";
+    const auto countSpans = [](const std::string &name) {
         std::size_t n = 0;
         for (const SpanRecord &span :
              SpanCollector::global().snapshot())
-            if (span.track == "study")
-                ++n;
-        return n;
-    };
-    const auto countMemoSpans = [] {
-        std::size_t n = 0;
-        for (const SpanRecord &span :
-             SpanCollector::global().snapshot())
-            if (span.name == "serve.memo")
+            if (span.name == name)
                 ++n;
         return n;
     };
 
-    c.requestLine(advise);
-    const std::size_t studyAfterCold = countStudySpans();
-    const std::size_t memoAfterCold = countMemoSpans();
+    c.requestLine(plan);
+    const std::size_t planAfterCold = countSpans("scheduler.plan");
+    const std::size_t memoAfterCold = countSpans("serve.memo");
+    EXPECT_GT(planAfterCold, 0u) << "a cold plan_formats did not plan";
 
-    c.requestLine(advise);
-    EXPECT_EQ(countStudySpans(), studyAfterCold)
-        << "warm memo advise re-ran sweep work";
-    EXPECT_EQ(countMemoSpans(), memoAfterCold + 1)
-        << "warm advise was not served from the memo";
+    c.requestLine(plan);
+    EXPECT_EQ(countSpans("scheduler.plan"), planAfterCold)
+        << "warm memo plan_formats re-ran the format sweep";
+    EXPECT_EQ(countSpans("serve.memo"), memoAfterCold + 1)
+        << "warm plan_formats was not served from the memo";
     EXPECT_TRUE(metricsContain("copernicus_serve_memo_hits_total 1"));
 }
 

@@ -12,7 +12,7 @@
 #include "hls/axi.hh"
 #include "hls/decompressor.hh"
 #include "hls/dram.hh"
-#include "hls/schedule.hh"
+#include "hls/schedule_ir.hh"
 #include "kernels/spmv.hh"
 
 namespace copernicus {
@@ -40,16 +40,10 @@ simulate(FormatKind kind, const Tile &tile,
 
 TEST(ScheduleTest, PipelinedLoop)
 {
-    EXPECT_EQ(pipelinedLoop(0, 4), 0u);
-    EXPECT_EQ(pipelinedLoop(1, 4), 4u);
-    EXPECT_EQ(pipelinedLoop(10, 4), 13u);
-    EXPECT_EQ(pipelinedLoop(10, 4, 2), 22u);
-}
-
-TEST(ScheduleTest, UnrolledLoop)
-{
-    EXPECT_EQ(unrolledLoop(0, 4), 0u);
-    EXPECT_EQ(unrolledLoop(16, 4), 4u);
+    EXPECT_EQ(pipelinedLoop<Cycles>(0, 4), 0u);
+    EXPECT_EQ(pipelinedLoop<Cycles>(1, 4), 4u);
+    EXPECT_EQ(pipelinedLoop<Cycles>(10, 4), 13u);
+    EXPECT_EQ(pipelinedLoop<Cycles>(10, 4, 2), 22u);
 }
 
 TEST(AxiTest, SingleStream)

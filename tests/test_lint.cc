@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "analysis/pass_manager.hh"
 #include "analysis/schedule_check.hh"
 #include "hlsc/decoder_bodies.hh"
 
@@ -38,11 +39,23 @@ TEST(LintTest, CleanTreeLintsClean)
 
 TEST(LintTest, FastPassesAloneLintClean)
 {
-    LintOptions options;
-    options.runGrammar = false;
-    options.runOracle = false;
-    const LintReport report = runLint(options);
+    const PassManager &passes = PassManager::standard();
+    const LintReport report =
+        passes.run(LintOptions(), passes.fastPasses());
     EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+TEST(LintTest, ZeroPartitionSizeIsAContractErrorNotACrash)
+{
+    // p = 0 has no decoder body and no tiles: every pass must skip it
+    // and leave the finding (COP022) to the contract pass.
+    LintOptions options;
+    options.partitionSizes = {0};
+    const LintReport report = runLint(options);
+    EXPECT_TRUE(hasError(report, "contract",
+                         "partition size must be positive"))
+        << report.toString();
+    EXPECT_EQ(report.errorCount(), 1u) << report.toString();
 }
 
 TEST(LintTest, DiagnosticFormatting)

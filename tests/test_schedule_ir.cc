@@ -163,6 +163,34 @@ TEST(ScheduleIrTest, ClosedFormMatchesWalkerOnRandomTiles)
     }
 }
 
+TEST(ScheduleIrTest, WideFoldAgreesWithTheModelFold)
+{
+    // The overflow pass (COP061) folds at 128 bits through the same
+    // templates; on real tiles that fold must equal the model's.
+    using U128 = unsigned __int128;
+    const HlsConfig cfg;
+    Rng rng(7);
+    for (Index p : {Index(8), Index(16), Index(32)}) {
+        const auto parts = partition(bandMatrix(4 * p, 3, rng), p);
+        for (const Tile &tile : parts.tiles) {
+            for (FormatKind kind : allFormats()) {
+                const ScheduleSpec &spec = scheduleSpec(kind);
+                const TileFeatures features = featuresFor(kind, tile);
+                EXPECT_TRUE(closedFormCycles<U128>(spec, cfg, features) ==
+                            U128(closedFormCycles(spec, cfg, features)))
+                    << formatName(kind) << " p=" << p;
+                for (const SegmentSpec &segment : spec.segments)
+                    EXPECT_TRUE(
+                        segmentClosedFormCycles<U128>(segment, cfg,
+                                                      features) ==
+                        U128(segmentClosedFormCycles(segment, cfg,
+                                                     features)))
+                        << formatName(kind) << " " << segment.name;
+            }
+        }
+    }
+}
+
 TEST(ScheduleIrTest, ClosedFormMatchesTheDynamicDecompressor)
 {
     // The decompressor walks the same spec; the closed form must land
