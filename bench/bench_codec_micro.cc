@@ -1,9 +1,11 @@
 /**
  * @file
- * Software-codec microbenchmarks (google-benchmark): encode, decode
- * and compressed-domain SpMV wall-clock cost per format on a 16x16
- * tile at two densities. These time the *host-side* implementation,
- * complementing the modelled hardware cycles.
+ * Software-codec microbenchmarks (google-benchmark): encode, decode,
+ * the in-place decode check (decodeInto plus TileBuilder::matches, what
+ * the pipeline pays per tile) and compressed-domain SpMV wall-clock
+ * cost per format on a 16x16 tile at two densities. These time the
+ * *host-side* implementation, complementing the modelled hardware
+ * cycles.
  */
 
 #include <benchmark/benchmark.h>
@@ -65,6 +67,24 @@ BM_Decode(benchmark::State &state)
 }
 
 void
+BM_Verify(benchmark::State &state)
+{
+    const FormatKind kind = kindAt(static_cast<int>(state.range(0)));
+    const double density = state.range(1) / 100.0;
+    const Tile tile = makeTile(16, density);
+    const FormatCodec &codec = defaultCodec(kind);
+    const auto encoded = codec.encode(tile);
+    for (auto _ : state) {
+        TileBuilder decoded(16);
+        codec.decodeInto(*encoded, decoded);
+        const bool same = decoded.matches(tile);
+        benchmark::DoNotOptimize(same);
+    }
+    state.SetLabel(std::string(formatName(kind)) + " d=" +
+                   std::to_string(density));
+}
+
+void
 BM_SpmvEncoded(benchmark::State &state)
 {
     const FormatKind kind = kindAt(static_cast<int>(state.range(0)));
@@ -94,6 +114,7 @@ formatArgs(benchmark::internal::Benchmark *bench)
 
 BENCHMARK(BM_Encode)->Apply(formatArgs);
 BENCHMARK(BM_Decode)->Apply(formatArgs);
+BENCHMARK(BM_Verify)->Apply(formatArgs);
 BENCHMARK(BM_SpmvEncoded)->Apply(formatArgs);
 
 } // namespace

@@ -38,11 +38,10 @@ void
 runCompressPass(const LintOptions &options, LintReport &report)
 {
     const FormatRegistry registry(options.params);
-    forEachLintTile(options.partitionSizes,
-                    [&](Index, const Tile &tile) {
-                        for (FormatKind kind : allFormats())
-                            checkTileCompression(registry, kind, tile,
-                                                 report);
+    forEachLintTile(options.params, options.partitionSizes,
+                    [&](FormatKind kind, const Tile &tile) {
+                        checkTileCompression(registry, kind, tile,
+                                             report);
                     });
 }
 

@@ -55,11 +55,10 @@ runTilePasses(const LintOptions &options, bool grammar, bool oracle,
               LintReport &report)
 {
     const FormatRegistry registry(options.params);
-    forEachLintTile(options.partitionSizes,
-                    [&](Index, const Tile &tile) {
-                        for (FormatKind kind : allFormats())
-                            checkTile(registry, kind, tile, options.hls,
-                                      grammar, oracle, report);
+    forEachLintTile(options.params, options.partitionSizes,
+                    [&](FormatKind kind, const Tile &tile) {
+                        checkTile(registry, kind, tile, options.hls,
+                                  grammar, oracle, report);
                     });
 }
 

@@ -185,6 +185,31 @@ checkDecoderBody(const ScheduleSpec &spec, const LoopBody &body,
     }
 }
 
+std::string
+partitionContractViolation(const FormatParams &params, FormatKind kind,
+                           Index p)
+{
+    if (p == 0)
+        return "partition size must be positive";
+    // A zero hyperparameter is COP021's finding, not a size mismatch.
+    const auto divides = [p](const char *what, Index divisor) {
+        if (divisor == 0 || p % divisor == 0)
+            return std::string();
+        return std::string(what) + " " + std::to_string(divisor) +
+               " does not divide partition size " + std::to_string(p);
+    };
+    switch (kind) {
+      case FormatKind::BCSR:
+        return divides("block size", params.bcsrBlock);
+      case FormatKind::SELL:
+        return divides("slice height", params.sellSlice);
+      case FormatKind::SELLCS:
+        return divides("sorting window", params.sellCsWindow);
+      default:
+        return {};
+    }
+}
+
 void
 checkContracts(const FormatParams &params, const HlsConfig &config,
                const std::vector<Index> &partitionSizes,
@@ -221,24 +246,13 @@ checkContracts(const FormatParams &params, const HlsConfig &config,
                          "partition size must be positive");
             continue;
         }
-        if (params.bcsrBlock != 0 && p % params.bcsrBlock != 0)
-            report.error("COP022", "contract", "BCSR",
-                         "block size " +
-                             std::to_string(params.bcsrBlock) +
-                             " does not divide partition size " +
-                             std::to_string(p));
-        if (params.sellSlice != 0 && p % params.sellSlice != 0)
-            report.error("COP022", "contract", "SELL",
-                         "slice height " +
-                             std::to_string(params.sellSlice) +
-                             " does not divide partition size " +
-                             std::to_string(p));
-        if (params.sellCsWindow != 0 && p % params.sellCsWindow != 0)
-            report.error("COP022", "contract", "SELLCS",
-                         "sorting window " +
-                             std::to_string(params.sellCsWindow) +
-                             " does not divide partition size " +
-                             std::to_string(p));
+        for (FormatKind kind : allFormats()) {
+            const std::string violation =
+                partitionContractViolation(params, kind, p);
+            if (!violation.empty())
+                report.error("COP022", "contract",
+                             std::string(formatName(kind)), violation);
+        }
         if (params.ellMinWidth > p)
             report.warning("COP023", "contract", "ELL",
                            "minimum width " +
@@ -277,11 +291,11 @@ checkTile(const FormatRegistry &registry, FormatKind kind,
     }
 
     if (oracle) {
-        const DecompressResult walked =
-            simulateDecompression(*encoded, config);
+        const DecompressCost walked =
+            verifyDecompression(*encoded, tile, config);
         const ScheduleSpec &spec = registry.schedule(kind);
         const TileFeatures features =
-            extractScheduleFeatures(*encoded, walked.decoded);
+            extractScheduleFeatures(*encoded, tile);
         const Cycles closed =
             closedFormCycles(spec, config, features);
         if (closed != walked.decompressCycles)
@@ -304,15 +318,25 @@ checkTile(const FormatRegistry &registry, FormatKind kind,
 }
 
 void
-forEachLintTile(const std::vector<Index> &partitionSizes,
-                const std::function<void(Index, const Tile &)> &fn)
+forEachLintTile(const FormatParams &params,
+                const std::vector<Index> &partitionSizes,
+                const std::function<void(FormatKind, const Tile &)> &fn)
 {
     // The synthetic workload set: random, band, diagonal and stencil
     // structure exercise every format's encoder shapes (dense rows,
     // empty rows, diagonals, uneven slices).
     for (Index p : partitionSizes) {
-        if (p == 0)
+        // The contract pass reports every pair skipped here (COP022).
+        std::vector<FormatKind> kinds;
+        for (FormatKind kind : allFormats())
+            if (partitionContractViolation(params, kind, p).empty())
+                kinds.push_back(kind);
+        if (kinds.empty())
             continue;
+        const auto visit = [&](const Tile &tile) {
+            for (FormatKind kind : kinds)
+                fn(kind, tile);
+        };
         const Index n = p * 4;
         Rng rng(2024);
         std::vector<TripletMatrix> workloads;
@@ -326,12 +350,11 @@ forEachLintTile(const std::vector<Index> &partitionSizes,
             for (const Tile &tile : parts.tiles) {
                 if (++checked > 12)
                     break; // bounded per workload; shapes repeat
-                fn(p, tile);
+                visit(tile);
             }
         }
         // The all-zero tile exercises every guard path.
-        const Tile empty(p);
-        fn(p, empty);
+        visit(Tile(p));
     }
 }
 

@@ -106,6 +106,16 @@ void checkDecoderBody(const ScheduleSpec &spec, const LoopBody &body,
                       Index partitionSize, const HlsConfig &config,
                       LintReport &report);
 
+/**
+ * Why @p kind's codec cannot encode tiles of edge @p p under
+ * @p params (the contract pass's COP022 message: p is zero, or the
+ * BCSR block, SELL slice height or SELL-C-sigma sorting window does
+ * not divide it), or "" when it can. The one predicate behind COP022
+ * and the tile sweeps' skips.
+ */
+std::string partitionContractViolation(const FormatParams &params,
+                                       FormatKind kind, Index p);
+
 /** Pass 3: hyperparameter/partition/knob contracts. */
 void checkContracts(const FormatParams &params, const HlsConfig &config,
                     const std::vector<Index> &partitionSizes,
@@ -120,13 +130,18 @@ void checkTile(const FormatRegistry &registry, FormatKind kind,
                bool oracle, LintReport &report);
 
 /**
- * Invoke @p fn for every tile of the synthetic lint workload set
- * (random, band, diagonal, stencil, plus the all-zero tile) at each
- * partition size — the shared tile sweep behind the grammar, oracle
- * and compress passes. Deterministic (fixed seed).
+ * Invoke @p fn(kind, tile) for every tile of the synthetic lint
+ * workload set (random, band, diagonal, stencil, plus the all-zero
+ * tile) at each partition size, once per format the contract pass
+ * admits at that size (partitionContractViolation() is empty) — the
+ * shared tile sweep behind the grammar, oracle and compress passes, so
+ * a size one codec rejects costs that codec's checks only, not the
+ * run. Deterministic (fixed seed).
  */
-void forEachLintTile(const std::vector<Index> &partitionSizes,
-                     const std::function<void(Index, const Tile &)> &fn);
+void forEachLintTile(const FormatParams &params,
+                     const std::vector<Index> &partitionSizes,
+                     const std::function<void(FormatKind, const Tile &)>
+                         &fn);
 
 /**
  * Run every registered pass over the full registry (implemented in

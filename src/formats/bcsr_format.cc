@@ -76,14 +76,15 @@ BcsrCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-BcsrCodec::decode(const EncodedTile &encoded) const
+void
+BcsrCodec::decodeInto(const EncodedTile &encoded,
+                      TileBuilder &tile) const
 {
     const auto &bcsr = encodedAs<BcsrEncoded>(encoded, FormatKind::BCSR);
     const Index p = bcsr.tileSize();
     const Index b = bcsr.blockSize();
     const Index grid = p / b;
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(bcsr.nnz());
     for (Index br = 0; br < grid; ++br) {
         for (Index i = bcsr.blockRowStart(br); i < bcsr.blockRowEnd(br);
@@ -95,7 +96,6 @@ BcsrCodec::decode(const EncodedTile &encoded) const
                 tile.set(br * b + j / b, col0 + j % b, flat[j]);
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

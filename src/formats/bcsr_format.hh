@@ -79,7 +79,8 @@ class BcsrCodec : public FormatCodec
 
     FormatKind kind() const override { return FormatKind::BCSR; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 
     Index blockSize() const { return block; }
 

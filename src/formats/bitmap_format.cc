@@ -16,20 +16,20 @@ BitmapCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-BitmapCodec::decode(const EncodedTile &encoded) const
+void
+BitmapCodec::decodeInto(const EncodedTile &encoded,
+                        TileBuilder &tile) const
 {
     const auto &bitmap = encodedAs<BitmapEncoded>(encoded,
                                                   FormatKind::BITMAP);
     const Index p = bitmap.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(bitmap.nnz());
     std::size_t next = 0;
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             if (bitmap.test(r, c))
                 tile.set(r, c, bitmap.values[next++]);
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -76,7 +76,8 @@ class BitmapCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::BITMAP; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

@@ -35,14 +35,28 @@ class FormatCodec
     virtual std::unique_ptr<EncodedTile> encode(const Tile &tile) const = 0;
 
     /**
-     * Reconstruct the tile.
+     * Replay @p encoded's arrays into @p out, the one decoder each
+     * codec implements: @p out is reset to the encoded tile's size,
+     * then receives every stored element through TileBuilder::set().
+     * A caller that only checks the result against a known tile calls
+     * TileBuilder::matches() and never builds a Tile.
      *
      * @param encoded Must have been produced by this codec's encode();
      *        a kind() mismatch is a panic, and so is an index array
-     *        that places a value outside the tile or writes one cell
-     *        twice.
+     *        that places a value outside the tile. A cell written
+     *        twice is a panic when @p out is built or matched.
      */
-    virtual Tile decode(const EncodedTile &encoded) const = 0;
+    virtual void decodeInto(const EncodedTile &encoded,
+                            TileBuilder &out) const = 0;
+
+    /** Reconstruct the tile: decodeInto() a fresh builder, built. */
+    Tile
+    decode(const EncodedTile &encoded) const
+    {
+        TileBuilder out(encoded.tileSize());
+        decodeInto(encoded, out);
+        return out.build();
+    }
 };
 
 } // namespace copernicus

@@ -19,15 +19,15 @@ CooCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-CooCodec::decode(const EncodedTile &encoded) const
+void
+CooCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &coo = encodedAs<CooEncoded>(encoded, FormatKind::COO);
-    TileBuilder tile(coo.tileSize());
+    tile.reset(coo.tileSize());
     tile.reserve(coo.nnz());
     for (std::size_t i = 0; i < coo.values.size(); ++i)
         tile.set(coo.rowInx[i], coo.colInx[i], coo.values[i]);
-    return tile.build();
 }
 
 } // namespace copernicus

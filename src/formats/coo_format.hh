@@ -45,7 +45,8 @@ class CooCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::COO; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

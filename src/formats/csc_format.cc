@@ -30,17 +30,17 @@ CscCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-CscCodec::decode(const EncodedTile &encoded) const
+void
+CscCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &csc = encodedAs<CscEncoded>(encoded, FormatKind::CSC);
     const Index p = csc.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(csc.nnz());
     for (Index c = 0; c < p; ++c)
         for (Index i = csc.colStart(c); i < csc.colEnd(c); ++i)
             tile.set(csc.rowInx[i], c, csc.values[i]);
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -56,7 +56,8 @@ class CscCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::CSC; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

@@ -21,17 +21,17 @@ CsrCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-CsrCodec::decode(const EncodedTile &encoded) const
+void
+CsrCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &csr = encodedAs<CsrEncoded>(encoded, FormatKind::CSR);
     const Index p = csr.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(csr.nnz());
     for (Index r = 0; r < p; ++r)
         for (Index i = csr.rowStart(r); i < csr.rowEnd(r); ++i)
             tile.set(r, csr.colInx[i], csr.values[i]);
-    return tile.build();
 }
 
 } // namespace copernicus

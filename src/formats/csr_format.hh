@@ -61,7 +61,8 @@ class CsrCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::CSR; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

@@ -12,19 +12,19 @@ DenseCodec::encode(const Tile &tile) const
     return std::make_unique<DenseEncoded>(p, tile.nnz(), std::move(values));
 }
 
-Tile
-DenseCodec::decode(const EncodedTile &encoded) const
+void
+DenseCodec::decodeInto(const EncodedTile &encoded,
+                       TileBuilder &tile) const
 {
     const auto &dense = encodedAs<DenseEncoded>(encoded,
                                                 FormatKind::Dense);
     const Index p = dense.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(dense.nnz());
     for (Index r = 0; r < p; ++r)
         for (Index c = 0; c < p; ++c)
             tile.set(r, c,
                      dense.values[static_cast<std::size_t>(r) * p + c]);
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -39,7 +39,8 @@ class DenseCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::Dense; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

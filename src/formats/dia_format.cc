@@ -43,12 +43,13 @@ DiaCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-DiaCodec::decode(const EncodedTile &encoded) const
+void
+DiaCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &dia = encodedAs<DiaEncoded>(encoded, FormatKind::DIA);
     const Index p = dia.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(dia.nnz());
     // Listing 7: for each row, scan every stored diagonal.
     for (Index row = 0; row < p; ++row) {
@@ -61,7 +62,6 @@ DiaCodec::decode(const EncodedTile &encoded) const
                      diag.values[DiaEncoded::slotForRow(row, diag.number)]);
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -90,7 +90,8 @@ class DiaCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::DIA; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

@@ -66,18 +66,18 @@ DokEncoded::declareStreams(StreamDeclarer &declare) const
                   });
 }
 
-Tile
-DokCodec::decode(const EncodedTile &encoded) const
+void
+DokCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &dok = encodedAs<DokEncoded>(encoded, FormatKind::DOK);
-    TileBuilder tile(dok.tileSize());
+    tile.reset(dok.tileSize());
     tile.reserve(dok.nnz());
     for (const auto &[key, value] : dok.table) {
         const Index row = static_cast<Index>(key >> 32);
         const Index col = static_cast<Index>(key & 0xffffffffULL);
         tile.set(row, col, value);
     }
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -48,7 +48,8 @@ class DokCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::DOK; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

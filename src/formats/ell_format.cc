@@ -35,12 +35,13 @@ EllCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-EllCodec::decode(const EncodedTile &encoded) const
+void
+EllCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &ell = encodedAs<EllEncoded>(encoded, FormatKind::ELL);
     const Index p = ell.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(ell.nnz());
     for (Index r = 0; r < p; ++r) {
         for (Index slot = 0; slot < ell.width(); ++slot) {
@@ -50,7 +51,6 @@ EllCodec::decode(const EncodedTile &encoded) const
             tile.set(r, col, ell.valueAt(r, slot));
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -86,7 +86,8 @@ class EllCodec : public FormatCodec
 
     FormatKind kind() const override { return FormatKind::ELL; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 
     Index minWidth() const { return wMin; }
 

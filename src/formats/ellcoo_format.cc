@@ -37,13 +37,14 @@ EllCooCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-EllCooCodec::decode(const EncodedTile &encoded) const
+void
+EllCooCodec::decodeInto(const EncodedTile &encoded,
+                        TileBuilder &tile) const
 {
     const auto &hybrid = encodedAs<EllCooEncoded>(encoded,
                                                   FormatKind::ELLCOO);
     const Index p = hybrid.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(hybrid.nnz());
     for (Index r = 0; r < p; ++r) {
         for (Index slot = 0; slot < hybrid.width(); ++slot) {
@@ -57,7 +58,6 @@ EllCooCodec::decode(const EncodedTile &encoded) const
         tile.set(hybrid.overflowRows[i], hybrid.overflowCols[i],
                  hybrid.overflowValues[i]);
     }
-    return tile.build();
 }
 
 } // namespace copernicus

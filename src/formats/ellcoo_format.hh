@@ -94,7 +94,8 @@ class EllCooCodec : public FormatCodec
 
     FormatKind kind() const override { return FormatKind::ELLCOO; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 
     Index width() const { return w; }
 

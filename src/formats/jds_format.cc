@@ -76,12 +76,13 @@ JdsCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-JdsCodec::decode(const EncodedTile &encoded) const
+void
+JdsCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &jds = encodedAs<JdsEncoded>(encoded, FormatKind::JDS);
     const Index p = jds.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(jds.nnz());
     const std::span<const Index> jd = jds.jdPtr();
     const std::span<const Index> perm = jds.perm();
@@ -96,7 +97,6 @@ JdsCodec::decode(const EncodedTile &encoded) const
             tile.set(row, cols[i], jds.values[i]);
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -93,7 +93,8 @@ class JdsCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::JDS; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

@@ -68,12 +68,13 @@ LilEncoded::declareStreams(StreamDeclarer &declare) const
                   });
 }
 
-Tile
-LilCodec::decode(const EncodedTile &encoded) const
+void
+LilCodec::decodeInto(const EncodedTile &encoded,
+                     TileBuilder &tile) const
 {
     const auto &lil = encodedAs<LilEncoded>(encoded, FormatKind::LIL);
     const Index p = lil.tileSize();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(lil.nnz());
     for (Index c = 0; c < p; ++c) {
         for (Index level = 0; level < lil.height(); ++level) {
@@ -83,7 +84,6 @@ LilCodec::decode(const EncodedTile &encoded) const
             tile.set(row, c, lil.valueAt(level, c));
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

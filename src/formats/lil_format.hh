@@ -84,7 +84,8 @@ class LilCodec : public FormatCodec
   public:
     FormatKind kind() const override { return FormatKind::LIL; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 };
 
 } // namespace copernicus

@@ -214,8 +214,10 @@ const ScheduleSpec &scheduleSpec(FormatKind kind);
  * spec can reference.
  *
  * @param encoded The encoded tile (any format).
- * @param decoded The reconstructed tile; its TileStats supply the
- *        non-zero row count the paper's Eq. 1 uses, in O(1).
+ * @param decoded A tile equal to what @p encoded decodes to: the source
+ *        tile once the decode has been checked against it in place
+ *        (verifyDecompression()), or a decoded tile. Its TileStats
+ *        supply the non-zero row count the paper's Eq. 1 uses, in O(1).
  */
 TileFeatures extractScheduleFeatures(const EncodedTile &encoded,
                                      const Tile &decoded);

@@ -74,13 +74,14 @@ SellCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-SellCodec::decode(const EncodedTile &encoded) const
+void
+SellCodec::decodeInto(const EncodedTile &encoded,
+                      TileBuilder &tile) const
 {
     const auto &sell = encodedAs<SellEncoded>(encoded, FormatKind::SELL);
     const Index p = sell.tileSize();
     const Index c = sell.sliceHeight();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(sell.nnz());
     for (std::size_t s = 0; s < sell.slices.size(); ++s) {
         const auto &slice = sell.slices[s];
@@ -96,7 +97,6 @@ SellCodec::decode(const EncodedTile &encoded) const
             }
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

@@ -73,7 +73,8 @@ class SellCodec : public FormatCodec
 
     FormatKind kind() const override { return FormatKind::SELL; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 
     Index sliceHeight() const { return c; }
 

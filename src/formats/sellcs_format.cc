@@ -87,14 +87,15 @@ SellCsCodec::encode(const Tile &tile) const
     return encoded;
 }
 
-Tile
-SellCsCodec::decode(const EncodedTile &encoded) const
+void
+SellCsCodec::decodeInto(const EncodedTile &encoded,
+                        TileBuilder &tile) const
 {
     const auto &scs = encodedAs<SellCsEncoded>(encoded,
                                                FormatKind::SELLCS);
     const Index p = scs.tileSize();
     const Index height = scs.sliceHeight();
-    TileBuilder tile(p);
+    tile.reset(p);
     tile.reserve(scs.nnz());
     for (std::size_t s = 0; s < scs.slices.size(); ++s) {
         const auto &slice = scs.slices[s];
@@ -111,7 +112,6 @@ SellCsCodec::decode(const EncodedTile &encoded) const
             }
         }
     }
-    return tile.build();
 }
 
 } // namespace copernicus

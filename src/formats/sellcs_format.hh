@@ -70,7 +70,8 @@ class SellCsCodec : public FormatCodec
 
     FormatKind kind() const override { return FormatKind::SELLCS; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;
-    Tile decode(const EncodedTile &encoded) const override;
+    void decodeInto(const EncodedTile &encoded,
+                    TileBuilder &tile) const override;
 
     Index sliceHeight() const { return c; }
     Index window() const { return sigma; }

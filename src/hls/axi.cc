@@ -1,7 +1,7 @@
 #include "hls/axi.hh"
 
 #include <algorithm>
-#include <vector>
+#include <array>
 
 #include "common/math.hh"
 #include "common/status.hh"
@@ -13,6 +13,11 @@ transferCycles(std::span<const Bytes> streams, const HlsConfig &config)
 {
     COPERNICUS_FATAL_IF(config.streamlines == 0,
                         "at least one streamline required");
+    COPERNICUS_PANIC_IF(streams.size() > maxTransferStreams,
+                        std::to_string(streams.size()) +
+                            " streams exceed the " +
+                            std::to_string(maxTransferStreams) +
+                            "-stream transfer");
 
     Bytes total = 0;
     for (Bytes s : streams)
@@ -25,14 +30,26 @@ transferCycles(std::span<const Bytes> streams, const HlsConfig &config)
         return dramServiceCycles(total, config.dram, config.clockMhz);
     }
 
-    // Longest-processing-time assignment of streams to lanes.
-    std::vector<Bytes> sorted(streams.begin(), streams.end());
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    std::vector<Bytes> lanes(config.streamlines, 0);
-    for (Bytes s : sorted)
-        *std::min_element(lanes.begin(), lanes.end()) += s;
+    // Longest-processing-time assignment of streams to lanes. Each
+    // stream joins the first least-loaded lane, so the lanes that ever
+    // receive bytes are a prefix no longer than the stream count: only
+    // min(streamlines, streams) lanes can be the busiest.
+    const std::size_t count = streams.size();
+    std::array<Bytes, maxTransferStreams> sorted{};
+    for (std::size_t i = 0; i < count; ++i) {
+        // Insertion sort, longest first: at most maxTransferStreams.
+        std::size_t at = i;
+        for (; at > 0 && sorted[at - 1] < streams[i]; --at)
+            sorted[at] = sorted[at - 1];
+        sorted[at] = streams[i];
+    }
+    std::array<Bytes, maxTransferStreams> lanes{};
+    const auto used = lanes.begin() +
+                      std::min<std::size_t>(config.streamlines, count);
+    for (std::size_t i = 0; i < count; ++i)
+        *std::min_element(lanes.begin(), used) += sorted[i];
 
-    const Bytes busiest = *std::max_element(lanes.begin(), lanes.end());
+    const Bytes busiest = *std::max_element(lanes.begin(), used);
     return ceilDiv(busiest, config.laneBytesPerCycle()) +
            config.burstSetupCycles;
 }

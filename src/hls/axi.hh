@@ -14,16 +14,25 @@
 
 #include <span>
 
+#include "formats/typed_stream.hh"
 #include "hls/hls_config.hh"
 
 namespace copernicus {
 
 /**
- * Cycles to transfer a set of streams.
+ * Most streams one transfer prices: every wire of a partition read,
+ * plus a vector-operand segment appended by a caller that lists the
+ * segment after the full wire list.
+ */
+inline constexpr std::size_t maxTransferStreams = maxWires + 1;
+
+/**
+ * Cycles to transfer a set of streams, without allocating.
  *
  * @param streams Byte count of each first-stage wire (one entry per
  *        wire of EncodedTile::wireBytes(), or of the second-stage
- *        images summed per wire), plus any vector-operand segment.
+ *        images summed per wire), plus any vector-operand segment; at
+ *        most maxTransferStreams entries, more is a panic.
  * @param config Platform parameters.
  * @return Transfer cycles including burst setup; 0 for no bytes.
  */

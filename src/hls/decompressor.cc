@@ -6,25 +6,50 @@
 
 namespace copernicus {
 
+namespace {
+
+/**
+ * Resolve the format's schedule spec against this tile's real trip
+ * counts and fold it: every per-format formula of Listings 1-7 lives
+ * in the declarative schedule IR. @p decoded is the tile the encoding
+ * reconstructs.
+ */
+DecompressCost
+modelCost(const EncodedTile &encoded, const Tile &decoded,
+          const HlsConfig &config)
+{
+    const TileFeatures features = extractScheduleFeatures(encoded, decoded);
+    DecompressCost cost;
+    cost.decompressCycles = walkScheduleCycles(scheduleSpec(encoded.kind()),
+                                               config, features);
+    cost.rowsProduced = features.producedRows;
+    cost.tileSize = encoded.tileSize();
+    return cost;
+}
+
+} // namespace
+
+DecompressCost
+verifyDecompression(const EncodedTile &encoded, const Tile &source,
+                    const HlsConfig &config)
+{
+    // decodeInto() reserves the builder to the encoded nnz.
+    TileBuilder decoded(encoded.tileSize());
+    defaultCodec(encoded.kind()).decodeInto(encoded, decoded);
+    COPERNICUS_PANIC_IF(!decoded.matches(source),
+                        "pipeline: decompressor model corrupted a tile");
+    return modelCost(encoded, source, config);
+}
+
 DecompressResult
 simulateDecompression(const EncodedTile &encoded, const HlsConfig &config)
 {
-    DecompressResult result{0, 0,
-                            defaultCodec(encoded.kind()).decode(encoded)};
-
-    // Every per-format formula of Listings 1-7 now lives in the
-    // declarative schedule IR; here we only resolve the format's spec
-    // against this tile's real trip counts and advance it.
-    const ScheduleSpec &spec = scheduleSpec(encoded.kind());
-    const TileFeatures features =
-        extractScheduleFeatures(encoded, result.decoded);
-    result.decompressCycles = walkScheduleCycles(spec, config, features);
-    result.rowsProduced = features.producedRows;
-    return result;
+    Tile decoded = defaultCodec(encoded.kind()).decode(encoded);
+    return {modelCost(encoded, decoded, config), std::move(decoded)};
 }
 
 double
-sigmaOverhead(const DecompressResult &result, Index p,
+sigmaOverhead(const DecompressCost &result, Index p,
               const HlsConfig &config)
 {
     const double t_dot = static_cast<double>(config.dotLatency(p));
@@ -35,11 +60,10 @@ sigmaOverhead(const DecompressResult &result, Index p,
 }
 
 Cycles
-computeCycles(const DecompressResult &result, const HlsConfig &config)
+computeCycles(const DecompressCost &result, const HlsConfig &config)
 {
-    const Index p = result.decoded.size();
     return result.decompressCycles +
-           Cycles(result.rowsProduced) * config.dotLatency(p);
+           Cycles(result.rowsProduced) * config.dotLatency(result.tileSize);
 }
 
 } // namespace copernicus

@@ -9,8 +9,8 @@
  *    on). The static analyzer uses it to bound cycles without running
  *    anything.
  *  - walkScheduleCycles() advances the schedule trip by trip, the way
- *    the dynamic cycle walkers used to. simulateDecompression() uses
- *    it.
+ *    the dynamic cycle walkers used to. The decompressor model
+ *    (hls/decompressor) uses it.
  *
  * The closed form is written once, as templates over the count type
  * and the features type (anything with value(ScheduleFeature)). The

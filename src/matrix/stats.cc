@@ -1,7 +1,6 @@
 #include "matrix/stats.hh"
 
 #include <cstdlib>
-#include <set>
 
 #include "common/status.hh"
 
@@ -19,19 +18,25 @@ computeStats(const TripletMatrix &matrix)
     stats.nnz = matrix.nnz();
     stats.density = matrix.density();
 
-    std::set<std::int64_t> diagonals;
+    // One flag per diagonal col - row, shifted by rows - 1 so the
+    // lowest (bottom-left corner) is slot 0 and the highest (top-right
+    // corner) slot rows + cols - 2.
+    const std::size_t rows = matrix.rows();
+    std::vector<char> occupied(
+        matrix.nnz() == 0 ? 0 : rows + matrix.cols() - 1, 0);
     std::size_t diag_nnz = 0;
     std::vector<Index> row_nnz(matrix.rows(), 0);
     for (const auto &t : matrix.triplets()) {
         ++row_nnz[t.row];
         const std::int64_t d = static_cast<std::int64_t>(t.col) -
                                static_cast<std::int64_t>(t.row);
-        diagonals.insert(d);
+        char &flag = occupied[rows - 1 - t.row + t.col];
+        stats.nonZeroDiagonals += flag == 0;
+        flag = 1;
         diag_nnz += d == 0;
         const Index dist = static_cast<Index>(std::llabs(d));
         stats.bandwidth = std::max(stats.bandwidth, dist);
     }
-    stats.nonZeroDiagonals = static_cast<Index>(diagonals.size());
     stats.diagonalFraction =
         stats.nnz == 0 ? 0.0
                        : static_cast<double>(diag_nnz) / stats.nnz;

@@ -87,34 +87,50 @@ Tile::computeStats(Index p, const std::vector<TileNonzero> &nz)
     return feat;
 }
 
+void
+TileBuilder::canonicalize()
+{
+    if (rowMajor)
+        return;
+    const std::size_t n = entries.size();
+    Arena &arena = encodeArena();
+    ArenaScope scope(arena);
+    TileNonzero *scratch = arena.alloc<TileNonzero>(n);
+    Index *count = arena.alloc<Index>(static_cast<std::size_t>(p) + 1);
+    const auto byRow = [](const TileNonzero &e) { return e.row; };
+    const auto byCol = [](const TileNonzero &e) { return e.col; };
+    // Column-major and permuted-row emission keep each row's columns
+    // ascending, so one pass by row is enough; hash order needs the
+    // column pass first (LSD radix order).
+    countingSort(entries.data(), n, scratch, p, count, byRow);
+    if (columnsAscend(scratch, n)) {
+        std::copy(scratch, scratch + n, entries.begin());
+    } else {
+        countingSort(entries.data(), n, scratch, p, count, byCol);
+        countingSort(scratch, n, entries.data(), p, count, byRow);
+        // Sorted now: this pass only rejects a repeated cell.
+        columnsAscend(entries.data(), n);
+    }
+    rowMajor = true;
+}
+
 Tile
 TileBuilder::build()
 {
     if (built)
         panic("TileBuilder::build() called twice");
     built = true;
-    if (!rowMajor) {
-        const std::size_t n = entries.size();
-        Arena &arena = encodeArena();
-        ArenaScope scope(arena);
-        TileNonzero *scratch = arena.alloc<TileNonzero>(n);
-        Index *count = arena.alloc<Index>(static_cast<std::size_t>(p) + 1);
-        const auto byRow = [](const TileNonzero &e) { return e.row; };
-        const auto byCol = [](const TileNonzero &e) { return e.col; };
-        // Column-major and permuted-row emission keep each row's columns
-        // ascending, so one pass by row is enough; hash order needs the
-        // column pass first (LSD radix order).
-        countingSort(entries.data(), n, scratch, p, count, byRow);
-        if (columnsAscend(scratch, n)) {
-            std::copy(scratch, scratch + n, entries.begin());
-        } else {
-            countingSort(entries.data(), n, scratch, p, count, byCol);
-            countingSort(scratch, n, entries.data(), p, count, byRow);
-            // Sorted now: this pass only rejects a repeated cell.
-            columnsAscend(entries.data(), n);
-        }
-    }
+    canonicalize();
     return Tile(p, tRow, tCol, std::move(entries));
+}
+
+bool
+TileBuilder::matches(const Tile &tile)
+{
+    if (built)
+        panic("TileBuilder::matches() called after build()");
+    canonicalize();
+    return p == tile.size() && entries == tile.nonzeros();
 }
 
 } // namespace copernicus

@@ -18,7 +18,9 @@
  * is already canonical. Everything that writes elements one at a time
  * (the decoders, tests) goes through TileBuilder, which canonicalizes
  * the writes and whose range and duplicate checks stay on in every
- * build, because decoders face malformed encodings.
+ * build, because decoders face malformed encodings. A decode that is
+ * only checked against its source tile never becomes a Tile:
+ * TileBuilder::matches() compares the canonical writes in place.
  */
 
 #ifndef COPERNICUS_MATRIX_TILE_HH
@@ -197,10 +199,10 @@ class Tile
  *
  * Every write is range-checked in every build, and writing one cell
  * twice is rejected, since decoders replay untrusted encodings. build()
- * canonicalizes in O(nnz + p): writes that arrive row-major (CSR, ELL,
- * DIA, ...) are already the result, and any other order (column-major,
- * permuted rows, hash order) gets a stable counting sort in scratch
- * from encodeArena().
+ * and matches() canonicalize in O(nnz + p): writes that arrive
+ * row-major (CSR, ELL, DIA, ...) are already the result, and any other
+ * order (column-major, permuted rows, hash order) gets a stable
+ * counting sort in scratch from encodeArena().
  */
 class TileBuilder
 {
@@ -211,6 +213,22 @@ class TileBuilder
     {
         if (size == 0)
             fatal("Tile size must be positive");
+    }
+
+    /**
+     * Start over as an all-zero tile of edge @p size, keeping the
+     * grid coordinates and, unless build() took it, the storage of
+     * earlier writes.
+     */
+    void
+    reset(Index size)
+    {
+        if (size == 0)
+            fatal("Tile size must be positive");
+        p = size;
+        entries.clear();
+        rowMajor = true;
+        built = false;
     }
 
     /**
@@ -249,7 +267,22 @@ class TileBuilder
      */
     Tile build();
 
+    /**
+     * Whether the writes so far make exactly @p tile's contents (the
+     * same p and canonical nonzero stream; grid coordinates are not
+     * compared), checked in place: no Tile is built and no TileStats
+     * computed. Canonicalizes as build() does and throws PanicError in
+     * the same cases; the builder can still build() afterwards.
+     */
+    bool matches(const Tile &tile);
+
   private:
+    /**
+     * Sort the writes into the canonical stream in place; PanicError
+     * on a cell written twice.
+     */
+    void canonicalize();
+
     Index p;
     Index tRow;
     Index tCol;

@@ -23,9 +23,8 @@ timePartition(const Tile &tile, const FormatCodec &codec,
                             "grammar:\n" +
                                 report.toString());
     }
-    const auto decomp = simulateDecompression(*encoded, config);
-    COPERNICUS_PANIC_IF(!(decomp.decoded == tile),
-                        "pipeline: decompressor model corrupted a tile");
+    const DecompressCost decomp =
+        verifyDecompression(*encoded, tile, config);
 
     // The DDR interface sees post-compression stream images; useful
     // bytes are untouched, so utilization can only rise.
@@ -59,6 +58,7 @@ runImpl(const Partitioning &parts,
 {
     PipelineResult result;
     result.partitionSize = parts.partitionSize;
+    result.partitions.reserve(parts.tiles.size());
 
     double balance_sum = 0;
     double sigma_sum = 0;

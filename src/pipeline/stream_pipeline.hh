@@ -65,8 +65,9 @@ struct PartitionTiming
  * (runPipeline, runEventSim, runParallel) and planFormats share.
  *
  * Encodes @p tile with @p codec, checks its grammar when
- * grammarValidationEnabled(), runs the decompressor model (a decoded
- * tile that differs from @p tile is a panic) and times the read of the
+ * grammarValidationEnabled(), runs the decompressor model through
+ * verifyDecompression() (a decode that differs from @p tile is a
+ * panic; no decoded tile is built) and times the read of the
  * first-stage streams, or of their second-stage images under
  * `secondStageCompression`, plus the vector segment under
  * `streamVectorOperand`. totalBytes covers the partition's streams

@@ -5,8 +5,12 @@
  * ordering claims.
  */
 
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
+#include "common/math.hh"
 #include "common/rng.hh"
 #include "formats/registry.hh"
 #include "hls/axi.hh"
@@ -100,6 +104,43 @@ TEST(AxiTest, ZeroLanesIsFatal)
     cfg.streamlines = 0;
     EXPECT_THROW(transferCycles(std::vector<Bytes>{8}, cfg),
                  FatalError);
+}
+
+TEST(AxiTest, LptAgreesWithAFullLaneReference)
+{
+    // Up to maxTransferStreams streams over 1..8 lanes, each stream on
+    // the first least-loaded of all `streamlines` lanes, zero-byte
+    // streams and ties included.
+    Rng rng(31);
+    for (int trial = 0; trial < 400; ++trial) {
+        HlsConfig cfg;
+        cfg.streamlines = 1 + static_cast<unsigned>(trial % 8);
+        std::vector<Bytes> streams(1 + trial % maxTransferStreams);
+        for (Bytes &bytes : streams)
+            bytes = rng.chance(0.2) ? 0 : 8 * (1 + trial % 5) +
+                                              (rng.chance(0.5) ? 40 : 0);
+        std::vector<Bytes> sorted = streams;
+        std::sort(sorted.begin(), sorted.end(), std::greater<>());
+        std::vector<Bytes> lanes(cfg.streamlines, 0);
+        for (Bytes bytes : sorted)
+            *std::min_element(lanes.begin(), lanes.end()) += bytes;
+        const Bytes busiest = *std::max_element(lanes.begin(), lanes.end());
+        const Cycles want =
+            busiest == 0 ? 0
+                         : ceilDiv(busiest, cfg.laneBytesPerCycle()) +
+                               cfg.burstSetupCycles;
+        EXPECT_EQ(transferCycles(streams, cfg), want)
+            << streams.size() << " streams, " << cfg.streamlines
+            << " lanes";
+    }
+}
+
+TEST(AxiTest, MoreStreamsThanOneTransferIsAPanic)
+{
+    HlsConfig cfg;
+    EXPECT_THROW(transferCycles(
+                     std::vector<Bytes>(maxTransferStreams + 1, 8), cfg),
+                 PanicError);
 }
 
 TEST(AxiTest, WritebackCycles)
@@ -394,6 +435,29 @@ TEST(DecompressorTest, DokSlowerThanCoo)
     const Tile tile = randomTile(16, 0.3, 77);
     EXPECT_GT(simulate(FormatKind::DOK, tile, cfg).decompressCycles,
               simulate(FormatKind::COO, tile, cfg).decompressCycles);
+}
+
+TEST(DecompressorTest, VerifiedCostEqualsTheDecodedTilesCost)
+{
+    // The in-place check prices a tile exactly as a decoded twin does.
+    HlsConfig cfg;
+    for (FormatKind kind : allFormats()) {
+        for (double density : {0.0, 0.1, 0.6}) {
+            const Tile tile = randomTile(16, density, 41);
+            const auto encoded = defaultCodec(kind).encode(tile);
+            const DecompressCost verified =
+                verifyDecompression(*encoded, tile, cfg);
+            const DecompressResult decoded =
+                simulateDecompression(*encoded, cfg);
+            EXPECT_TRUE(decoded.decoded == tile) << formatName(kind);
+            EXPECT_EQ(verified.decompressCycles, decoded.decompressCycles)
+                << formatName(kind);
+            EXPECT_EQ(verified.rowsProduced, decoded.rowsProduced)
+                << formatName(kind);
+            EXPECT_EQ(verified.tileSize, 16u) << formatName(kind);
+            EXPECT_EQ(decoded.tileSize, 16u) << formatName(kind);
+        }
+    }
 }
 
 TEST(DecompressorTest, ComputeCyclesCombineDecompAndDots)

@@ -58,6 +58,52 @@ TEST(LintTest, ZeroPartitionSizeIsAContractErrorNotACrash)
     EXPECT_EQ(report.errorCount(), 1u) << report.toString();
 }
 
+TEST(LintTest, IndivisiblePartitionSizeKeepsEveryDiagnostic)
+{
+    // p = 12 suits every codec but SELL-C-sigma (window 8): the tile
+    // sweeps skip that one pair, and the report keeps the contract
+    // findings instead of dying in the SELL-C-sigma encoder.
+    LintOptions options;
+    options.partitionSizes = {12};
+    LintReport report;
+    ASSERT_NO_THROW(report = runLint(options));
+    EXPECT_TRUE(hasError(report, "contract",
+                         "sorting window 8 does not divide partition "
+                         "size 12"))
+        << report.toString();
+    EXPECT_EQ(report.errorCount(), 1u) << report.toString();
+    EXPECT_TRUE(std::any_of(report.diagnostics.begin(),
+                            report.diagnostics.end(),
+                            [](const LintDiagnostic &d) {
+                                return d.id == "COP024";
+                            }))
+        << report.toString();
+}
+
+TEST(LintTest, TileSweepsVisitExactlyTheAdmittedPairs)
+{
+    const FormatParams params;
+    std::vector<std::pair<FormatKind, Index>> visited;
+    forEachLintTile(params, {0, 12, 16},
+                    [&](FormatKind kind, const Tile &tile) {
+                        visited.emplace_back(kind, tile.size());
+                    });
+    for (FormatKind kind : allFormats()) {
+        for (Index p : {Index(0), Index(12), Index(16)}) {
+            const bool seen =
+                std::find(visited.begin(), visited.end(),
+                          std::make_pair(kind, p)) != visited.end();
+            EXPECT_EQ(seen,
+                      partitionContractViolation(params, kind, p).empty())
+                << formatName(kind) << " p=" << p;
+        }
+    }
+    EXPECT_FALSE(
+        partitionContractViolation(params, FormatKind::SELLCS, 12).empty());
+    EXPECT_TRUE(
+        partitionContractViolation(params, FormatKind::SELL, 12).empty());
+}
+
 TEST(LintTest, DiagnosticFormatting)
 {
     LintReport report;

@@ -10,6 +10,9 @@
 
 #include "common/rng.hh"
 #include "compress/second_stage.hh"
+#include "formats/csr_format.hh"
+#include "formats/validate.hh"
+#include "hls/decompressor.hh"
 #include "pipeline/stream_pipeline.hh"
 #include "workloads/generators.hh"
 
@@ -278,6 +281,76 @@ TEST(PipelineTest, EveryPartitionTimingIsConsistent)
         EXPECT_GE(t.bottleneckCycles(), t.memoryCycles);
         EXPECT_GE(t.bottleneckCycles(), t.computeCycles);
     }
+}
+
+/** A CSR codec whose encode() bumps the first stored value. */
+class ValueBumpingCsrCodec : public CsrCodec
+{
+  public:
+    std::unique_ptr<EncodedTile>
+    encode(const Tile &tile) const override
+    {
+        auto encoded = CsrCodec::encode(tile);
+        static_cast<CsrEncoded &>(*encoded).values.front() += 1.0f;
+        return encoded;
+    }
+};
+
+/** A CSR codec whose encode() drops the tile's last non-zero. */
+class EntryDroppingCsrCodec : public CsrCodec
+{
+  public:
+    std::unique_ptr<EncodedTile>
+    encode(const Tile &tile) const override
+    {
+        std::vector<TileNonzero> kept = tile.nonzeros();
+        kept.pop_back();
+        return CsrCodec::encode(Tile(tile.size(), 0, 0, std::move(kept)));
+    }
+};
+
+/** What timePartition panics with on @p tile, or "" if it prices it. */
+std::string
+panicOf(const Tile &tile, const FormatCodec &codec)
+{
+    try {
+        timePartition(tile, codec, HlsConfig());
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(PipelineTest, CorruptedDecodeIsAPanic)
+{
+    // Both corruptions are well-formed CSR, so they pass the grammar
+    // check and only the decode check against the source tile sees them.
+    Rng rng(13);
+    const Partitioning parts = partition(randomMatrix(16, 0.3, rng), 16);
+    ASSERT_EQ(parts.tiles.size(), 1u);
+    const Tile &tile = parts.tiles.front();
+    const std::string corrupted =
+        "pipeline: decompressor model corrupted a tile";
+    const bool grammar = grammarValidationEnabled();
+    setGrammarValidationEnabled(true);
+    EXPECT_EQ(panicOf(tile, CsrCodec()), "");
+    EXPECT_NE(panicOf(tile, ValueBumpingCsrCodec()).find(corrupted),
+              std::string::npos);
+    EXPECT_NE(panicOf(tile, EntryDroppingCsrCodec()).find(corrupted),
+              std::string::npos);
+    setGrammarValidationEnabled(grammar);
+}
+
+TEST(PipelineTest, OutOfRangeDecodeIsAPanic)
+{
+    Rng rng(14);
+    const Partitioning parts = partition(randomMatrix(16, 0.3, rng), 16);
+    ASSERT_EQ(parts.tiles.size(), 1u);
+    const Tile &tile = parts.tiles.front();
+    auto encoded = CsrCodec().encode(tile);
+    static_cast<CsrEncoded &>(*encoded).colInx.back() = 16;
+    EXPECT_THROW(verifyDecompression(*encoded, tile, HlsConfig()),
+                 PanicError);
 }
 
 } // namespace

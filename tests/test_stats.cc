@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+
 #include "common/rng.hh"
 #include "matrix/stats.hh"
 #include "workloads/generators.hh"
@@ -71,6 +74,58 @@ TEST(MatrixStatsTest, OffDiagonalBandwidth)
     const auto stats = computeStats(m);
     EXPECT_EQ(stats.bandwidth, 9u);
     EXPECT_DOUBLE_EQ(stats.diagonalFraction, 0.0);
+}
+
+/** Diagonal features of @p m recomputed over a std::set of col - row. */
+void
+expectDiagonalsMatchASetReference(const TripletMatrix &m)
+{
+    std::set<long long> diagonals;
+    std::size_t onMain = 0;
+    Index bandwidth = 0;
+    for (const Triplet &t : m.triplets()) {
+        const long long d = static_cast<long long>(t.col) - t.row;
+        diagonals.insert(d);
+        onMain += d == 0;
+        bandwidth = std::max(bandwidth, static_cast<Index>(std::llabs(d)));
+    }
+    const MatrixStats stats = computeStats(m);
+    EXPECT_EQ(stats.nonZeroDiagonals, diagonals.size())
+        << m.rows() << "x" << m.cols();
+    EXPECT_EQ(stats.bandwidth, bandwidth) << m.rows() << "x" << m.cols();
+    EXPECT_DOUBLE_EQ(stats.diagonalFraction,
+                     m.nnz() == 0 ? 0.0
+                                  : static_cast<double>(onMain) / m.nnz())
+        << m.rows() << "x" << m.cols();
+}
+
+TEST(MatrixStatsTest, DiagonalCountsMatchASetReference)
+{
+    Rng rng(23);
+    for (double density : {0.01, 0.2, 0.9})
+        expectDiagonalsMatchASetReference(randomMatrix(64, density, rng));
+    // Wide and tall shapes, at random and with only their two extreme
+    // diagonals (the bottom-left and top-right corners) populated.
+    for (const auto &[rows, cols] :
+         {std::pair<Index, Index>{3, 7}, std::pair<Index, Index>{7, 3}}) {
+        for (double density : {0.3, 1.0}) {
+            TripletMatrix m(rows, cols);
+            for (Index r = 0; r < rows; ++r)
+                for (Index c = 0; c < cols; ++c)
+                    if (rng.chance(density))
+                        m.add(r, c, 1.0f);
+            m.finalize();
+            expectDiagonalsMatchASetReference(m);
+        }
+        TripletMatrix corners(rows, cols);
+        corners.add(rows - 1, 0, 1.0f);
+        corners.add(0, cols - 1, 2.0f);
+        corners.finalize();
+        expectDiagonalsMatchASetReference(corners);
+        EXPECT_EQ(computeStats(corners).nonZeroDiagonals, 2u);
+        EXPECT_EQ(computeStats(corners).bandwidth,
+                  std::max(rows, cols) - 1);
+    }
 }
 
 TEST(PartitionStatsTest, FullTileIsFullyDense)

@@ -215,6 +215,94 @@ TEST(TileBuilderTest, RepeatedCellThrows)
     }
 }
 
+/** Replay @p order into @p b and check it against @p want in place. */
+bool
+replayMatches(TileBuilder &b, const std::vector<TileNonzero> &order,
+              const Tile &want)
+{
+    b.reset(want.size());
+    for (const TileNonzero &e : order)
+        b.set(e.row, e.col, e.value);
+    return b.matches(want);
+}
+
+TEST(TileBuilderTest, MatchesAcceptsEveryEmissionOrder)
+{
+    const Tile want = partitionedTile();
+    std::vector<TileNonzero> columnMajor = want.nonzeros();
+    std::stable_sort(columnMajor.begin(), columnMajor.end(),
+                     [](const TileNonzero &a, const TileNonzero &b) {
+                         return a.col < b.col;
+                     });
+    std::vector<TileNonzero> hashOrder = want.nonzeros();
+    std::mt19937 shuffle(7);
+    std::shuffle(hashOrder.begin(), hashOrder.end(), shuffle);
+    ASSERT_NE(columnMajor, want.nonzeros());
+    ASSERT_NE(hashOrder, want.nonzeros());
+
+    // One builder, reset between replays, as a decoder reuses it.
+    TileBuilder b(4);
+    const std::vector<const std::vector<TileNonzero> *> orders = {
+        &want.nonzeros(), &columnMajor, &hashOrder};
+    for (const auto *order : orders)
+        EXPECT_TRUE(replayMatches(b, *order, want));
+    // Matching canonicalized in place; the builder still builds.
+    expectSameTile(b.build(), want);
+    EXPECT_TRUE(replayMatches(b, {}, Tile(16)));
+}
+
+TEST(TileBuilderTest, MatchesRejectsEveryDifference)
+{
+    const Tile want = partitionedTile();
+    const std::vector<TileNonzero> &nz = want.nonzeros();
+    ASSERT_GE(nz.size(), 2u);
+    TileBuilder b(16);
+
+    std::vector<TileNonzero> changed = nz;
+    changed[nz.size() / 2].value += 1.0f;
+    EXPECT_FALSE(replayMatches(b, changed, want));
+
+    std::vector<TileNonzero> missing = nz;
+    missing.erase(missing.begin() + 1);
+    EXPECT_FALSE(replayMatches(b, missing, want));
+
+    std::vector<TileNonzero> extra = nz;
+    TileNonzero added{0, 0, 5.0f};
+    while (want(added.row, added.col) != Value(0))
+        ++added.col;
+    extra.push_back(added);
+    EXPECT_FALSE(replayMatches(b, extra, want));
+
+    // The same entries in a larger tile are another tile.
+    b.reset(32);
+    for (const TileNonzero &e : nz)
+        b.set(e.row, e.col, e.value);
+    EXPECT_FALSE(b.matches(want));
+    EXPECT_TRUE(replayMatches(b, nz, want));
+}
+
+TEST(TileBuilderTest, MatchesKeepsTheBuildChecks)
+{
+    const Tile want = partitionedTile();
+    const std::vector<std::vector<TileNonzero>> repeats = {
+        {{1, 1, 1.0f}, {1, 1, 2.0f}},
+        {{3, 0, 1.0f}, {1, 1, 1.0f}, {3, 0, 2.0f}},
+        {{0, 5, 1.0f}, {0, 2, 1.0f}, {0, 5, 3.0f}},
+    };
+    TileBuilder b(16);
+    for (const auto &order : repeats)
+        EXPECT_THROW(replayMatches(b, order, want), PanicError);
+    // A reset to a smaller edge range-checks against the new size.
+    b.reset(8);
+    EXPECT_THROW(b.set(8, 0, 1.0f), PanicError);
+    EXPECT_THROW(b.set(0, 8, 1.0f), PanicError);
+    EXPECT_THROW(b.reset(0), FatalError);
+    // A built builder is spent until it is reset.
+    b.reset(16);
+    EXPECT_TRUE(b.build().empty());
+    EXPECT_THROW(b.matches(want), PanicError);
+}
+
 TEST(PartitionerTest, ExactGridNoPadding)
 {
     TripletMatrix m(8, 8);
