@@ -79,7 +79,7 @@ main(int argc, char **argv)
         for (auto &[name, matrix] : benchutil::randomWorkloads())
             compressed.addWorkload(name, std::move(matrix));
         const auto on = compressed.run();
-        std::cout << "\nsecond stage on (per-class codec selection, "
+        std::cout << "\nsecond stage on (per-stream codec selection, "
                      "STORE fallback):\n";
         printUtilization(on, names);
         std::cout << "\nExpected shape: utilization at or above the "

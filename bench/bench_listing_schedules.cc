@@ -113,7 +113,7 @@ main(int argc, char **argv)
     TableWriter specs({"format", "listing", "nest",
                        "closed-form", "walked"});
     for (FormatKind kind : allFormats()) {
-        const ScheduleSpec &spec = registry.schedule(kind);
+        const ScheduleSpec &spec = scheduleSpec(kind);
         const auto encoded = registry.codec(kind).encode(tile);
         const TileFeatures features =
             extractScheduleFeatures(*encoded, tile);

@@ -123,10 +123,9 @@ checkBufferCapacity(FormatKind kind, Index p,
 void
 runCapacityPass(const LintOptions &options, LintReport &report)
 {
-    const FormatRegistry registry(options.params);
     const DeviceCapacity device;
-    for (FormatKind kind : allFormats()) {
-        checkPortPressure(registry.schedule(kind), options.hls, report);
+    for (FormatKind kind : admittedFormats(options.params)) {
+        checkPortPressure(scheduleSpec(kind), options.hls, report);
         for (Index p : options.partitionSizes) {
             if (p == 0)
                 continue;

@@ -5,11 +5,11 @@
 namespace copernicus {
 
 void
-checkTileCompression(const FormatRegistry &registry, FormatKind kind,
-                     const Tile &tile, LintReport &report)
+checkTileCompression(const FormatCodec &codec, const Tile &tile,
+                     LintReport &report)
 {
-    const std::string name(formatName(kind));
-    const auto encoded = registry.codec(kind).encode(tile);
+    const std::string name(formatName(codec.kind()));
+    const auto encoded = codec.encode(tile);
     const TileCompression result = compressTile(*encoded);
     const Bytes raw = result.rawBytes();
     const Bytes stored = result.storedBytes();
@@ -37,11 +37,9 @@ checkTileCompression(const FormatRegistry &registry, FormatKind kind,
 void
 runCompressPass(const LintOptions &options, LintReport &report)
 {
-    const FormatRegistry registry(options.params);
     forEachLintTile(options.params, options.partitionSizes,
-                    [&](FormatKind kind, const Tile &tile) {
-                        checkTileCompression(registry, kind, tile,
-                                             report);
+                    [&](const FormatCodec &codec, const Tile &tile) {
+                        checkTileCompression(codec, tile, report);
                     });
 }
 

@@ -20,9 +20,8 @@
 
 namespace copernicus {
 
-/** COP100 for one tile in one format. */
-void checkTileCompression(const FormatRegistry &registry,
-                          FormatKind kind, const Tile &tile,
+/** COP100 for one tile encoded by @p codec. */
+void checkTileCompression(const FormatCodec &codec, const Tile &tile,
                           LintReport &report);
 
 /** The pass: the synthetic tile sweep across every format. */

@@ -8,7 +8,7 @@
 
 #include "analysis/source_scan.hh"
 #include "common/math.hh"
-#include "formats/size_model.hh"
+#include "fpga/buffer_model.hh"
 #include "hls/schedule_ir.hh"
 
 namespace copernicus {
@@ -104,27 +104,6 @@ emptyTileFeatures(Index p)
     return f;
 }
 
-/** Worst-case TileShape for the byte-model envelope. */
-TileShape
-envelopeShape(Index p, const FormatParams &params)
-{
-    TileShape shape;
-    shape.p = p;
-    shape.nnz = p * p;
-    shape.maxRowNnz = p;
-    shape.maxColNnz = p;
-    const Index block = std::max<Index>(params.bcsrBlock, 1);
-    const Index grid = std::max<Index>(p / block, 1);
-    shape.nnzBlocks = grid * grid;
-    shape.nnzDiagonals = 2 * p - 1;
-    const Index slice = std::max<Index>(params.sellSlice, 1);
-    const Index slices = std::max<Index>(p / slice, 1);
-    shape.sliceWidths.assign(slices, p);
-    shape.sortedSliceWidths.assign(slices, p);
-    shape.ellCooOverflow = p * p;
-    return shape;
-}
-
 } // namespace
 
 void
@@ -157,9 +136,8 @@ checkAccountingRanges(const LintOptions &options,
         ceilDiv128(envelope.maxWorkloadNnz, U128(p) * U128(p)), 1);
     const U128 emptyTiles = envelope.maxWorkloadNnz;
 
-    const FormatRegistry registry(options.params);
-    for (FormatKind kind : allFormats()) {
-        const ScheduleSpec &spec = registry.schedule(kind);
+    for (FormatKind kind : admittedFormats(options.params)) {
+        const ScheduleSpec &spec = scheduleSpec(kind);
         const std::string name(formatName(kind));
 
         const U128 perTile =
@@ -236,23 +214,22 @@ checkAccountingRanges(const LintOptions &options,
                            "(128-bit fold " +
                                u128ToString(probe) + ")");
 
-        // COP062: byte accounting. predictedBytes is exact codec
-        // arithmetic; hold it to a generous linear bound (64 bytes per
-        // matrix position) so a quadratic-in-nnz regression in any
-        // size model is caught at the envelope.
-        const TileShape shape = envelopeShape(p, options.params);
-        const Bytes predicted =
-            predictedBytes(shape, kind, options.params);
+        // COP062: byte accounting. A tile's worst-case bytes are the
+        // buffer model's Section 2 allocation, which no encoding
+        // exceeds; hold it to a generous linear bound (64 bytes per
+        // matrix position) so a quadratic-in-nnz regression in the
+        // model is caught at the envelope.
+        const Bytes worst = totalBufferBits(kind, p, options.params) / 8;
         const U128 byteBound = U128(64) * U128(p) * U128(p);
-        if (U128(predicted) > byteBound) {
+        if (U128(worst) > byteBound) {
             report.error(
                 "COP062", "overflow", name,
-                "worst-case tile bytes " + std::to_string(predicted) +
+                "worst-case tile bytes " + std::to_string(worst) +
                     " exceed the linear envelope bound " +
                     u128ToString(byteBound) +
                     " (64 bytes per matrix position)");
         } else {
-            const U128 byteAggregate = U128(predicted) * fullTiles;
+            const U128 byteAggregate = U128(worst) * fullTiles;
             if (byteAggregate > u64Max)
                 report.error("COP062", "overflow", name,
                              "aggregate byte accounting overflows "
@@ -324,10 +301,9 @@ runOverflowPass(const LintOptions &options, LintReport &report)
     // The accounting hot files: everything that folds cycles or sums
     // bytes on the lint-provable paths.
     static const char *const scanSet[] = {
-        "src/formats/size_model.cc",    "src/formats/schedule_spec.cc",
-        "src/hls/schedule_ir.hh",       "src/hls/schedule_ir.cc",
-        "src/hls/decompressor.cc",      "src/compress/second_stage.cc",
-        "src/fpga/buffer_model.cc",
+        "src/formats/schedule_spec.cc", "src/hls/schedule_ir.hh",
+        "src/hls/schedule_ir.cc",       "src/hls/decompressor.cc",
+        "src/compress/second_stage.cc", "src/fpga/buffer_model.cc",
     };
     for (const char *relative : scanSet) {
         const std::string path = root + "/" + relative;

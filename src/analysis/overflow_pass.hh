@@ -1,7 +1,7 @@
 /**
  * @file
- * Symbolic range / overflow analysis over the schedule IR and the size
- * model (rules COP060-063).
+ * Symbolic range / overflow analysis over the schedule IR and the
+ * buffer model (rules COP060-063).
  *
  * The cycle and byte accounting runs in uint64 (Cycles, Bytes). This
  * pass proves that stays safe up to a declared workload envelope — by
@@ -19,16 +19,21 @@
  *    would silently wrap); the aggregate over the envelope's tile
  *    count must keep 8x headroom or a warning is raised. A spec whose
  *    folding ever goes super-linear in `entries` fails here loudly.
- *  - COP062: the same treatment for byte accounting — the per-tile
- *    predicted wire bytes are checked against a generous linear bound
- *    (64 bytes per matrix position) and the aggregate against uint64.
+ *  - COP062: the same treatment for byte accounting. A tile's
+ *    worst-case bytes are the buffer model's Section 2 allocation
+ *    (totalBufferBits() / 8 in fpga/buffer_model.hh), the bound every
+ *    encoding fits (BufferBoundTest) and the capacity pass sizes BRAM
+ *    by. They are checked against a generous linear bound (64 bytes
+ *    per matrix position) and their aggregate against uint64.
  *  - COP063: a textual scan of the accounting hot files for narrowing
  *    casts (static_cast to Index/int/unsigned/uint32_t): a 64-bit
  *    count squeezed through a 32-bit intermediate defeats the range
  *    proof above, so the models must compute natively wide.
  *
- * The source scan needs a checkout; it skips silently when the source
- * root does not exist (a deployed daemon has no source tree).
+ * Formats whose codec rejects the hyperparameters are skipped (the
+ * contract pass reports them, COP021). The source scan needs a
+ * checkout; it skips silently when the source root does not exist (a
+ * deployed daemon has no source tree).
  */
 
 #ifndef COPERNICUS_ANALYSIS_OVERFLOW_PASS_HH

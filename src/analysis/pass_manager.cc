@@ -18,18 +18,15 @@ namespace {
 void
 runSpecPass(const LintOptions &options, LintReport &report)
 {
-    const FormatRegistry registry(options.params);
-    for (FormatKind kind : allFormats())
-        checkSpecStructure(registry.schedule(kind), options.hls,
-                           report);
+    for (FormatKind kind : admittedFormats(options.params))
+        checkSpecStructure(scheduleSpec(kind), options.hls, report);
 }
 
 void
 runBodyPass(const LintOptions &options, LintReport &report)
 {
-    const FormatRegistry registry(options.params);
-    for (FormatKind kind : allFormats()) {
-        const ScheduleSpec &spec = registry.schedule(kind);
+    for (FormatKind kind : admittedFormats(options.params)) {
+        const ScheduleSpec &spec = scheduleSpec(kind);
         if (!spec.hasInnerBody)
             continue;
         // A zero partition has no decoder body to schedule; the
@@ -54,11 +51,10 @@ void
 runTilePasses(const LintOptions &options, bool grammar, bool oracle,
               LintReport &report)
 {
-    const FormatRegistry registry(options.params);
     forEachLintTile(options.params, options.partitionSizes,
-                    [&](FormatKind kind, const Tile &tile) {
-                        checkTile(registry, kind, tile, options.hls,
-                                  grammar, oracle, report);
+                    [&](const FormatCodec &codec, const Tile &tile) {
+                        checkTile(codec, tile, options.hls, grammar,
+                                  oracle, report);
                     });
 }
 

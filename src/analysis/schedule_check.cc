@@ -185,6 +185,16 @@ checkDecoderBody(const ScheduleSpec &spec, const LoopBody &body,
     }
 }
 
+std::vector<FormatKind>
+admittedFormats(const FormatParams &params)
+{
+    std::vector<FormatKind> kinds;
+    for (FormatKind kind : allFormats())
+        if (formatParamsViolation(params, kind).empty())
+            kinds.push_back(kind);
+    return kinds;
+}
+
 std::string
 partitionContractViolation(const FormatParams &params, FormatKind kind,
                            Index p)
@@ -226,19 +236,14 @@ checkContracts(const FormatParams &params, const HlsConfig &config,
         report.error("COP020", "contract", "",
                      "bramReadLatency must be positive (block RAM is "
                      "registered)");
-    if (params.bcsrBlock == 0)
-        report.error("COP021", "contract", "BCSR",
-                     "block size must be positive");
-    if (params.sellSlice == 0)
-        report.error("COP021", "contract", "SELL",
-                     "slice height must be positive");
-    if (params.sellSlice != 0 &&
-        params.sellCsWindow % params.sellSlice != 0)
-        report.error("COP021", "contract", "SELLCS",
-                     "sorting window " +
-                         std::to_string(params.sellCsWindow) +
-                         " is not a multiple of the slice height " +
-                         std::to_string(params.sellSlice));
+    // COP021 is the codecs' own check, reported once per format.
+    for (FormatKind kind : allFormats()) {
+        const std::string violation = formatParamsViolation(params, kind);
+        if (!violation.empty())
+            report.error("COP021", "contract",
+                         std::string(formatName(kind)), violation);
+    }
+    const std::vector<FormatKind> admitted = admittedFormats(params);
 
     for (Index p : partitionSizes) {
         if (p == 0) {
@@ -246,7 +251,7 @@ checkContracts(const FormatParams &params, const HlsConfig &config,
                          "partition size must be positive");
             continue;
         }
-        for (FormatKind kind : allFormats()) {
+        for (FormatKind kind : admitted) {
             const std::string violation =
                 partitionContractViolation(params, kind, p);
             if (!violation.empty())
@@ -276,12 +281,12 @@ checkContracts(const FormatParams &params, const HlsConfig &config,
 }
 
 void
-checkTile(const FormatRegistry &registry, FormatKind kind,
-          const Tile &tile, const HlsConfig &config, bool grammar,
-          bool oracle, LintReport &report)
+checkTile(const FormatCodec &codec, const Tile &tile,
+          const HlsConfig &config, bool grammar, bool oracle,
+          LintReport &report)
 {
-    const std::string name(formatName(kind));
-    const auto encoded = registry.codec(kind).encode(tile);
+    const std::string name(formatName(codec.kind()));
+    const auto encoded = codec.encode(tile);
 
     if (grammar) {
         const GrammarReport check = validateEncodedTile(*encoded);
@@ -293,7 +298,7 @@ checkTile(const FormatRegistry &registry, FormatKind kind,
     if (oracle) {
         const DecompressCost walked =
             verifyDecompression(*encoded, tile, config);
-        const ScheduleSpec &spec = registry.schedule(kind);
+        const ScheduleSpec &spec = scheduleSpec(codec.kind());
         const TileFeatures features =
             extractScheduleFeatures(*encoded, tile);
         const Cycles closed =
@@ -318,24 +323,29 @@ checkTile(const FormatRegistry &registry, FormatKind kind,
 }
 
 void
-forEachLintTile(const FormatParams &params,
-                const std::vector<Index> &partitionSizes,
-                const std::function<void(FormatKind, const Tile &)> &fn)
+forEachLintTile(
+    const FormatParams &params, const std::vector<Index> &partitionSizes,
+    const std::function<void(const FormatCodec &, const Tile &)> &fn)
 {
+    // No registry exists for a rejected hyperparameter; the contract
+    // pass reports it (COP021).
+    if (admittedFormats(params).size() != allFormats().size())
+        return;
+    const FormatRegistry registry(params);
     // The synthetic workload set: random, band, diagonal and stencil
     // structure exercise every format's encoder shapes (dense rows,
     // empty rows, diagonals, uneven slices).
     for (Index p : partitionSizes) {
         // The contract pass reports every pair skipped here (COP022).
-        std::vector<FormatKind> kinds;
+        std::vector<const FormatCodec *> codecs;
         for (FormatKind kind : allFormats())
             if (partitionContractViolation(params, kind, p).empty())
-                kinds.push_back(kind);
-        if (kinds.empty())
+                codecs.push_back(&registry.codec(kind));
+        if (codecs.empty())
             continue;
         const auto visit = [&](const Tile &tile) {
-            for (FormatKind kind : kinds)
-                fn(kind, tile);
+            for (const FormatCodec *codec : codecs)
+                fn(*codec, tile);
         };
         const Index n = p * 4;
         Rng rng(2024);

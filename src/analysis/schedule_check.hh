@@ -2,7 +2,10 @@
  * @file
  * Static schedule analyzer: the original four pass families.
  *
- * All static — nothing here runs the pipeline:
+ * All static — nothing here runs the pipeline. Specs are read through
+ * scheduleSpec(); only the tile sweeps build a FormatRegistry. Every
+ * pass checks the formats whose codec admits the hyperparameters
+ * (admittedFormats()) and leaves the rest to COP021:
  *
  *  - Spec structure (COP001-004): every format's ScheduleSpec is
  *    well-formed and none of its segments over-subscribes a dual-port
@@ -15,10 +18,10 @@
  *    ports fixes it) or a loop-carried dependence (it does not). LIL's
  *    comparator tree is additionally checked for balance: its
  *    compare-chain depth must be log2(p).
- *  - Contracts (COP020-024): codec hyperparameters against
- *    hls_config.hh and the requested partition sizes (BCSR block /
- *    SELL slice / SELL-C-sigma window divisibility, ELL width clamps,
- *    knob sanity).
+ *  - Contracts (COP020-024): platform-knob sanity, each codec's own
+ *    hyperparameter check (formatParamsViolation(), COP021), and the
+ *    requested partition sizes (BCSR block / SELL slice / SELL-C-sigma
+ *    window divisibility, ELL width clamps).
  *  - Grammar + oracle (COP030, COP040-041) over synthetic workloads:
  *    every encoded tile must satisfy its format grammar
  *    (formats/validate), and the closed-form cycle bound from the
@@ -42,6 +45,7 @@
 #include "analysis/diagnostics.hh"
 #include "analysis/protocol_surface.hh"
 #include "formats/registry.hh"
+#include "formats/schedule_spec.hh"
 #include "hls/hls_config.hh"
 #include "hlsc/ir.hh"
 #include "matrix/tile.hh"
@@ -57,7 +61,7 @@ struct LintOptions
     /** Platform the schedules are checked against. */
     HlsConfig hls;
 
-    /** Codec hyperparameters (the registry the passes build). */
+    /** Codec hyperparameters the formats are checked under. */
     FormatParams params;
 
     /**
@@ -107,6 +111,13 @@ void checkDecoderBody(const ScheduleSpec &spec, const LoopBody &body,
                       LintReport &report);
 
 /**
+ * The formats whose codec admits @p params (formatParamsViolation()
+ * is empty), in allFormats() order: the formats every pass checks.
+ * The contract pass reports the others (COP021).
+ */
+std::vector<FormatKind> admittedFormats(const FormatParams &params);
+
+/**
  * Why @p kind's codec cannot encode tiles of edge @p p under
  * @p params (the contract pass's COP022 message: p is zero, or the
  * BCSR block, SELL slice height or SELL-C-sigma sorting window does
@@ -116,32 +127,37 @@ void checkDecoderBody(const ScheduleSpec &spec, const LoopBody &body,
 std::string partitionContractViolation(const FormatParams &params,
                                        FormatKind kind, Index p);
 
-/** Pass 3: hyperparameter/partition/knob contracts. */
+/**
+ * Pass 3: knob (COP020), hyperparameter (COP021) and partition-size
+ * (COP022-024) contracts. COP022 covers admitted formats only: a
+ * rejected one has COP021 alone.
+ */
 void checkContracts(const FormatParams &params, const HlsConfig &config,
                     const std::vector<Index> &partitionSizes,
                     LintReport &report);
 
 /**
- * Pass 4 (per tile): grammar-validate @p tile encoded as @p kind and
+ * Pass 4 (per tile): grammar-validate @p tile encoded by @p codec and
  * check the closed-form bound against the dynamic walker.
  */
-void checkTile(const FormatRegistry &registry, FormatKind kind,
-               const Tile &tile, const HlsConfig &config, bool grammar,
-               bool oracle, LintReport &report);
+void checkTile(const FormatCodec &codec, const Tile &tile,
+               const HlsConfig &config, bool grammar, bool oracle,
+               LintReport &report);
 
 /**
- * Invoke @p fn(kind, tile) for every tile of the synthetic lint
+ * Invoke @p fn(codec, tile) for every tile of the synthetic lint
  * workload set (random, band, diagonal, stencil, plus the all-zero
  * tile) at each partition size, once per format the contract pass
  * admits at that size (partitionContractViolation() is empty) — the
  * shared tile sweep behind the grammar, oracle and compress passes, so
  * a size one codec rejects costs that codec's checks only, not the
- * run. Deterministic (fixed seed).
+ * run. The codecs come from one FormatRegistry(params); when a format
+ * rejects @p params no registry can be built and nothing is visited.
+ * Deterministic (fixed seed).
  */
-void forEachLintTile(const FormatParams &params,
-                     const std::vector<Index> &partitionSizes,
-                     const std::function<void(FormatKind, const Tile &)>
-                         &fn);
+void forEachLintTile(
+    const FormatParams &params, const std::vector<Index> &partitionSizes,
+    const std::function<void(const FormatCodec &, const Tile &)> &fn);
 
 /**
  * Run every registered pass over the full registry (implemented in

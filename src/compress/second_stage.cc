@@ -51,16 +51,15 @@ struct Candidate
 };
 
 /**
- * Select the stored form of one stream: the smallest image among the
- * codecs @p choice allows that beats STORE after the container header
- * and decompresses back to @p raw, LZ4 first on a tie; STORE if there
- * is none. Images are ordered by size first and only the selected one
+ * Select the stored form of one stream: the smaller of the LZ4 and
+ * LZF images that beats STORE after the container header and
+ * decompresses back to @p raw, LZ4 first on a tie; STORE if there is
+ * none. Images are ordered by size first and only the selected one
  * is verified, so losing candidates pay no decompress.
  */
 CompressedStream
 compressStream(StreamClass cls, const char *name, Wire wire,
-               std::span<const std::byte> raw, SecondStageChoice choice,
-               bool keepPayloads)
+               std::span<const std::byte> raw, bool keepPayloads)
 {
     CompressedStream out;
     out.cls = cls;
@@ -81,12 +80,8 @@ compressStream(StreamClass cls, const char *name, Wire wire,
         if (Bytes(image.size()) + streamHeaderBytes < out.rawBytes)
             candidates[count++] = {&codec, &image};
     };
-    if (choice == SecondStageChoice::Auto ||
-        choice == SecondStageChoice::Lz4)
-        consider(lz4Compressor(), lz4Image);
-    if (choice == SecondStageChoice::Auto ||
-        choice == SecondStageChoice::Lzf)
-        consider(lzfCompressor(), lzfImage);
+    consider(lz4Compressor(), lz4Image);
+    consider(lzfCompressor(), lzfImage);
     if (count == 2 &&
         candidates[1].image->size() < candidates[0].image->size())
         std::swap(candidates[0], candidates[1]);
@@ -107,20 +102,6 @@ compressStream(StreamClass cls, const char *name, Wire wire,
 }
 
 } // namespace
-
-SecondStageChoice
-CompressionPolicy::forClass(StreamClass cls) const
-{
-    switch (cls) {
-    case StreamClass::Value:
-        return value;
-    case StreamClass::Index:
-        return index;
-    case StreamClass::Offset:
-        return offset;
-    }
-    return SecondStageChoice::Store;
-}
 
 Bytes
 TileCompression::rawBytes() const
@@ -158,8 +139,7 @@ TileCompression::storedStreamBytes() const
 }
 
 TileCompression
-compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
-             bool keepPayloads)
+compressTile(const EncodedTile &tile, bool keepPayloads)
 {
     const auto start = std::chrono::steady_clock::now();
 
@@ -168,8 +148,8 @@ compressTile(const EncodedTile &tile, const CompressionPolicy &policy,
     result.streams.reserve(5);
     tile.visitStreams([&](StreamClass cls, const char *name, Wire wire,
                           std::span<const std::byte> raw) {
-        result.streams.push_back(compressStream(
-            cls, name, wire, raw, policy.forClass(cls), keepPayloads));
+        result.streams.push_back(
+            compressStream(cls, name, wire, raw, keepPayloads));
     });
 
     const auto elapsed = std::chrono::steady_clock::now() - start;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Second-stage stream compression: per-stream-class codec selection
- * over an encoded tile's typed streams.
+ * Second-stage stream compression: per-stream codec selection over an
+ * encoded tile's typed streams.
  *
  * Copernicus charges every byte crossing the memory interface against
  * bandwidth utilization (Section 4.2). The first stage is the sparse
@@ -10,10 +10,10 @@
  * transfer model sees it. Index, offset and value streams have very
  * different statistics — offsets are near-monotone and highly
  * repetitive, indices are small-alphabet, values are mostly
- * incompressible floats — so the codec is chosen *per stream class*
- * (SMASH and Qin et al., PAPERS.md), with an automatic
- * try-both-pick-smaller mode and a STORE passthrough whenever
- * compression loses.
+ * incompressible floats — so the codec is chosen *per stream* (SMASH
+ * and Qin et al., PAPERS.md): every stream tries LZ4 and LZF and
+ * keeps the smaller, with a STORE passthrough whenever compression
+ * loses.
  *
  * Streams are read in place through the declaration's visit view, and
  * each codec compresses into a per-thread buffer, so a tile costs what
@@ -24,11 +24,11 @@
  *
  * Accounting contract: a STORE stream ships the raw serialized bytes
  * unchanged, so storedBytes() <= rawBytes() always, and disabling the
- * second stage is exactly the all-STORE policy: stored sizes are
- * summed per first-stage wire, so an all-STORE tile presents the AXI
- * model the same wires as the uncompressed one. Compressed streams
- * pay a fixed per-stream container header (family + raw size) so the
- * model never undercounts framing.
+ * second stage prices like a tile whose streams all select STORE:
+ * stored sizes are summed per first-stage wire, so an all-STORE tile
+ * presents the AXI model the same wires as the uncompressed one.
+ * Compressed streams pay a fixed per-stream container header (family
+ * + raw size) so the model never undercounts framing.
  */
 
 #ifndef COPERNICUS_COMPRESS_SECOND_STAGE_HH
@@ -43,28 +43,6 @@
 #include "formats/typed_stream.hh"
 
 namespace copernicus {
-
-/** Codec choice for one stream class. */
-enum class SecondStageChoice : std::uint8_t
-{
-    Auto, ///< try every family, keep the smallest (or STORE)
-    Store,
-    Lz4,
-    Lzf,
-};
-
-/**
- * Per-stream-class selection policy. Defaults to Auto everywhere —
- * the measured-smallest choice per stream.
- */
-struct CompressionPolicy
-{
-    SecondStageChoice value = SecondStageChoice::Auto;
-    SecondStageChoice index = SecondStageChoice::Auto;
-    SecondStageChoice offset = SecondStageChoice::Auto;
-
-    SecondStageChoice forClass(StreamClass cls) const;
-};
 
 /**
  * Fixed container header charged to every non-STORE stream: one
@@ -121,9 +99,9 @@ struct TileCompression
 /**
  * Run second-stage selection over @p tile's typed streams.
  *
- * Per stream, each codec the policy allows compresses the payload;
- * the images whose stored size (payload plus container header) is
- * below the raw size are ordered by size, LZ4 first on a tie. The
+ * Per stream, LZ4 and LZF each compress the payload; the images whose
+ * stored size (payload plus container header) is below the raw size
+ * are ordered by size, LZ4 first on a tie. The
  * selected image is roundtrip-verified (decompressed and
  * byte-compared against the raw payload) and an image that fails is
  * never selected: the next one is verified instead, and STORE is the
@@ -132,7 +110,6 @@ struct TileCompression
  * are retained on the result for inspection.
  */
 TileCompression compressTile(const EncodedTile &tile,
-                             const CompressionPolicy &policy = {},
                              bool keepPayloads = false);
 
 /** Monotonic process-wide second-stage counters (wide events). */

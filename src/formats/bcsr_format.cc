@@ -7,9 +7,16 @@
 
 namespace copernicus {
 
+std::string
+BcsrCodec::paramsViolation(Index blockSize)
+{
+    return blockSize == 0 ? "BCSR block size must be positive" : "";
+}
+
 BcsrCodec::BcsrCodec(Index blockSize) : block(blockSize)
 {
-    COPERNICUS_FATAL_IF(blockSize == 0, "BCSR block size must be positive");
+    const std::string why = paramsViolation(blockSize);
+    COPERNICUS_FATAL_IF(!why.empty(), why);
 }
 
 std::unique_ptr<EncodedTile>

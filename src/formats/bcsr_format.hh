@@ -12,6 +12,8 @@
 #ifndef COPERNICUS_FORMATS_BCSR_FORMAT_HH
 #define COPERNICUS_FORMATS_BCSR_FORMAT_HH
 
+#include <string>
+
 #include "formats/codec.hh"
 
 namespace copernicus {
@@ -76,6 +78,9 @@ class BcsrCodec : public FormatCodec
   public:
     /** @param blockSize Block edge length b; must divide the tile size. */
     explicit BcsrCodec(Index blockSize = 4);
+
+    /** Why @p blockSize is rejected, or "": the constructor's check. */
+    static std::string paramsViolation(Index blockSize);
 
     FormatKind kind() const override { return FormatKind::BCSR; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;

@@ -6,9 +6,16 @@
 
 namespace copernicus {
 
+std::string
+EllCodec::paramsViolation(Index minWidth)
+{
+    return minWidth == 0 ? "ELL minimum width must be positive" : "";
+}
+
 EllCodec::EllCodec(Index minWidth) : wMin(minWidth)
 {
-    COPERNICUS_FATAL_IF(minWidth == 0, "ELL minimum width must be positive");
+    const std::string why = paramsViolation(minWidth);
+    COPERNICUS_FATAL_IF(!why.empty(), why);
 }
 
 Index

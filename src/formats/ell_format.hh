@@ -13,6 +13,8 @@
 #ifndef COPERNICUS_FORMATS_ELL_FORMAT_HH
 #define COPERNICUS_FORMATS_ELL_FORMAT_HH
 
+#include <string>
+
 #include "formats/codec.hh"
 
 namespace copernicus {
@@ -83,6 +85,9 @@ class EllCodec : public FormatCodec
   public:
     /** @param minWidth Compressed width floor (clamped to tile size). */
     explicit EllCodec(Index minWidth = 6);
+
+    /** Why @p minWidth is rejected, or "": the constructor's check. */
+    static std::string paramsViolation(Index minWidth);
 
     FormatKind kind() const override { return FormatKind::ELL; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;

@@ -6,9 +6,16 @@
 
 namespace copernicus {
 
+std::string
+EllCooCodec::paramsViolation(Index width)
+{
+    return width == 0 ? "ELL+COO width must be positive" : "";
+}
+
 EllCooCodec::EllCooCodec(Index width) : w(width)
 {
-    COPERNICUS_FATAL_IF(width == 0, "ELL+COO width must be positive");
+    const std::string why = paramsViolation(width);
+    COPERNICUS_FATAL_IF(!why.empty(), why);
 }
 
 std::unique_ptr<EncodedTile>

@@ -11,6 +11,8 @@
 #ifndef COPERNICUS_FORMATS_ELLCOO_FORMAT_HH
 #define COPERNICUS_FORMATS_ELLCOO_FORMAT_HH
 
+#include <string>
+
 #include "formats/codec.hh"
 
 namespace copernicus {
@@ -91,6 +93,9 @@ class EllCooCodec : public FormatCodec
   public:
     /** @param width ELL-part width (clamped to the tile size). */
     explicit EllCooCodec(Index width = 2);
+
+    /** Why @p width is rejected, or "": the constructor's check. */
+    static std::string paramsViolation(Index width);
 
     FormatKind kind() const override { return FormatKind::ELLCOO; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;

@@ -19,7 +19,6 @@
 namespace copernicus {
 
 FormatRegistry::FormatRegistry(const FormatParams &params)
-    : _params(params)
 {
     codecs.push_back(std::make_unique<DenseCodec>());
     codecs.push_back(std::make_unique<CsrCodec>());
@@ -48,10 +47,24 @@ FormatRegistry::codec(FormatKind kind) const
     panic("FormatRegistry: no codec registered for kind");
 }
 
-const ScheduleSpec &
-FormatRegistry::schedule(FormatKind kind) const
+std::string
+formatParamsViolation(const FormatParams &params, FormatKind kind)
 {
-    return scheduleSpec(kind);
+    switch (kind) {
+      case FormatKind::BCSR:
+        return BcsrCodec::paramsViolation(params.bcsrBlock);
+      case FormatKind::ELL:
+        return EllCodec::paramsViolation(params.ellMinWidth);
+      case FormatKind::SELL:
+        return SellCodec::paramsViolation(params.sellSlice);
+      case FormatKind::ELLCOO:
+        return EllCooCodec::paramsViolation(params.ellCooWidth);
+      case FormatKind::SELLCS:
+        return SellCsCodec::paramsViolation(params.sellSlice,
+                                            params.sellCsWindow);
+      default:
+        return {};
+    }
 }
 
 const FormatRegistry &

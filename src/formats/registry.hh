@@ -3,19 +3,23 @@
  * FormatRegistry: owns one configured codec per format.
  *
  * Codec hyperparameters (BCSR block, ELL minimum width, SELL slice
- * height, ELL+COO width) come from a FormatParams bundle whose defaults
- * are the paper's choices; benches that ablate a parameter construct
- * their own registry.
+ * height, ELL+COO width, SELL-C-sigma window) come from a FormatParams
+ * bundle whose defaults are the paper's choices; benches that ablate a
+ * parameter construct their own registry. Each parameterized codec
+ * states its precondition once, as the check its constructor raises
+ * on; formatParamsViolation() reads that check without building a
+ * codec, so the static analyzer reports exactly what the registry
+ * would refuse.
  */
 
 #ifndef COPERNICUS_FORMATS_REGISTRY_HH
 #define COPERNICUS_FORMATS_REGISTRY_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "formats/codec.hh"
-#include "formats/schedule_spec.hh"
 
 namespace copernicus {
 
@@ -42,27 +46,27 @@ struct FormatParams
 class FormatRegistry
 {
   public:
-    /** Build all codecs with the given hyperparameters. */
+    /**
+     * Build all codecs with the given hyperparameters. Raises
+     * FatalError with formatParamsViolation()'s message when a format
+     * rejects them.
+     */
     explicit FormatRegistry(const FormatParams &params = FormatParams());
 
     /** The codec for @p kind; every FormatKind is registered. */
     const FormatCodec &codec(FormatKind kind) const;
 
-    /**
-     * The declarative decode schedule of @p kind (the loop nest the
-     * cycle walker and the static analyzer both price). Specs are
-     * hyperparameter-independent, so all registries expose the same
-     * table.
-     */
-    const ScheduleSpec &schedule(FormatKind kind) const;
-
-    /** Hyperparameters this registry was built with. */
-    const FormatParams &params() const { return _params; }
-
   private:
-    FormatParams _params;
     std::vector<std::unique_ptr<FormatCodec>> codecs;
 };
+
+/**
+ * Why @p kind's codec rejects @p params (the check its constructor
+ * raises on), or "" when it admits them. Formats without
+ * hyperparameters admit every bundle.
+ */
+std::string formatParamsViolation(const FormatParams &params,
+                                  FormatKind kind);
 
 /** Process-wide registry with default (paper) hyperparameters. */
 const FormatRegistry &defaultRegistry();

@@ -35,10 +35,16 @@ declareSliceStreams(StreamDeclarer &declare,
                   });
 }
 
+std::string
+SellCodec::paramsViolation(Index sliceHeight)
+{
+    return sliceHeight == 0 ? "SELL slice height must be positive" : "";
+}
+
 SellCodec::SellCodec(Index sliceHeight) : c(sliceHeight)
 {
-    COPERNICUS_FATAL_IF(sliceHeight == 0,
-                        "SELL slice height must be positive");
+    const std::string why = paramsViolation(sliceHeight);
+    COPERNICUS_FATAL_IF(!why.empty(), why);
 }
 
 std::unique_ptr<EncodedTile>

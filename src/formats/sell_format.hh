@@ -11,6 +11,8 @@
 #ifndef COPERNICUS_FORMATS_SELL_FORMAT_HH
 #define COPERNICUS_FORMATS_SELL_FORMAT_HH
 
+#include <string>
+
 #include "formats/codec.hh"
 
 namespace copernicus {
@@ -70,6 +72,9 @@ class SellCodec : public FormatCodec
   public:
     /** @param sliceHeight Slice height C; must divide the tile size. */
     explicit SellCodec(Index sliceHeight = 4);
+
+    /** Why @p sliceHeight is rejected, or "": the constructor's check. */
+    static std::string paramsViolation(Index sliceHeight);
 
     FormatKind kind() const override { return FormatKind::SELL; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;

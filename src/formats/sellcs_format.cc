@@ -7,14 +7,22 @@
 
 namespace copernicus {
 
+std::string
+SellCsCodec::paramsViolation(Index sliceHeight, Index window)
+{
+    if (sliceHeight == 0)
+        return "SELL-C-sigma slice height must be > 0";
+    if (window == 0 || window % sliceHeight != 0)
+        return "SELL-C-sigma window must be a multiple of the slice "
+               "height";
+    return "";
+}
+
 SellCsCodec::SellCsCodec(Index sliceHeight, Index window)
     : c(sliceHeight), sigma(window)
 {
-    COPERNICUS_FATAL_IF(sliceHeight == 0,
-                        "SELL-C-sigma slice height must be > 0");
-    COPERNICUS_FATAL_IF(window == 0 || window % sliceHeight != 0,
-                        "SELL-C-sigma window must be a multiple of the slice "
-                        "height");
+    const std::string why = paramsViolation(sliceHeight, window);
+    COPERNICUS_FATAL_IF(!why.empty(), why);
 }
 
 std::unique_ptr<EncodedTile>

@@ -13,6 +13,8 @@
 #ifndef COPERNICUS_FORMATS_SELLCS_FORMAT_HH
 #define COPERNICUS_FORMATS_SELLCS_FORMAT_HH
 
+#include <string>
+
 #include "formats/codec.hh"
 #include "formats/sell_format.hh"
 
@@ -67,6 +69,12 @@ class SellCsCodec : public FormatCodec
      *        sliceHeight and divide the tile size.
      */
     explicit SellCsCodec(Index sliceHeight = 4, Index window = 8);
+
+    /**
+     * Why (@p sliceHeight, @p window) is rejected, or "": the
+     * constructor's check.
+     */
+    static std::string paramsViolation(Index sliceHeight, Index window);
 
     FormatKind kind() const override { return FormatKind::SELLCS; }
     std::unique_ptr<EncodedTile> encode(const Tile &tile) const override;

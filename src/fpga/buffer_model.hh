@@ -8,8 +8,12 @@
  * format — CSR/CSC n^2 values and indices plus n offsets, COO 3n^2
  * tuple words, DIA (2n-1) diagonals of n+1 words, and so on. This
  * module encodes those bounds; tests check that no real encoding ever
- * exceeds its bound, and the BRAM estimator's structural layer is
- * anchored on the same arithmetic.
+ * exceeds its bound. The capacity pass sizes BRAM budgets by them and
+ * the overflow pass bounds byte accounting by them (COP062). The BRAM
+ * estimator's structural layer (structuralBram in resource_model.cc)
+ * keeps its own bank arithmetic instead, for example the ELL family on
+ * width-6 slabs and DOK on five arrays; the golden CSVs pin its
+ * outputs.
  */
 
 #ifndef COPERNICUS_FPGA_BUFFER_MODEL_HH

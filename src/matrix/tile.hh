@@ -9,8 +9,8 @@
  * A Tile is an immutable value that holds only its canonical nonzero
  * stream (row-major (row, col, value) triplets) and the TileStats bundle
  * computed from it at construction (per-row/column histograms, maxima,
- * diagonal population). The codecs, the size model, schedule feature
- * extraction and the decode check all read those two, so every use costs
+ * diagonal population). The codecs, schedule feature extraction and
+ * the decode check all read those two, so every use costs
  * O(nnz + p): no tile holds a dense p x p plane, and nothing is built
  * lazily, so concurrent const access needs no synchronisation.
  *
@@ -52,7 +52,7 @@ struct TileNonzero
 
 /**
  * Sparsity features of one tile, computed in one O(nnz + p) pass and
- * shared by every consumer (codecs, size model, schedule IR).
+ * shared by every consumer (codecs, schedule IR).
  */
 struct TileStats
 {

@@ -58,21 +58,6 @@ TraceWriter::counterEvent(std::string_view counter, Cycles ts,
 }
 
 void
-TraceWriter::recordEventSim(const EventSimResult &result)
-{
-    beginScope("event_sim." + std::string(formatName(result.format)) +
-               ".p" + std::to_string(result.partitionSize));
-    for (std::size_t i = 0; i < result.schedule.size(); ++i) {
-        const TileSchedule &slot = result.schedule[i];
-        const std::string name = "p" + std::to_string(i);
-        durationEvent("read", name, slot.readStart, slot.readEnd);
-        durationEvent("compute", name, slot.computeStart,
-                      slot.computeEnd);
-        durationEvent("write", name, slot.writeStart, slot.writeEnd);
-    }
-}
-
-void
 TraceWriter::recordWorkerLanes(
     const std::vector<ThreadPool::LaneSpan> &spans)
 {

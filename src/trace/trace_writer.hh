@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "pipeline/event_sim.hh"
 #include "trace/trace_sink.hh"
 
 namespace copernicus {
@@ -59,12 +58,6 @@ class TraceWriter : public TraceSink
     void durationEventArgs(std::string_view track,
                            std::string_view name, Cycles start,
                            Cycles end, std::string argsJson);
-
-    /**
-     * Serialise a finished event-sim run (one scope, tracks
-     * read/compute/write) without having had a live sink attached.
-     */
-    void recordEventSim(const EventSimResult &result);
 
     /**
      * Record thread-pool lane spans as one scope ("thread_pool") with

@@ -298,27 +298,6 @@ TEST(Compress, CompressTileNeverExceedsRawBytes)
     }
 }
 
-TEST(Compress, StorePolicyIsIdentityAccounting)
-{
-    const FormatRegistry &registry = defaultRegistry();
-    Rng rng(0xABCD);
-    const TripletMatrix matrix = randomMatrix(64, 0.1, rng);
-    const Partitioning parts = partition(matrix, 16);
-    CompressionPolicy store;
-    store.value = SecondStageChoice::Store;
-    store.index = SecondStageChoice::Store;
-    store.offset = SecondStageChoice::Store;
-    for (const Tile &tile : parts.tiles) {
-        const auto encoded =
-            registry.codec(FormatKind::CSR).encode(tile);
-        const TileCompression comp = compressTile(*encoded, store);
-        // Disabling the second stage IS the all-STORE policy.
-        EXPECT_EQ(comp.storedBytes(), comp.rawBytes());
-        for (const CompressedStream &s : comp.streams)
-            EXPECT_EQ(CompressionFamily::Store, s.family);
-    }
-}
-
 TEST(Compress, KeptPayloadsDecompressToOriginal)
 {
     const FormatRegistry &registry = defaultRegistry();
@@ -331,7 +310,7 @@ TEST(Compress, KeptPayloadsDecompressToOriginal)
             registry.codec(FormatKind::CSR).encode(tile);
         const auto typed = encoded->typedStreams();
         const TileCompression comp =
-            compressTile(*encoded, CompressionPolicy{}, true);
+            compressTile(*encoded, true);
         ASSERT_EQ(typed.size(), comp.streams.size());
         for (std::size_t i = 0; i < typed.size(); ++i) {
             const CompressedStream &s = comp.streams[i];
@@ -409,25 +388,14 @@ corpusTiles()
     return tiles;
 }
 
-/** A CompressionPolicy with @p choice for every stream class. */
-CompressionPolicy
-uniformPolicy(SecondStageChoice choice)
-{
-    CompressionPolicy policy;
-    policy.value = choice;
-    policy.index = choice;
-    policy.offset = choice;
-    return policy;
-}
-
 /**
- * The selection rule stated exhaustively: compress @p stream with
- * every codec @p choice allows, verify every image, and keep the
- * smallest verified image whose stored size beats STORE. LZ4 is tried
- * first, so LZF replaces it only when strictly smaller.
+ * The selection rule stated exhaustively: compress @p stream with LZ4
+ * and LZF, verify every image, and keep the smallest verified image
+ * whose stored size beats STORE. LZ4 is tried first, so LZF replaces
+ * it only when strictly smaller.
  */
 CompressedStream
-referenceSelection(const TypedStream &stream, SecondStageChoice choice)
+referenceSelection(const TypedStream &stream)
 {
     CompressedStream best;
     best.cls = stream.cls;
@@ -437,14 +405,8 @@ referenceSelection(const TypedStream &stream, SecondStageChoice choice)
     best.rawBytes = stream.size();
     best.payloadBytes = stream.size();
     best.payload = stream.bytes;
-    std::vector<const StreamCompressor *> allowed;
-    if (choice == SecondStageChoice::Auto ||
-        choice == SecondStageChoice::Lz4)
-        allowed.push_back(&lz4Compressor());
-    if (choice == SecondStageChoice::Auto ||
-        choice == SecondStageChoice::Lzf)
-        allowed.push_back(&lzfCompressor());
-    for (const StreamCompressor *compressor : allowed) {
+    for (const StreamCompressor *compressor :
+         {&lz4Compressor(), &lzfCompressor()}) {
         std::vector<std::byte> image;
         compressor->compress(stream.bytes, image);
         std::vector<std::byte> check(stream.bytes.size());
@@ -485,29 +447,21 @@ TEST(Compress, SelectionMatchesExhaustiveReference)
     const FormatRegistry &registry = defaultRegistry();
     const std::vector<Tile> tiles = corpusTiles();
     std::array<std::size_t, 3> selected{}; // per CompressionFamily
-    for (SecondStageChoice choice :
-         {SecondStageChoice::Auto, SecondStageChoice::Lz4,
-          SecondStageChoice::Lzf, SecondStageChoice::Store}) {
-        const CompressionPolicy policy = uniformPolicy(choice);
-        for (const Tile &tile : tiles) {
-            for (FormatKind kind : allFormats()) {
-                const auto encoded = registry.codec(kind).encode(tile);
-                const std::vector<TypedStream> typed =
-                    encoded->typedStreams();
-                const TileCompression got =
-                    compressTile(*encoded, policy, true);
-                ASSERT_EQ(got.streams.size(), typed.size());
-                for (std::size_t i = 0; i < typed.size(); ++i) {
-                    EXPECT_EQ(streamMismatch(
-                                  got.streams[i],
-                                  referenceSelection(typed[i], choice)),
-                              "")
-                        << formatName(kind) << " p=" << tile.size()
-                        << " nnz=" << tile.nnz() << " stream "
-                        << typed[i].name << " policy "
-                        << int(choice);
-                    ++selected[std::size_t(got.streams[i].family)];
-                }
+    for (const Tile &tile : tiles) {
+        for (FormatKind kind : allFormats()) {
+            const auto encoded = registry.codec(kind).encode(tile);
+            const std::vector<TypedStream> typed =
+                encoded->typedStreams();
+            const TileCompression got = compressTile(*encoded, true);
+            ASSERT_EQ(got.streams.size(), typed.size());
+            for (std::size_t i = 0; i < typed.size(); ++i) {
+                EXPECT_EQ(streamMismatch(got.streams[i],
+                                         referenceSelection(typed[i])),
+                          "")
+                    << formatName(kind) << " p=" << tile.size()
+                    << " nnz=" << tile.nnz() << " stream "
+                    << typed[i].name;
+                ++selected[std::size_t(got.streams[i].family)];
             }
         }
     }
@@ -684,13 +638,13 @@ TEST(Compress, TilesOnFreshThreadsMatchInTurn)
     std::vector<TileCompression> inTurn(encoded.size());
     std::thread([&] {
         for (std::size_t i = 0; i < encoded.size(); ++i)
-            inTurn[i] = compressTile(*encoded[i], {}, true);
+            inTurn[i] = compressTile(*encoded[i], true);
     }).join();
     std::size_t differing = 0;
     for (std::size_t i = 0; i < encoded.size(); ++i) {
         TileCompression fresh;
         std::thread([&] {
-            fresh = compressTile(*encoded[i], {}, true);
+            fresh = compressTile(*encoded[i], true);
         }).join();
         bool same = fresh.streams.size() == inTurn[i].streams.size();
         for (std::size_t s = 0; same && s < fresh.streams.size(); ++s)

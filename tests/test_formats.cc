@@ -464,6 +464,59 @@ TEST(RegistryTest, ParamsReachCodecs)
     EXPECT_EQ(bcsr.blockSize(), 4u);
 }
 
+/** The FatalError message @p make raises, or "" when it returns. */
+template <typename Make>
+std::string
+fatalMessage(Make make)
+{
+    try {
+        make();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(RegistryTest, ParamsViolationIsTheCodecsOwnCheck)
+{
+    // formatParamsViolation() is exactly the FatalError each codec's
+    // constructor raises ("" when it builds), and the registry builds
+    // exactly when every format admits the bundle.
+    for (Index v = 0; v <= 16; ++v) {
+        FormatParams params;
+        params.bcsrBlock = v;
+        params.ellMinWidth = v;
+        params.ellCooWidth = v;
+        SCOPED_TRACE("value " + std::to_string(v));
+        EXPECT_EQ(formatParamsViolation(params, FormatKind::BCSR),
+                  fatalMessage([v] { (void)BcsrCodec(v); }));
+        EXPECT_EQ(formatParamsViolation(params, FormatKind::ELL),
+                  fatalMessage([v] { (void)EllCodec(v); }));
+        EXPECT_EQ(formatParamsViolation(params, FormatKind::ELLCOO),
+                  fatalMessage([v] { (void)EllCooCodec(v); }));
+        EXPECT_EQ(formatParamsViolation(params, FormatKind::Dense), "");
+    }
+    for (Index c = 0; c <= 16; ++c) {
+        for (Index w = 0; w <= 16; ++w) {
+            FormatParams params;
+            params.sellSlice = c;
+            params.sellCsWindow = w;
+            SCOPED_TRACE("slice " + std::to_string(c) + " window " +
+                         std::to_string(w));
+            EXPECT_EQ(formatParamsViolation(params, FormatKind::SELL),
+                      fatalMessage([c] { (void)SellCodec(c); }));
+            EXPECT_EQ(formatParamsViolation(params, FormatKind::SELLCS),
+                      fatalMessage([c, w] { (void)SellCsCodec(c, w); }));
+            const bool rejected =
+                !formatParamsViolation(params, FormatKind::SELL).empty() ||
+                !formatParamsViolation(params, FormatKind::SELLCS).empty();
+            EXPECT_EQ(rejected, !fatalMessage([&params] {
+                                     (void)FormatRegistry(params);
+                                 }).empty());
+        }
+    }
+}
+
 /** Each declared stream as "name/class/wire", in declaration order. */
 std::vector<std::string>
 streamLayout(const EncodedTile &encoded)

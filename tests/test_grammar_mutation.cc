@@ -348,7 +348,7 @@ narrowingCastMutant()
 {
     LintReport report;
     scanForNarrowingCasts(
-        "src/formats/size_model.cc",
+        "src/fpga/buffer_model.cc",
         "Bytes total = entries * 12;\n"
         "return static_cast<Index>(total);\n",
         report);

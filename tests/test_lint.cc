@@ -85,8 +85,8 @@ TEST(LintTest, TileSweepsVisitExactlyTheAdmittedPairs)
     const FormatParams params;
     std::vector<std::pair<FormatKind, Index>> visited;
     forEachLintTile(params, {0, 12, 16},
-                    [&](FormatKind kind, const Tile &tile) {
-                        visited.emplace_back(kind, tile.size());
+                    [&](const FormatCodec &codec, const Tile &tile) {
+                        visited.emplace_back(codec.kind(), tile.size());
                     });
     for (FormatKind kind : allFormats()) {
         for (Index p : {Index(0), Index(12), Index(16)}) {
@@ -102,6 +102,70 @@ TEST(LintTest, TileSweepsVisitExactlyTheAdmittedPairs)
         partitionContractViolation(params, FormatKind::SELLCS, 12).empty());
     EXPECT_TRUE(
         partitionContractViolation(params, FormatKind::SELL, 12).empty());
+}
+
+/** The formats the report's COP021 errors name, in report order. */
+std::vector<std::string>
+rejectedFormats(const LintReport &report)
+{
+    std::vector<std::string> formats;
+    for (const LintDiagnostic &d : report.diagnostics)
+        if (d.id == "COP021" && d.severity == LintSeverity::Error)
+            formats.push_back(d.format);
+    return formats;
+}
+
+TEST(LintTest, RejectedHyperparameterIsAContractErrorNotACrash)
+{
+    // A zero hyperparameter leaves its formats without a codec: every
+    // pass skips them, the tile sweeps build no registry, and the
+    // contract pass reports each rejected format once (COP021) with
+    // the codec's own message.
+    struct Case
+    {
+        const char *name;
+        Index FormatParams::*field;
+        std::vector<std::string> rejected;
+    };
+    const std::vector<Case> cases = {
+        {"bcsrBlock", &FormatParams::bcsrBlock, {"BCSR"}},
+        {"ellMinWidth", &FormatParams::ellMinWidth, {"ELL"}},
+        {"sellSlice", &FormatParams::sellSlice, {"SELL", "SELLCS"}},
+        {"ellCooWidth", &FormatParams::ellCooWidth, {"ELLCOO"}},
+        {"sellCsWindow", &FormatParams::sellCsWindow, {"SELLCS"}},
+    };
+    const PassManager &passes = PassManager::standard();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        LintOptions options;
+        options.params.*c.field = 0;
+
+        LintReport report;
+        ASSERT_NO_THROW(report = runLint(options));
+        EXPECT_EQ(rejectedFormats(report), c.rejected) << report.toString();
+        // Over the admitted formats every other pass is clean.
+        EXPECT_EQ(report.errorCount(), c.rejected.size())
+            << report.toString();
+        EXPECT_EQ(report.warningCount(), 0u) << report.toString();
+        for (const LintDiagnostic &d : report.diagnostics)
+            EXPECT_EQ(d.message,
+                      formatParamsViolation(options.params,
+                                            parseFormatKind(d.format)));
+
+        const LintReport contract = passes.run(options, {"contract"});
+        EXPECT_EQ(rejectedFormats(contract), c.rejected)
+            << contract.toString();
+        for (const PassInfo &pass : passes.passes())
+            EXPECT_NO_THROW(passes.run(options, {pass.name}))
+                << pass.name;
+
+        std::size_t visited = 0;
+        forEachLintTile(options.params, options.partitionSizes,
+                        [&](const FormatCodec &, const Tile &) {
+                            ++visited;
+                        });
+        EXPECT_EQ(visited, 0u);
+    }
 }
 
 TEST(LintTest, DiagnosticFormatting)
@@ -248,7 +312,7 @@ TEST(LintTest, TilePassAcceptsRealEncodings)
     const Tile tile = builder.build();
     LintReport report;
     for (FormatKind kind : allFormats())
-        checkTile(registry, kind, tile, HlsConfig(), true, true,
+        checkTile(registry.codec(kind), tile, HlsConfig(), true, true,
                   report);
     EXPECT_TRUE(report.ok()) << report.toString();
 }

@@ -215,10 +215,9 @@ TEST(PipelineTest, SecondStageCompressionOnlyImproves)
 
 TEST(PipelineTest, AllStoreSecondStagePricesLikeStageOff)
 {
-    // Disabling the second stage is exactly the all-STORE policy: a
-    // tile whose every stream STOREs must price field for field as it
-    // does with the stage off, so stored sizes must ride the same
-    // first-stage wires as the raw ones.
+    // A tile whose every stream selects STORE must price field for
+    // field as it does with the second stage off, so stored sizes must
+    // ride the same first-stage wires as the raw ones.
     TileBuilder builder(16);
     builder.set(3, 5, 1.5f);
     builder.set(9, 9, 2.0f);

@@ -57,13 +57,6 @@ TEST(ScheduleSpecTest, EveryFormatHasASpec)
     }
 }
 
-TEST(ScheduleSpecTest, RegistryExposesTheSpecTable)
-{
-    for (FormatKind kind : allFormats())
-        EXPECT_EQ(&defaultRegistry().schedule(kind),
-                  &scheduleSpec(kind));
-}
-
 TEST(ScheduleSpecTest, FeatureNamesAreStable)
 {
     EXPECT_EQ(scheduleFeatureName(ScheduleFeature::Entries), "entries");

@@ -968,11 +968,12 @@ TEST(ServeLintGateTest, RefusesToStartOnContractViolation)
         server.start();
         FAIL() << "start() accepted a contract-violating registry";
     } catch (const FatalError &e) {
-        // The diagnostic names the violated constraint (either the
-        // registry's own parameter validation or the contract pass).
+        // The contract pass names the codec's own check (COP021); no
+        // pass dies building a registry first.
         const std::string what = e.what();
-        EXPECT_TRUE(what.find("contract") != std::string::npos ||
-                    what.find("slice") != std::string::npos)
+        EXPECT_NE(what.find("COP021 SELLCS: SELL-C-sigma window must be "
+                            "a multiple of the slice height"),
+                  std::string::npos)
             << what;
     }
     setLogLevel(saved);

@@ -101,21 +101,6 @@ TEST(TraceWriterTest, CounterTimestampsAreMonotonePerCounter)
     EXPECT_GT(counters, 0u);
 }
 
-TEST(TraceWriterTest, RecordEventSimMatchesLiveSink)
-{
-    const auto parts = sampleParts();
-    TraceWriter live;
-    const auto result = runEventSim(parts, FormatKind::CSR,
-                                    HlsConfig(), defaultRegistry(), 2,
-                                    &live);
-
-    TraceWriter post;
-    post.recordEventSim(result);
-    EXPECT_EQ(post.trackBusy("read"), live.trackBusy("read"));
-    EXPECT_EQ(post.trackBusy("compute"), live.trackBusy("compute"));
-    EXPECT_EQ(post.trackBusy("write"), live.trackBusy("write"));
-}
-
 TEST(TraceWriterTest, SinkDoesNotPerturbSimulation)
 {
     const auto parts = sampleParts();
