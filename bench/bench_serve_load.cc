@@ -504,9 +504,6 @@ main(int argc, char **argv)
     ServeOptions options;
     options.socketPath = socketPath;
     options.queueCapacity = queueCapacity;
-    // The registry was already linted by the daemon's own tests; a
-    // bench run cares about queue dynamics, not the gate.
-    options.checkRegistry = false;
     Server server(std::move(options));
     server.start();
 
@@ -538,7 +535,6 @@ main(int argc, char **argv)
     ServeOptions offOptions;
     offOptions.socketPath = offSocketPath;
     offOptions.queueCapacity = queueCapacity;
-    offOptions.checkRegistry = false;
     offOptions.observability = false;
     Server offServer(std::move(offOptions));
     offServer.start();
@@ -565,7 +561,6 @@ main(int argc, char **argv)
     tcpOptions.socketPath = "/tmp/copernicus_bench_serve_tcp.sock";
     tcpOptions.tcpPort = 0;
     tcpOptions.queueCapacity = 8192;
-    tcpOptions.checkRegistry = false;
     Server tcpServer(std::move(tcpOptions));
     tcpServer.start();
     std::vector<ConcResult> sweep;
@@ -597,7 +592,6 @@ main(int argc, char **argv)
         "/tmp/copernicus_bench_serve_memo.sock";
     ServeOptions memoOptions;
     memoOptions.socketPath = memoSocketPath;
-    memoOptions.checkRegistry = false;
     memoOptions.observability = false;
     Server memoServer(std::move(memoOptions));
     memoServer.start();

@@ -24,10 +24,6 @@
  *   --stats-json PATH  write the serve/thread_pool stat groups as
  *                      JSON at drain
  *   --trace PATH       write the request-lane Chrome trace at drain
- *   --no-lint          skip the startup lint gate (every lint pass
- *                      not marked slow)
- *   --lint-full        run every lint pass at startup, the slow tile
- *                      sweeps (grammar, oracle, compress) too
  *
  * Observability flags:
  *
@@ -43,12 +39,12 @@
  * (kill -QUIT, without stopping the daemon), an uncaught exception
  * (std::terminate), and the `dump_flightrec` endpoint.
  *
- * The daemon refuses to start (nonzero exit, diagnostic on stderr)
- * when the format registry fails the static schedule contract check —
- * a server built on a broken schedule model would serve wrong numbers
- * for its whole lifetime. SIGINT/SIGTERM trigger a graceful drain:
- * accepting stops, in-flight requests finish and are answered, stats
- * and traces are flushed, and the process exits 0.
+ * An unknown flag or a bad value is a usage error: the daemon prints
+ * `copernicus_serve: error: ...` and exits 1, as copernicus_cli and
+ * copernicus_lint do. The registry it serves is checked by
+ * copernicus_lint in CI, not at start-up. SIGINT/SIGTERM trigger a
+ * graceful drain: accepting stops, in-flight requests finish and are
+ * answered, stats and traces are flushed, and the process exits 0.
  */
 
 #include <atomic>
@@ -170,10 +166,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--trace") {
             COPERNICUS_FATAL_IF(i + 1 >= argc, "--trace needs a path");
             opts.tracePath = argv[++i];
-        } else if (arg == "--no-lint") {
-            opts.checkRegistry = false;
-        } else if (arg == "--lint-full") {
-            opts.fullLint = true;
         } else if (arg == "--flightrec") {
             COPERNICUS_FATAL_IF(i + 1 >= argc, "--flightrec needs a path");
             opts.flightRecPath = argv[++i];
@@ -187,7 +179,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--no-observe") {
             opts.observability = false;
         } else {
-            fatal("copernicus_serve: unknown argument '" + arg + "'");
+            fatal("unknown option '" + arg + "'");
         }
     }
     return opts;
@@ -214,7 +206,7 @@ main(int argc, char **argv)
         server.waitDrained();
         return 0;
     } catch (const Error &e) {
-        std::fprintf(stderr, "copernicus_serve: %s\n", e.what());
+        std::fprintf(stderr, "copernicus_serve: error: %s\n", e.what());
         return 1;
     }
 }

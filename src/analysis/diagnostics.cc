@@ -129,7 +129,8 @@ lintRuleDescription(const std::string &id)
         {"COP024", "partition size is not a power of two"},
         {"COP030", "encoded tile violates its format grammar"},
         {"COP040", "closed-form cycle bound != dynamic walker"},
-        {"COP041", "IR produced-rows != walker rows"},
+        {"COP041", "retired: the walker's row count is the IR "
+                   "features' own, so the two cannot disagree"},
         {"COP050", "retired: each format declares its streams once, "
                    "so typed and wire sizes cannot disagree"},
         {"COP060", "accounting type narrower than 64 bits"},

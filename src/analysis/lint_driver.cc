@@ -19,10 +19,8 @@ printPassTable(const PassManager &manager, std::ostream &out)
 {
     out << "available passes (--passes=a,b selects a subset):\n";
     for (const PassInfo &pass : manager.passes()) {
-        out << "  " << pass.name;
-        if (pass.slow)
-            out << " [slow]";
-        out << "\n      " << pass.description << '\n';
+        out << "  " << pass.name << "\n      " << pass.description
+            << '\n';
         if (!pass.ids.empty()) {
             out << "      ids:";
             for (const std::string &id : pass.ids)

@@ -66,26 +66,24 @@ buildStandard()
     manager.add({"spec",
                  "schedule specs well-formed, segment port budgets",
                  {"COP001", "COP002", "COP003", "COP004"},
-                 false, runSpecPass});
+                 runSpecPass});
     manager.add({"body",
                  "spec claims vs hlsc-scheduled decoder bodies",
                  {"COP010", "COP011", "COP012", "COP013"},
-                 false, runBodyPass});
+                 runBodyPass});
     manager.add({"contract",
                  "codec hyperparameter and platform-knob contracts",
                  {"COP020", "COP021", "COP022", "COP023", "COP024"},
-                 false, runContractPass});
+                 runContractPass});
     manager.add({"grammar",
                  "encoded tiles satisfy their format grammars",
                  {"COP030"},
-                 true,
                  [](const LintOptions &o, LintReport &r) {
                      runTilePasses(o, true, false, r);
                  }});
     manager.add({"oracle",
                  "closed-form cycle model vs the dynamic walker",
-                 {"COP040", "COP041"},
-                 true,
+                 {"COP040"},
                  [](const LintOptions &o, LintReport &r) {
                      runTilePasses(o, false, true, r);
                  }});
@@ -93,32 +91,32 @@ buildStandard()
                  "uint64 accounting proven against the workload "
                  "envelope; narrowing-cast scan",
                  {"COP060", "COP061", "COP062", "COP063"},
-                 false, runOverflowPass});
+                 runOverflowPass});
     manager.add({"capacity",
                  "pipelined-chain port pressure and double-buffered "
                  "BRAM budgets",
                  {"COP070", "COP071", "COP072"},
-                 false, runCapacityPass});
+                 runCapacityPass});
     manager.add({"thread-safety",
                  "lock-order registry sanity and bare-mutex header "
                  "scan",
                  {"COP080", "COP081", "COP082"},
-                 false, runThreadSafetyPass});
+                 runThreadSafetyPass});
     manager.add({"protocol",
                  "serve surface (endpoints, wide events, metrics) vs "
                  "its documentation",
                  {"COP090", "COP091", "COP092", "COP093"},
-                 false, runProtocolPass});
+                 runProtocolPass});
     manager.add({"compress",
                  "second stage never stores more than raw "
                  "(storedBytes <= rawBytes)",
                  {"COP100"},
-                 true, runCompressPass});
+                 runCompressPass});
     manager.add({"store",
                  ".cbm container invariants (header, chunk "
                  "directory, content hash) with defect injection",
                  {"COP110", "COP111", "COP112"},
-                 false, runStorePass});
+                 runStorePass});
     return manager;
 }
 
@@ -138,16 +136,6 @@ PassManager::find(const std::string &name) const
         if (pass.name == name)
             return &pass;
     return nullptr;
-}
-
-std::vector<std::string>
-PassManager::fastPasses() const
-{
-    std::vector<std::string> names;
-    for (const PassInfo &pass : registered)
-        if (!pass.slow)
-            names.push_back(pass.name);
-    return names;
 }
 
 LintReport

@@ -3,12 +3,11 @@
  * The analyzer's pass framework.
  *
  * Every lint check is a named pass: a description, the rule ids it can
- * emit, a slow flag for the tile sweeps, and a run function from
- * (options, report). PassManager::standard() owns the registered list
- * — the same one `copernicus_lint --list-passes` prints and
- * `--passes=a,b` selects from. Names are the only switch: runLint()
- * is exactly standard().run(options), every pass, and the daemon's
- * start-up gate runs standard().fastPasses() unless asked for all.
+ * emit, and a run function from (options, report).
+ * PassManager::standard() owns the registered list — the same one
+ * `copernicus_lint --list-passes` prints and `--passes=a,b` selects
+ * from. Names are the only switch: runLint() is exactly
+ * standard().run(options), every pass.
  *
  * Passes are independent by contract: each builds what it needs from
  * the options (sharing forEachLintTile for the synthetic sweep) and
@@ -39,9 +38,6 @@ struct PassInfo
     /** Rule ids this pass can emit ("COP060", ...). */
     std::vector<std::string> ids;
 
-    /** True for tile-sweeping passes a quick gate leaves out. */
-    bool slow = false;
-
     /** Append this pass's findings to the report. */
     std::function<void(const LintOptions &, LintReport &)> run;
 };
@@ -57,9 +53,6 @@ class PassManager
 
     /** The pass named @p name, or nullptr. */
     const PassInfo *find(const std::string &name) const;
-
-    /** The names of the passes not marked slow, in run order. */
-    std::vector<std::string> fastPasses() const;
 
     /** Run every registered pass. */
     LintReport run(const LintOptions &options) const;

@@ -16,9 +16,9 @@
  *    field silently flatlines.
  *  - COP093: metric-family drift, same failure mode for alerts.
  *
- * Analysis cannot link serve (serve's startup gate links analysis),
- * so the pass consumes an injected ProtocolSurface; the serve library
- * fills one with collectServeProtocolSurface().
+ * Analysis cannot link serve (copernicus_core links analysis, and
+ * serve links core), so the pass consumes an injected ProtocolSurface;
+ * the serve library fills one with collectServeProtocolSurface().
  */
 
 #ifndef COPERNICUS_ANALYSIS_PROTOCOL_PASS_HH

@@ -2,9 +2,9 @@
  * @file
  * The serve protocol as data, for conformance checking.
  *
- * The analysis library cannot link against serve (serve's startup lint
- * gate already links analysis), so the protocol pass consumes this
- * plain-data snapshot instead of the Server itself. The serve library
+ * The analysis library cannot link against serve (copernicus_core
+ * links analysis, and serve links core), so the protocol pass consumes
+ * this plain-data snapshot instead of the Server itself. The serve library
  * provides collectServeProtocolSurface() (serve/protocol_doc.hh),
  * which fills the "handled"/"exported" halves by interrogating the
  * real implementation — the endpoint dispatch table, a sample wide

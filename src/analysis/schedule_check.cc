@@ -311,14 +311,6 @@ checkTile(const FormatCodec &codec, const Tile &tile,
                              " on a p=" + std::to_string(tile.size()) +
                              " tile with " +
                              std::to_string(tile.nnz()) + " non-zeros");
-        if (features.producedRows != walked.rowsProduced)
-            report.error("COP041", "oracle", name,
-                         "IR produced-rows " +
-                             std::to_string(features.producedRows) +
-                             " != walker rows " +
-                             std::to_string(walked.rowsProduced) +
-                             " on a p=" + std::to_string(tile.size()) +
-                             " tile");
     }
 }
 
@@ -348,9 +340,15 @@ forEachLintTile(
                 fn(*codec, tile);
         };
         const Index n = p * 4;
+        // About 51 expected non-zeros per random tile at every size:
+        // density 0.05 up to p = 32, then 0.05 * 32^2 / p^2, so a large
+        // p does not pay for O(p^2) non-zeros per tile.
+        const double side = static_cast<double>(p);
+        const double density =
+            p <= 32 ? 0.05 : 0.05 * (32.0 * 32.0) / (side * side);
         Rng rng(2024);
         std::vector<TripletMatrix> workloads;
-        workloads.push_back(randomMatrix(n, 0.05, rng));
+        workloads.push_back(randomMatrix(n, density, rng));
         workloads.push_back(bandMatrix(n, 3, rng));
         workloads.push_back(diagonalMatrix(n, rng));
         workloads.push_back(stencil2d(p, n / p > 0 ? n / p : 1));

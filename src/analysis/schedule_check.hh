@@ -22,7 +22,7 @@
  *    hyperparameter check (formatParamsViolation(), COP021), and the
  *    requested partition sizes (BCSR block / SELL slice / SELL-C-sigma
  *    window divisibility, ELL width clamps).
- *  - Grammar + oracle (COP030, COP040-041) over synthetic workloads:
+ *  - Grammar + oracle (COP030, COP040) over synthetic workloads:
  *    every encoded tile must satisfy its format grammar
  *    (formats/validate), and the closed-form cycle bound from the
  *    schedule IR must equal the dynamic walker exactly (the
@@ -74,8 +74,8 @@ struct LintOptions
      * Serve-protocol surface to conform-check (COP090-093); the pass
      * is skipped when null. The serve library provides
      * collectServeProtocolSurface() — analysis cannot depend on serve
-     * (serve's startup gate already depends on analysis), so callers
-     * inject the surface.
+     * (copernicus_core links analysis, and serve links core), so
+     * callers inject the surface.
      */
     const ProtocolSurface *protocol = nullptr;
 
@@ -83,7 +83,7 @@ struct LintOptions
      * Root of the source tree for the source-scanning rules (COP063
      * narrowing casts, COP082 bare mutexes). "" means the compiled-in
      * checkout path; the scans skip silently when the directory does
-     * not exist (a deployed daemon has no source tree).
+     * not exist (a binary run away from its checkout).
      */
     std::string sourceRoot;
 };

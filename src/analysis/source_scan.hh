@@ -6,7 +6,8 @@
  * The scans run over the checkout the binary was built from: the build
  * bakes the source root in (COPERNICUS_SOURCE_ROOT), and LintOptions
  * can override it for tests. A missing root is not an error — a
- * deployed daemon has no source tree, so the scans simply skip.
+ * binary run away from its checkout has no source tree, so the scans
+ * simply skip.
  */
 
 #ifndef COPERNICUS_ANALYSIS_SOURCE_SCAN_HH

@@ -134,7 +134,6 @@ collectServeProtocolSurface()
     // started, so no socket) and read the `# HELP <name>` lines the
     // exposition writes once per family.
     ServeOptions options;
-    options.checkRegistry = false;
     options.observability = false;
     const Server probe(std::move(options));
     std::istringstream metrics(probe.metricsText());

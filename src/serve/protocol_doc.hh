@@ -9,7 +9,7 @@
  * and the analyzer's protocol pass (COP090-093) diffs them against
  * what the implementation actually exposes. Keeping the tables here,
  * next to the code they describe, makes "update the docs" a compile-
- * adjacent edit the lint gate enforces instead of a wiki chore.
+ * adjacent edit CI's lint job enforces instead of a wiki chore.
  *
  * collectServeProtocolSurface() fills an analysis::ProtocolSurface
  * with both halves: the documented tables verbatim, and the
@@ -17,8 +17,8 @@
  * endpoint registry, a sample wide event built by the same
  * buildWideEventJson() the server records through, and the metric
  * families parsed out of a throwaway Server's Prometheus exposition.
- * The lint CLIs and the daemon's startup gate inject that surface
- * into LintOptions::protocol.
+ * copernicus_lint and the tests inject that surface into
+ * LintOptions::protocol.
  */
 
 #ifndef COPERNICUS_SERVE_PROTOCOL_DOC_HH

@@ -15,7 +15,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "analysis/pass_manager.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/prometheus.hh"
@@ -24,6 +23,7 @@
 #include "compress/second_stage.hh"
 #include "core/scheduler.hh"
 #include "core/study.hh"
+#include "formats/registry.hh"
 #include "formats/validate.hh"
 #include "matrix/stats.hh"
 #include "serve/protocol_doc.hh"
@@ -217,29 +217,6 @@ void
 Server::start()
 {
     COPERNICUS_PANIC_IF(started, "serve: start() called twice");
-
-    if (opts.checkRegistry) {
-        LintOptions lint;
-        lint.params = opts.lintParams;
-        // The quick gate runs every pass not marked slow (spec, body,
-        // contract, overflow, capacity, thread-safety, protocol,
-        // store); fullLint adds the tile sweeps. A daemon whose own
-        // protocol surface drifted from its documentation refuses to
-        // start just like one whose schedule model is wrong.
-        const ProtocolSurface surface = collectServeProtocolSurface();
-        lint.protocol = &surface;
-        const PassManager &passes = PassManager::standard();
-        const LintReport report =
-            opts.fullLint ? passes.run(lint)
-                          : passes.run(lint, passes.fastPasses());
-        COPERNICUS_FATAL_IF(
-            !report.ok(),
-            "serve: refusing to start, the format registry failed "
-            "the schedule contract check:\n" +
-                report.toString());
-        inform("serve: registry lint passed (" +
-                std::to_string(report.warningCount()) + " warnings)");
-    }
 
     if (opts.observability) {
         FlightRecorder::global().setCapacity(

@@ -68,7 +68,7 @@
 #include "common/stat_group.hh"
 #include "common/thread_annotations.hh"
 #include "common/thread_pool.hh"
-#include "formats/registry.hh"
+#include "common/types.hh"
 #include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/result_memo.hh"
@@ -137,24 +137,6 @@ struct ServeOptions
 
     /** Wide-event ring capacity when observability is on. */
     std::size_t flightRecorderCapacity = 512;
-
-    /**
-     * Refuse to start unless the format registry passes the lint
-     * passes not marked slow (PassManager::fastPasses()). A daemon
-     * serving characterizations from a registry whose schedule model
-     * is wrong would hand out wrong numbers for its whole lifetime, so
-     * this fails fast instead.
-     */
-    bool checkRegistry = true;
-
-    /** Run every lint pass at startup, the slow tile sweeps too. */
-    bool fullLint = false;
-
-    /**
-     * Codec hyperparameters the startup lint gate validates (tests
-     * inject a contract-violating set here to exercise the refusal).
-     */
-    FormatParams lintParams;
 };
 
 /** One request-lane trace record (written to tracePath at drain). */
@@ -180,9 +162,10 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Validate the registry (lint gate), bind the socket and spawn the
-     * event loop. Throws FatalError when the registry fails lint or
-     * the socket cannot be bound.
+     * Bind the socket and spawn the event loop. Runs no lint pass: the
+     * registry the daemon serves is fixed at build time and checked by
+     * copernicus_lint in CI. Throws FatalError when the socket cannot
+     * be bound.
      */
     void start();
 

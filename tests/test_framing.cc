@@ -258,7 +258,6 @@ class FramingServerTest : public ::testing::Test
         setLogLevel(LogLevel::Warn);
         ServeOptions options;
         options.socketPath = testSocketPath("srv");
-        options.checkRegistry = false;
         if (tweak)
             tweak(options);
         server = std::make_unique<Server>(std::move(options));

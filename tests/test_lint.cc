@@ -37,14 +37,6 @@ TEST(LintTest, CleanTreeLintsClean)
     EXPECT_EQ(report.warningCount(), 0u) << report.toString();
 }
 
-TEST(LintTest, FastPassesAloneLintClean)
-{
-    const PassManager &passes = PassManager::standard();
-    const LintReport report =
-        passes.run(LintOptions(), passes.fastPasses());
-    EXPECT_TRUE(report.ok()) << report.toString();
-}
-
 TEST(LintTest, ZeroPartitionSizeIsAContractErrorNotACrash)
 {
     // p = 0 has no decoder body and no tiles: every pass must skip it
@@ -102,6 +94,25 @@ TEST(LintTest, TileSweepsVisitExactlyTheAdmittedPairs)
         partitionContractViolation(params, FormatKind::SELLCS, 12).empty());
     EXPECT_TRUE(
         partitionContractViolation(params, FormatKind::SELL, 12).empty());
+}
+
+TEST(LintTest, TileSweepStaysSparseAtLargePartitions)
+{
+    // The random workload keeps about 51 expected non-zeros per tile at
+    // every size. At p = 1024 a fixed density of 0.05 put about 52K in
+    // each random tile; the band, diagonal and 5-point-stencil tiles
+    // hold at most 5p.
+    const Index p = 1024;
+    std::size_t visits = 0;
+    std::size_t densest = 0;
+    forEachLintTile(FormatParams(), {p},
+                    [&](const FormatCodec &, const Tile &tile) {
+                        ++visits;
+                        densest = std::max<std::size_t>(densest,
+                                                        tile.nnz());
+                    });
+    EXPECT_GT(visits, 0u);
+    EXPECT_LE(densest, 5u * p);
 }
 
 /** The formats the report's COP021 errors name, in report order. */
@@ -279,10 +290,17 @@ TEST(LintTest, ContractPassFlagsIndivisibleBlockAndSlice)
 TEST(LintTest, ContractPassFlagsWindowSliceMismatch)
 {
     FormatParams params;
-    params.sellCsWindow = 6; // not a multiple of sellSlice = 4
+    params.sellSlice = 4;
+    params.sellCsWindow = 6; // not a multiple of the slice height
     LintReport report;
     checkContracts(params, HlsConfig(), {8}, report);
     EXPECT_FALSE(report.ok()) << report.toString();
+    // The contract pass names the codec's own check (COP021).
+    EXPECT_NE(report.toString().find(
+                  "COP021 SELLCS: SELL-C-sigma window must be a multiple "
+                  "of the slice height"),
+              std::string::npos)
+        << report.toString();
 }
 
 TEST(LintTest, ContractPassFlagsBadKnobs)

@@ -2,9 +2,10 @@
  * @file
  * End-to-end tests of the characterization service daemon: protocol
  * round trips, the admission queue's explicit-rejection contract,
- * per-request deadlines, graceful drain, the startup lint gate, and
- * golden comparisons of the advise/run_study endpoints against the
- * same computations run offline.
+ * per-request deadlines, graceful drain, and golden comparisons of
+ * the advise/run_study endpoints against the same computations run
+ * offline. The daemon runs no lint at start-up; copernicus_lint and
+ * the lint tests check the registry it serves.
  *
  * Every test starts a real Server on a private Unix socket and talks
  * to it through ServeClient — the same wire path production clients
@@ -143,9 +144,6 @@ class ServeTest : public ::testing::Test
         options.workers = workers;
         options.tracePath = tracePath;
         options.maxFrameBytes = maxFrameBytes;
-        // The lint gate has its own dedicated test; skipping it here
-        // keeps each fixture startup fast.
-        options.checkRegistry = false;
         server = std::make_unique<Server>(std::move(options));
         server->start();
     }
@@ -950,47 +948,6 @@ TEST_F(ServeTest, ObservabilityEndToEndForOneRequest)
     // study.partition + one study.encode = at least 7 span events.
     EXPECT_GE(spanEvents, 7u);
     std::remove(tracePath.c_str());
-}
-
-TEST(ServeLintGateTest, RefusesToStartOnContractViolation)
-{
-    const LogLevel saved = logLevel();
-    setLogLevel(LogLevel::Warn);
-    ServeOptions options;
-    options.socketPath = testSocketPath("lintgate");
-    options.checkRegistry = true;
-    // sellCsWindow must be a multiple of sellSlice; 6 % 4 != 0 is a
-    // contract error the gate must refuse.
-    options.lintParams.sellSlice = 4;
-    options.lintParams.sellCsWindow = 6;
-    Server server(std::move(options));
-    try {
-        server.start();
-        FAIL() << "start() accepted a contract-violating registry";
-    } catch (const FatalError &e) {
-        // The contract pass names the codec's own check (COP021); no
-        // pass dies building a registry first.
-        const std::string what = e.what();
-        EXPECT_NE(what.find("COP021 SELLCS: SELL-C-sigma window must be "
-                            "a multiple of the slice height"),
-                  std::string::npos)
-            << what;
-    }
-    setLogLevel(saved);
-}
-
-TEST(ServeLintGateTest, StartsCleanlyOnDefaultRegistry)
-{
-    const LogLevel saved = logLevel();
-    setLogLevel(LogLevel::Warn);
-    ServeOptions options;
-    options.socketPath = testSocketPath("lintok");
-    options.checkRegistry = true;
-    Server server(std::move(options));
-    EXPECT_NO_THROW(server.start());
-    server.beginShutdown();
-    server.waitDrained();
-    setLogLevel(saved);
 }
 
 } // namespace
