@@ -20,7 +20,8 @@
  * capacity dataflow, thread-safety contracts, serve protocol
  * conformance, the compression size invariant and .cbm container
  * integrity. Exit code: 0 clean, 1 errors (or warnings with --werror,
- * or an unknown flag or malformed partition-size list), 2 warnings.
+ * or an unknown flag, a `--passes=` that names no pass or a malformed
+ * partition-size list), 2 warnings.
  */
 
 #include <cstdio>
@@ -62,8 +63,13 @@ lintMain(int argc, char **argv)
             options.json = true;
         else if (arg == "--werror")
             options.werror = true;
-        else if (arg.rfind("--passes=", 0) == 0)
+        else if (arg.rfind("--passes=", 0) == 0) {
+            // An empty list means every pass, which --passes= never
+            // asks for.
             options.passes = splitNames(arg.substr(9));
+            if (options.passes.empty())
+                fatal("'" + arg + "' names no pass (see --list-passes)");
+        }
         else if (arg.rfind("--sarif=", 0) == 0)
             options.sarifPath = arg.substr(8);
         else if (arg.rfind("--baseline=", 0) == 0)
@@ -91,8 +97,9 @@ lintMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // A FatalError is a usage error (an unknown flag, a malformed
-    // partition-size list): report it and exit 1 instead of aborting.
+    // A FatalError is a usage error (an unknown flag, an empty pass
+    // list, a malformed partition-size list): report it and exit 1
+    // instead of aborting.
     try {
         return lintMain(argc, argv);
     } catch (const FatalError &error) {

@@ -5,12 +5,11 @@
 namespace copernicus {
 
 void
-checkTileCompression(const FormatCodec &codec, const Tile &tile,
-                     LintReport &report)
+checkTileCompression(const LintOptions &, const Tile &tile,
+                     const EncodedTile &encoded, LintReport &report)
 {
-    const std::string name(formatName(codec.kind()));
-    const auto encoded = codec.encode(tile);
-    const TileCompression result = compressTile(*encoded);
+    const std::string name(formatName(encoded.kind()));
+    const TileCompression result = compressTile(encoded);
     const Bytes raw = result.rawBytes();
     const Bytes stored = result.storedBytes();
     if (stored > raw)
@@ -32,15 +31,6 @@ checkTileCompression(const FormatCodec &codec, const Tile &tile,
                              " bytes for " +
                              std::to_string(stream.rawBytes) +
                              " raw; selection must fall back to STORE");
-}
-
-void
-runCompressPass(const LintOptions &options, LintReport &report)
-{
-    forEachLintTile(options.params, options.partitionSizes,
-                    [&](const FormatCodec &codec, const Tile &tile) {
-                        checkTileCompression(codec, tile, report);
-                    });
 }
 
 } // namespace copernicus

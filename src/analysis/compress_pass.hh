@@ -7,10 +7,11 @@
  * may only win by being smaller (header included), so the second
  * stage can never inflate what crosses the memory interface. The
  * transfer model and the bandwidth-utilization numbers lean on that
- * promise, so this pass checks it as a lint invariant over the same
- * synthetic tile sweep the grammar and oracle passes use, in every
- * format — any tile where selection regresses past STORE is an error
- * naming the format and tile shape.
+ * promise, so this pass checks it as a lint invariant on every tile
+ * of the synthetic sweep, in every format: a per-tile check fed the
+ * same encodings as the grammar and oracle checks by the pass
+ * manager's one sweep. Any tile where selection regresses past STORE
+ * is an error naming the format and tile shape.
  */
 
 #ifndef COPERNICUS_ANALYSIS_COMPRESS_PASS_HH
@@ -20,12 +21,9 @@
 
 namespace copernicus {
 
-/** COP100 for one tile encoded by @p codec. */
-void checkTileCompression(const FormatCodec &codec, const Tile &tile,
-                          LintReport &report);
-
-/** The pass: the synthetic tile sweep across every format. */
-void runCompressPass(const LintOptions &options, LintReport &report);
+/** COP100 for @p encoded, the encoding of @p tile. */
+void checkTileCompression(const LintOptions &options, const Tile &tile,
+                          const EncodedTile &encoded, LintReport &report);
 
 } // namespace copernicus
 

@@ -1,6 +1,5 @@
 #include "analysis/pass_manager.hh"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -46,18 +45,6 @@ runContractPass(const LintOptions &options, LintReport &report)
                    report);
 }
 
-/** Grammar and oracle share checkTile's one encode per tile. */
-void
-runTilePasses(const LintOptions &options, bool grammar, bool oracle,
-              LintReport &report)
-{
-    forEachLintTile(options.params, options.partitionSizes,
-                    [&](const FormatCodec &codec, const Tile &tile) {
-                        checkTile(codec, tile, options.hls, grammar,
-                                  oracle, report);
-                    });
-}
-
 PassManager
 buildStandard()
 {
@@ -78,15 +65,13 @@ buildStandard()
     manager.add({"grammar",
                  "encoded tiles satisfy their format grammars",
                  {"COP030"},
-                 [](const LintOptions &o, LintReport &r) {
-                     runTilePasses(o, true, false, r);
-                 }});
+                 nullptr,
+                 checkTileGrammar});
     manager.add({"oracle",
                  "closed-form cycle model vs the dynamic walker",
                  {"COP040"},
-                 [](const LintOptions &o, LintReport &r) {
-                     runTilePasses(o, false, true, r);
-                 }});
+                 nullptr,
+                 checkTileOracle});
     manager.add({"overflow",
                  "uint64 accounting proven against the workload "
                  "envelope; narrowing-cast scan",
@@ -111,7 +96,8 @@ buildStandard()
                  "second stage never stores more than raw "
                  "(storedBytes <= rawBytes)",
                  {"COP100"},
-                 runCompressPass});
+                 nullptr,
+                 checkTileCompression});
     manager.add({"store",
                  ".cbm container invariants (header, chunk "
                  "directory, content hash) with defect injection",
@@ -141,27 +127,49 @@ PassManager::find(const std::string &name) const
 LintReport
 PassManager::run(const LintOptions &options) const
 {
-    LintReport report;
+    std::vector<std::string> every;
     for (const PassInfo &pass : registered)
-        pass.run(options, report);
-    return report;
+        every.push_back(pass.name);
+    return run(options, every);
 }
 
 LintReport
 PassManager::run(const LintOptions &options,
                  const std::vector<std::string> &selection) const
 {
-    LintReport report;
     const std::set<std::string> wanted(selection.begin(),
                                        selection.end());
-    std::set<std::string> known;
-    for (const PassInfo &pass : registered) {
-        known.insert(pass.name);
+    std::vector<const PassInfo *> selected;
+    for (const PassInfo &pass : registered)
         if (wanted.count(pass.name) != 0)
-            pass.run(options, report);
+            selected.push_back(&pass);
+
+    // One report per selected pass, spliced in registration order, so
+    // the shared sweep leaves each pass's findings in its own place.
+    std::vector<LintReport> reports(selected.size());
+    bool sweep = false;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+        if (selected[i]->run)
+            selected[i]->run(options, reports[i]);
+        sweep = sweep || selected[i]->checkTile != nullptr;
     }
+    if (sweep)
+        forEachLintTile(
+            options.params, options.partitionSizes,
+            [&](const FormatCodec &codec, const Tile &tile) {
+                const auto encoded = codec.encode(tile);
+                for (std::size_t i = 0; i < selected.size(); ++i)
+                    if (selected[i]->checkTile)
+                        selected[i]->checkTile(options, tile, *encoded,
+                                               reports[i]);
+            });
+
+    LintReport report;
+    for (LintReport &part : reports)
+        for (LintDiagnostic &d : part.diagnostics)
+            report.add(std::move(d));
     for (const std::string &name : wanted)
-        if (known.count(name) == 0)
+        if (find(name) == nullptr)
             report.error("driver", "",
                          "unknown pass '" + name +
                              "' (see --list-passes)");

@@ -3,16 +3,20 @@
  * The analyzer's pass framework.
  *
  * Every lint check is a named pass: a description, the rule ids it can
- * emit, and a run function from (options, report).
+ * emit, and a whole-run check from (options, report), a per-tile check
+ * from (options, tile, encoding, report), or both.
  * PassManager::standard() owns the registered list — the same one
  * `copernicus_lint --list-passes` prints and `--passes=a,b` selects
  * from. Names are the only switch: runLint() is exactly
  * standard().run(options), every pass.
  *
- * Passes are independent by contract: each builds what it needs from
- * the options (sharing forEachLintTile for the synthetic sweep) and
- * only appends diagnostics, so an explicit `--passes` selection runs
- * any subset in registration order with identical results.
+ * The tile checks (grammar, oracle, compress) share one sweep: run()
+ * calls forEachLintTile once, encodes each (tile, format) pair once
+ * and hands that encoding to every selected tile check. Each selected
+ * pass writes its own report, spliced in registration order, so a
+ * pass's findings are the same, in the same place, whatever else
+ * `--passes` selects. Passes only append diagnostics and never read
+ * each other's.
  */
 
 #ifndef COPERNICUS_ANALYSIS_PASS_MANAGER_HH
@@ -26,7 +30,7 @@
 
 namespace copernicus {
 
-/** One registered analyzer pass. */
+/** One registered analyzer pass; it sets run, checkTile or both. */
 struct PassInfo
 {
     /** Selection name ("overflow", "thread-safety", ...). */
@@ -38,8 +42,16 @@ struct PassInfo
     /** Rule ids this pass can emit ("COP060", ...). */
     std::vector<std::string> ids;
 
-    /** Append this pass's findings to the report. */
+    /** Append this pass's whole-run findings to the report. */
     std::function<void(const LintOptions &, LintReport &)> run;
+
+    /**
+     * Append the findings for one tile of the synthetic sweep and its
+     * encoding in one format (the encoding's kind()).
+     */
+    std::function<void(const LintOptions &, const Tile &,
+                       const EncodedTile &, LintReport &)>
+        checkTile = nullptr;
 };
 
 /** The registered pass list and the drivers over it. */
@@ -59,7 +71,8 @@ class PassManager
 
     /**
      * Run exactly @p selection (registration order, duplicates
-     * collapsed). An unknown name produces an error diagnostic (pass
+     * collapsed), with one tile sweep for all of its tile checks.
+     * An unknown name produces an error diagnostic (pass
      * "driver") instead of silently checking nothing.
      */
     LintReport run(const LintOptions &options,

@@ -281,37 +281,37 @@ checkContracts(const FormatParams &params, const HlsConfig &config,
 }
 
 void
-checkTile(const FormatCodec &codec, const Tile &tile,
-          const HlsConfig &config, bool grammar, bool oracle,
-          LintReport &report)
+checkTileGrammar(const LintOptions &, const Tile &,
+                 const EncodedTile &encoded, LintReport &report)
 {
-    const std::string name(formatName(codec.kind()));
-    const auto encoded = codec.encode(tile);
+    const GrammarReport check = validateEncodedTile(encoded);
+    for (const GrammarViolation &violation : check.violations)
+        report.error("COP030", "grammar",
+                     std::string(formatName(encoded.kind())),
+                     violation.invariant + ": " + violation.detail);
+}
 
-    if (grammar) {
-        const GrammarReport check = validateEncodedTile(*encoded);
-        for (const GrammarViolation &violation : check.violations)
-            report.error("COP030", "grammar", name,
-                         violation.invariant + ": " + violation.detail);
-    }
-
-    if (oracle) {
-        const DecompressCost walked =
-            verifyDecompression(*encoded, tile, config);
-        const ScheduleSpec &spec = scheduleSpec(codec.kind());
-        const TileFeatures features =
-            extractScheduleFeatures(*encoded, tile);
-        const Cycles closed =
-            closedFormCycles(spec, config, features);
-        if (closed != walked.decompressCycles)
-            report.error("COP040", "oracle", name,
-                         "closed-form bound " + std::to_string(closed) +
-                             " != dynamic walker " +
-                             std::to_string(walked.decompressCycles) +
-                             " on a p=" + std::to_string(tile.size()) +
-                             " tile with " +
-                             std::to_string(tile.nnz()) + " non-zeros");
-    }
+void
+checkTileOracle(const LintOptions &options, const Tile &tile,
+                const EncodedTile &encoded, LintReport &report)
+{
+    const DecompressCost walked =
+        verifyDecompression(encoded, tile, options.hls);
+    // verifyDecompression() extracts the same features but does not
+    // return them; extracting them again costs next to nothing beside
+    // the encode.
+    const Cycles closed =
+        closedFormCycles(scheduleSpec(encoded.kind()), options.hls,
+                         extractScheduleFeatures(encoded, tile));
+    if (closed != walked.decompressCycles)
+        report.error("COP040", "oracle",
+                     std::string(formatName(encoded.kind())),
+                     "closed-form bound " + std::to_string(closed) +
+                         " != dynamic walker " +
+                         std::to_string(walked.decompressCycles) +
+                         " on a p=" + std::to_string(tile.size()) +
+                         " tile with " + std::to_string(tile.nnz()) +
+                         " non-zeros");
 }
 
 void

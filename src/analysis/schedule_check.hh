@@ -26,7 +26,9 @@
  *    every encoded tile must satisfy its format grammar
  *    (formats/validate), and the closed-form cycle bound from the
  *    schedule IR must equal the dynamic walker exactly (the
- *    model-vs-walker oracle).
+ *    model-vs-walker oracle). Both are per-tile checks fed by the
+ *    pass manager's one forEachLintTile sweep, which encodes each
+ *    (tile, format) pair once for them and the compress pass.
  *
  * The deeper passes live beside this file (overflow_pass, capacity_pass,
  * thread_safety_pass, protocol_pass, compress_pass, store_pass) and
@@ -136,24 +138,28 @@ void checkContracts(const FormatParams &params, const HlsConfig &config,
                     const std::vector<Index> &partitionSizes,
                     LintReport &report);
 
+/** Pass 4 (grammar, COP030): @p encoded satisfies its format grammar. */
+void checkTileGrammar(const LintOptions &options, const Tile &tile,
+                      const EncodedTile &encoded, LintReport &report);
+
 /**
- * Pass 4 (per tile): grammar-validate @p tile encoded by @p codec and
- * check the closed-form bound against the dynamic walker.
+ * Pass 5 (oracle, COP040): the closed-form bound of @p encoded, the
+ * encoding of @p tile, equals the dynamic walker's cycles on
+ * options.hls. The walker also decodes it against @p tile.
  */
-void checkTile(const FormatCodec &codec, const Tile &tile,
-               const HlsConfig &config, bool grammar, bool oracle,
-               LintReport &report);
+void checkTileOracle(const LintOptions &options, const Tile &tile,
+                     const EncodedTile &encoded, LintReport &report);
 
 /**
  * Invoke @p fn(codec, tile) for every tile of the synthetic lint
  * workload set (random, band, diagonal, stencil, plus the all-zero
  * tile) at each partition size, once per format the contract pass
  * admits at that size (partitionContractViolation() is empty) — the
- * shared tile sweep behind the grammar, oracle and compress passes, so
- * a size one codec rejects costs that codec's checks only, not the
- * run. The codecs come from one FormatRegistry(params); when a format
- * rejects @p params no registry can be built and nothing is visited.
- * Deterministic (fixed seed).
+ * one tile sweep PassManager::run feeds every selected tile check
+ * from, so a size one codec rejects costs that codec's checks only,
+ * not the run. The codecs come from one FormatRegistry(params); when
+ * a format rejects @p params no registry can be built and nothing is
+ * visited. Deterministic (fixed seed).
  */
 void forEachLintTile(
     const FormatParams &params, const std::vector<Index> &partitionSizes,

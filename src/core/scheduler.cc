@@ -79,15 +79,4 @@ planFormats(const Partitioning &parts,
     return plan;
 }
 
-PipelineResult
-runAdaptive(const Partitioning &parts,
-            const std::vector<FormatKind> &candidates,
-            SchedulerObjective objective, const HlsConfig &config,
-            const FormatRegistry &registry, unsigned jobs)
-{
-    const FormatPlan plan = planFormats(parts, candidates, objective,
-                                        config, registry, jobs);
-    return runPipelineMixed(parts, plan.perTile, config, registry);
-}
-
 } // namespace copernicus

@@ -8,8 +8,8 @@
  * differ wildly in density and structure (Figure 3). The scheduler
  * prices each candidate format on each non-zero tile with
  * timePartition(), the rule the pipelines stream by, and picks the
- * per-tile argmin of the selected objective; the mixed pipeline then
- * streams the result.
+ * per-tile argmin of the selected objective; runPipelineMixed() then
+ * streams the plan's perTile.
  */
 
 #ifndef COPERNICUS_CORE_SCHEDULER_HH
@@ -67,18 +67,6 @@ FormatPlan planFormats(const Partitioning &parts,
                        const FormatRegistry &registry =
                            defaultRegistry(),
                        unsigned jobs = 0);
-
-/**
- * Plan then stream: the adaptive counterpart of runPipeline.
- */
-PipelineResult runAdaptive(const Partitioning &parts,
-                           const std::vector<FormatKind> &candidates,
-                           SchedulerObjective objective =
-                               SchedulerObjective::Bottleneck,
-                           const HlsConfig &config = HlsConfig(),
-                           const FormatRegistry &registry =
-                               defaultRegistry(),
-                           unsigned jobs = 0);
 
 } // namespace copernicus
 

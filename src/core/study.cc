@@ -13,16 +13,6 @@
 
 namespace copernicus {
 
-std::vector<StudyRow>
-StudyResult::atPartition(Index p) const
-{
-    std::vector<StudyRow> selected;
-    for (const auto &row : rows)
-        if (row.partitionSize == p)
-            selected.push_back(row);
-    return selected;
-}
-
 void
 StudyResult::writeCsv(std::ostream &out) const
 {
@@ -239,20 +229,6 @@ Study::run() const
         SpanCollector::global().record(std::move(rec));
     }
     return result;
-}
-
-StudyRow
-Study::evaluate(const std::string &workload, FormatKind kind,
-                Index partitionSize) const
-{
-    for (std::size_t w = 0; w < matrices.size(); ++w) {
-        if (matrices[w].first != workload)
-            continue;
-        return makeRow(workload,
-                       partition(matrices[w].second, partitionSize), kind,
-                       nullptr);
-    }
-    fatal("Study: unknown workload '" + workload + "'");
 }
 
 } // namespace copernicus

@@ -122,9 +122,6 @@ struct StudyResult
 {
     std::vector<StudyRow> rows;
 
-    /** Rows restricted to one partition size. */
-    std::vector<StudyRow> atPartition(Index p) const;
-
     /**
      * Write every row as CSV (workload, format, p, sigma, cycles,
      * seconds, memory/compute cycles, balance, throughput, bw-util,
@@ -166,10 +163,6 @@ class Study
 
     /** Evaluate every (workload, format, partition size) triple. */
     StudyResult run() const;
-
-    /** Evaluate one triple (workload must be registered). */
-    StudyRow evaluate(const std::string &workload, FormatKind kind,
-                      Index partitionSize) const;
 
     const StudyConfig &config() const { return cfg; }
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the analyzer's pass framework: diagnostic formatting and
- * exit codes, the pass manager's selection semantics, baseline
- * parse/apply/staleness, the JSON and SARIF emitters, and the deep
- * passes (overflow, capacity, thread-safety, protocol, compress) both
- * clean-on-tree and firing on injected defects.
+ * exit codes, the pass manager's selection semantics and shared tile
+ * sweep, baseline parse/apply/staleness, the JSON and SARIF emitters,
+ * and the deep passes (overflow, capacity, thread-safety, protocol,
+ * compress) both clean-on-tree and firing on injected defects.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -170,6 +171,78 @@ TEST(PassManagerTest, UnknownPassNameIsAnError)
         PassManager::standard().run(LintOptions(), {"bogus"});
     EXPECT_EQ(report.errorCount(), 1u) << report.toString();
     EXPECT_EQ(report.diagnostics[0].pass, "driver");
+}
+
+TEST(PassManagerTest, TileChecksShareOneSweepAndOneEncodePerPair)
+{
+    // Three tile passes, with a whole-run pass between the second and
+    // the third; each tile check logs what it saw and emits one
+    // diagnostic per (tile, format) pair.
+    struct Visit
+    {
+        std::string pass;
+        FormatKind format;
+        Index p;
+        Index nnz;
+        std::uintptr_t encoding;
+    };
+    std::vector<Visit> log;
+    const auto tilePass = [&log](const std::string &name) {
+        PassInfo pass;
+        pass.name = name;
+        pass.checkTile = [&log, name](const LintOptions &,
+                                      const Tile &tile,
+                                      const EncodedTile &encoded,
+                                      LintReport &report) {
+            log.push_back({name, encoded.kind(), tile.size(), tile.nnz(),
+                           reinterpret_cast<std::uintptr_t>(&encoded)});
+            report.warning(name, std::string(formatName(encoded.kind())),
+                           "p=" + std::to_string(tile.size()) +
+                               " nnz=" + std::to_string(tile.nnz()));
+        };
+        return pass;
+    };
+    PassManager manager;
+    manager.add(tilePass("first"));
+    manager.add(tilePass("second"));
+    manager.add({"whole", "a whole-run pass", {},
+                 [](const LintOptions &, LintReport &report) {
+                     report.warning("whole", "", "once per run");
+                 }});
+    manager.add(tilePass("third"));
+
+    LintOptions options;
+    options.partitionSizes = {8, 12, 16};
+    std::vector<Visit> sweep;
+    forEachLintTile(options.params, options.partitionSizes,
+                    [&](const FormatCodec &codec, const Tile &tile) {
+                        sweep.push_back({"", codec.kind(), tile.size(),
+                                         tile.nnz(), 0});
+                    });
+    ASSERT_FALSE(sweep.empty());
+
+    // One sweep: the three checks see each pair of forEachLintTile's
+    // visits once, one after another, and are handed the same
+    // encoding object for it.
+    const LintReport full = manager.run(options);
+    const std::vector<std::string> order = {"first", "second", "third"};
+    ASSERT_EQ(log.size(), order.size() * sweep.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const Visit &pair = sweep[i / order.size()];
+        const Visit &first = log[i - i % order.size()];
+        EXPECT_EQ(log[i].pass, order[i % order.size()]) << i;
+        EXPECT_EQ(log[i].format, pair.format) << i;
+        EXPECT_EQ(log[i].p, pair.p) << i;
+        EXPECT_EQ(log[i].nnz, pair.nnz) << i;
+        EXPECT_EQ(log[i].encoding, first.encoding) << i;
+    }
+
+    // The full report is each pass run alone, in registration order.
+    EXPECT_EQ(full.diagnostics.size(), order.size() * sweep.size() + 1);
+    std::string alone;
+    for (const PassInfo &pass : manager.passes())
+        alone += manager.run(options, {pass.name}).toString();
+    EXPECT_EQ(full.toString(), alone);
 }
 
 // ---------------------------------------------------------------- //
@@ -401,7 +474,8 @@ TEST(CompressPassTest, StoredNeverExceedsRawOnMixedTiles)
     const Tile tile = builder.build();
     LintReport report;
     for (FormatKind kind : allFormats())
-        checkTileCompression(registry.codec(kind), tile, report);
+        checkTileCompression(LintOptions(), tile,
+                             *registry.codec(kind).encode(tile), report);
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 

@@ -75,32 +75,6 @@ TEST(StudyTest, RowsCarryResourceAndPowerEstimates)
     }
 }
 
-TEST(StudyTest, AtPartitionFilters)
-{
-    const auto result = smallStudy().run();
-    const auto p8 = result.atPartition(8);
-    EXPECT_EQ(p8.size(), 2u * 3u);
-    for (const auto &row : p8)
-        EXPECT_EQ(row.partitionSize, 8u);
-}
-
-TEST(StudyTest, EvaluateSingleTriple)
-{
-    const Study study = smallStudy();
-    const auto row = study.evaluate("random", FormatKind::COO, 16);
-    EXPECT_EQ(row.workload, "random");
-    EXPECT_EQ(row.format, FormatKind::COO);
-    EXPECT_EQ(row.partitionSize, 16u);
-    EXPECT_NEAR(row.bandwidthUtilization, 1.0 / 3.0, 1e-12);
-}
-
-TEST(StudyTest, EvaluateUnknownWorkloadIsFatal)
-{
-    const Study study = smallStudy();
-    EXPECT_THROW(study.evaluate("missing", FormatKind::CSR, 8),
-                 FatalError);
-}
-
 TEST(StudyTest, AggregateByFormatAveragesAndSums)
 {
     const auto result = smallStudy().run();

@@ -202,7 +202,8 @@ TEST(IntegrationTest, AdaptivePlanWinsOnSuiteSurrogate)
     // adaptive plan must match or beat every fixed choice end to end.
     const auto m = suiteMatrix("DW").generate(7);
     const auto parts = partition(m, 16);
-    const auto adaptive = runAdaptive(parts, paperFormats());
+    const auto adaptive =
+        runPipelineMixed(parts, planFormats(parts, paperFormats()).perTile);
     for (FormatKind kind : paperFormats()) {
         EXPECT_LE(adaptive.totalCycles,
                   runPipeline(parts, kind).totalCycles)

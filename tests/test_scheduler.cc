@@ -157,9 +157,11 @@ TEST(AdaptiveTest, NeverWorseThanEveryFixedChoice)
     for (const auto &[name, config] : planConfigs()) {
         for (double density : {0.02, 0.2}) {
             const auto parts = sampleParts(density);
+            const auto plan = planFormats(
+                parts, paperFormats(), SchedulerObjective::Bottleneck,
+                config);
             const auto adaptive =
-                runAdaptive(parts, paperFormats(),
-                            SchedulerObjective::Bottleneck, config);
+                runPipelineMixed(parts, plan.perTile, config);
             for (FormatKind kind : paperFormats()) {
                 const auto fixed = runPipeline(parts, kind, config);
                 EXPECT_LE(adaptive.totalCycles, fixed.totalCycles)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "common/rng.hh"
@@ -23,25 +24,33 @@ using DesignPoint = std::tuple<FormatKind, Index>;
 class StudyInvariants : public testing::TestWithParam<DesignPoint>
 {
   protected:
-    static const Study &
-    sharedStudy()
+    /** One Study::run over the whole design space, shared by all. */
+    static const StudyResult &
+    sharedRun()
     {
-        static const Study study = [] {
+        static const StudyResult result = [] {
             StudyConfig cfg;
             cfg.formats = allFormats();
             Study s(cfg);
             Rng rng(2026);
             s.addWorkload("random", randomMatrix(96, 0.08, rng));
-            return s;
+            return s.run();
         }();
-        return study;
+        return result;
     }
 };
 
 TEST_P(StudyInvariants, MetricIdentitiesHold)
 {
-    const auto [kind, p] = GetParam();
-    const StudyRow row = sharedStudy().evaluate("random", kind, p);
+    const FormatKind kind = std::get<0>(GetParam());
+    const Index p = std::get<1>(GetParam());
+    const std::vector<StudyRow> &rows = sharedRun().rows;
+    const auto found =
+        std::find_if(rows.begin(), rows.end(), [&](const StudyRow &r) {
+            return r.format == kind && r.partitionSize == p;
+        });
+    ASSERT_NE(found, rows.end());
+    const StudyRow &row = *found;
 
     // Identities every row must satisfy.
     EXPECT_GT(row.partitions, 0u);
