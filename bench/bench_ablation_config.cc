@@ -1,9 +1,10 @@
 /**
  * @file
  * Ablations of the model parameters DESIGN.md calls out: ELL's
- * compressed-width floor, the number of AXI streamlines, and the BRAM
- * read latency. Each sweep holds the workload fixed (a mid-density
- * random matrix at 16x16 partitions) and varies one knob.
+ * compressed-width floor (which moves bytes and BRAM, not cycles), the
+ * number of AXI streamlines, and the BRAM read latency. Each sweep
+ * holds the workload fixed (a mid-density random matrix at 16x16
+ * partitions) and varies one knob.
  */
 
 #include <iostream>
@@ -27,9 +28,9 @@ void
 ellWidthSweep()
 {
     std::cout << "-- ELL compressed-width floor (paper fixes 6; wider "
-                 "floors only cost bandwidth, not cycles) --\n";
+                 "floors cost bandwidth and BRAM, not cycles) --\n";
     TableWriter table({"ell width", "sigma", "bw util",
-                       "memory cycles"});
+                       "memory cycles", "BRAM_18K", "dyn power (W)"});
     for (Index width : {2u, 4u, 6u, 8u, 16u}) {
         StudyConfig cfg;
         cfg.partitionSizes = {16};
@@ -41,7 +42,9 @@ ellWidthSweep()
         table.addRow({std::to_string(width),
                       TableWriter::num(row.meanSigma, 4),
                       TableWriter::num(row.bandwidthUtilization, 4),
-                      std::to_string(row.memoryCycles)});
+                      std::to_string(row.memoryCycles),
+                      TableWriter::num(row.resources.bram18k, 3),
+                      TableWriter::num(row.power.dynamicW(), 3)});
     }
     table.print(std::cout);
     std::cout << '\n';

@@ -9,11 +9,11 @@ namespace copernicus {
 
 namespace {
 
-/** Device BRAM capacity in bits (18k-bit blocks). */
+/** Device BRAM capacity in bits. */
 Bytes
 deviceBramBits(const DeviceCapacity &device)
 {
-    return static_cast<Bytes>(device.bram18k * 18.0 * 1024.0);
+    return static_cast<Bytes>(device.bram18k * bram18kBits);
 }
 
 } // namespace

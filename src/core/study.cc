@@ -152,8 +152,9 @@ Study::makeRow(const std::string &workload, const Partitioning &parts,
     row.bandwidthUtilization = pipe.bandwidthUtilization;
     row.totalBytes = pipe.totalBytes;
     row.partitions = pipe.partitions.size();
-    row.resources = estimateResources(kind, parts.partitionSize);
-    row.power = estimatePower(kind, parts.partitionSize);
+    row.resources =
+        estimateResources(kind, parts.partitionSize, cfg.formatParams);
+    row.power = estimatePower(kind, parts.partitionSize, cfg.formatParams);
     return row;
 }
 

@@ -1,5 +1,7 @@
 #include "fpga/buffer_model.hh"
 
+#include <algorithm>
+
 #include "common/status.hh"
 
 namespace copernicus {
@@ -9,11 +11,16 @@ bufferRequirements(FormatKind kind, Index p, const FormatParams &params)
 {
     COPERNICUS_FATAL_IF(p == 0,
                         "bufferRequirements: partition size must be > 0");
+    const std::string violation = formatParamsViolation(params, kind);
+    COPERNICUS_FATAL_IF(!violation.empty(), violation);
     const Bytes n = p;
     const Bytes cells = n * n;
+    // Listing 5's row sweep is unrolled over the slab width.
+    const Index slab = std::min(params.ellMinWidth, p);
     switch (kind) {
       case FormatKind::Dense:
-        return {{"values", cells, valueBytes}};
+        // One bank per dot-engine lane.
+        return {{"values", cells, valueBytes, p}};
       case FormatKind::CSR:
         // Section 2: offsets length n; values/indices at most n^2.
         return {{"values", cells, valueBytes},
@@ -25,9 +32,9 @@ bufferRequirements(FormatKind kind, Index p, const FormatParams &params)
                 {"offsets", n, indexBytes}};
       case FormatKind::BCSR: {
         // Section 2: values up to n^2, block indices up to (n/b)^2,
-        // offsets n/b.
+        // offsets n/b. Values are banked like dense's.
         const Bytes grid = n / params.bcsrBlock;
-        return {{"values", cells, valueBytes},
+        return {{"values", cells, valueBytes, p},
                 {"colInx", grid * grid, indexBytes},
                 {"offsets", grid, indexBytes}};
       }
@@ -42,15 +49,15 @@ bufferRequirements(FormatKind kind, Index p, const FormatParams &params)
                 {"rowInx", cells + n, indexBytes}};
       case FormatKind::ELL:
         // Worst case: one full row widens the slab to n.
-        return {{"values", cells, valueBytes},
-                {"colInx", cells, indexBytes}};
+        return {{"values", cells, valueBytes, slab},
+                {"colInx", cells, indexBytes, slab}};
       case FormatKind::SELL:
-        return {{"values", cells, valueBytes},
-                {"colInx", cells, indexBytes},
+        return {{"values", cells, valueBytes, slab},
+                {"colInx", cells, indexBytes, slab},
                 {"widths", n / params.sellSlice, indexBytes}};
       case FormatKind::SELLCS:
-        return {{"values", cells, valueBytes},
-                {"colInx", cells, indexBytes},
+        return {{"values", cells, valueBytes, slab},
+                {"colInx", cells, indexBytes, slab},
                 {"widths", n / params.sellSlice, indexBytes},
                 {"perm", n, indexBytes}};
       case FormatKind::DIA:
@@ -63,9 +70,9 @@ bufferRequirements(FormatKind kind, Index p, const FormatParams &params)
                 {"perm", n, indexBytes},
                 {"jdPtr", n + 1, indexBytes}};
       case FormatKind::ELLCOO: {
-        const Bytes width = std::min<Bytes>(params.ellCooWidth, n);
-        return {{"values", n * width, valueBytes},
-                {"colInx", n * width, indexBytes},
+        const Index width = std::min(params.ellCooWidth, p);
+        return {{"values", n * width, valueBytes, width},
+                {"colInx", n * width, indexBytes, width},
                 {"overflow", 3 * cells, valueBytes}};
       }
       case FormatKind::BITMAP:

@@ -1,49 +1,62 @@
 #include "fpga/resource_model.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/status.hh"
+#include "fpga/buffer_model.hh"
 
 namespace copernicus {
 
 namespace {
 
-/** One Table 2 row: {BRAM_18K, FF(K), LUT(K)} at p = 8, 16, 32. */
+/**
+ * One Table 2 row: {BRAM_18K, FF(K), LUT(K), dynamic power (W)} at
+ * p = 8, 16, 32.
+ */
 struct CalibrationRow
 {
     FormatKind kind;
     double bram[3];
     double ff[3];
     double lut[3];
+    double dyn[3];
 };
 
 /** Table 2 of the paper, verbatim. */
 const CalibrationRow calibrationTable[] = {
-    {FormatKind::Dense, {8, 16, 32}, {1.5, 1.9, 4.3}, {0.7, 0.7, 1.2}},
-    {FormatKind::CSR, {2, 2, 8}, {0.7, 0.8, 3.8}, {0.9, 0.9, 1.1}},
-    {FormatKind::BCSR, {8, 16, 32}, {1.6, 2.4, 4.4}, {1.2, 1.4, 2.2}},
-    {FormatKind::CSC, {1, 1, 9}, {0.9, 1.0, 2.7}, {1.0, 1.2, 1.1}},
-    {FormatKind::LIL, {4, 4, 6}, {2.9, 5.8, 9.1}, {1.6, 2.7, 4.8}},
-    {FormatKind::ELL, {1, 7, 9}, {2.0, 3.2, 0.9}, {0.9, 1.0, 0.8}},
-    {FormatKind::COO, {3, 3, 8}, {1.8, 1.3, 3.2}, {1.2, 2.5, 5.4}},
-    {FormatKind::DIA, {3, 3, 11}, {2.2, 5.0, 9.2}, {1.5, 2.8, 4.6}},
+    {FormatKind::Dense, {8, 16, 32}, {1.5, 1.9, 4.3}, {0.7, 0.7, 1.2},
+     {0.02, 0.08, 0.03}},
+    {FormatKind::CSR, {2, 2, 8}, {0.7, 0.8, 3.8}, {0.9, 0.9, 1.1},
+     {0.04, 0.04, 0.07}},
+    {FormatKind::BCSR, {8, 16, 32}, {1.6, 2.4, 4.4}, {1.2, 1.4, 2.2},
+     {0.05, 0.06, 0.06}},
+    {FormatKind::CSC, {1, 1, 9}, {0.9, 1.0, 2.7}, {1.0, 1.2, 1.1},
+     {0.01, 0.05, 0.03}},
+    {FormatKind::LIL, {4, 4, 6}, {2.9, 5.8, 9.1}, {1.6, 2.7, 4.8},
+     {0.05, 0.08, 0.07}},
+    {FormatKind::ELL, {1, 7, 9}, {2.0, 3.2, 0.9}, {0.9, 1.0, 0.8},
+     {0.06, 0.10, 0.06}},
+    {FormatKind::COO, {3, 3, 8}, {1.8, 1.3, 3.2}, {1.2, 2.5, 5.4},
+     {0.02, 0.04, 0.04}},
+    {FormatKind::DIA, {3, 3, 11}, {2.2, 5.0, 9.2}, {1.5, 2.8, 4.6},
+     {0.07, 0.12, 0.05}},
 };
 
+/** Table 2's partition sizes, in column order. */
+constexpr Index calibratedSizes[3] = {8, 16, 32};
+
+/** Table 2 column of the calibrated size nearest @p p. */
 int
-partitionSlot(Index p)
+nearestSlot(Index p)
 {
-    switch (p) {
-      case 8: return 0;
-      case 16: return 1;
-      case 32: return 2;
-      default: return -1;
-    }
+    if (p >= 24)
+        return 2;
+    return p >= 12 ? 1 : 0;
 }
 
 /** Paper format whose structure an extension format resembles most. */
 FormatKind
-structuralSibling(FormatKind kind)
+paperSibling(FormatKind kind)
 {
     switch (kind) {
       case FormatKind::DOK: return FormatKind::COO;
@@ -56,48 +69,21 @@ structuralSibling(FormatKind kind)
     }
 }
 
-constexpr double bramBits = 18432.0;
-
 /**
- * Structural BRAM-bank count: worst-case buffer bits over 18Kbit banks,
- * times the array_partition factor for the formats whose decompressor
- * unrolls over banks (Section 5.2). Only the *scaling* with p matters;
- * absolute values are anchored to the calibration table.
+ * Structural BRAM_18K count: each worst-case buffer takes its
+ * array_partition banks or its bits over 18 Kbit, whichever is more.
  */
 double
-structuralBram(FormatKind kind, Index p)
+structuralBram(FormatKind kind, Index p, const FormatParams &params)
 {
-    const double cells = static_cast<double>(p) * p * 32.0;
-    switch (kind) {
-      case FormatKind::Dense:
-      case FormatKind::BCSR:
-        // Values partitioned one bank per engine lane.
-        return p;
-      case FormatKind::CSR:
-      case FormatKind::CSC:
-      case FormatKind::JDS:
-        return std::max(2.0, 2.0 * cells / bramBits);
-      case FormatKind::COO:
-        return std::max(3.0, 3.0 * cells / bramBits);
-      case FormatKind::DOK:
-        // Tuple arrays plus the on-chip hash table.
-        return std::max(4.0, 5.0 * cells / bramBits);
-      case FormatKind::LIL:
-        return std::max(4.0, 2.0 * cells / bramBits);
-      case FormatKind::ELL:
-      case FormatKind::SELL:
-      case FormatKind::ELLCOO:
-      case FormatKind::SELLCS:
-        // Width-6 slabs, one bank per unrolled lane as p grows.
-        return std::max(1.0, 2.0 * p * 6.0 * 32.0 / 4096.0);
-      case FormatKind::BITMAP:
-        // One mask buffer plus the dense value buffer.
-        return std::max(2.0, (cells + cells / 32.0) / bramBits);
-      case FormatKind::DIA:
-        return std::max(3.0, (2.0 * p - 1.0) * (p + 1.0) * 32.0 /
-                                 bramBits);
+    double blocks = 0;
+    for (const BufferRequirement &buffer :
+         bufferRequirements(kind, p, params)) {
+        blocks += std::max(static_cast<double>(buffer.banks),
+                           static_cast<double>(buffer.bits()) /
+                               static_cast<double>(bram18kBits));
     }
-    panic("structuralBram: unknown format kind");
+    return blocks;
 }
 
 /** Structural FF count (K): dot-engine registers plus decompressor. */
@@ -150,48 +136,39 @@ structuralLut(FormatKind kind, Index p)
 
 } // namespace
 
-std::optional<ResourceEstimate>
-paperCalibration(FormatKind kind, Index p)
+PaperPoint
+calibrationAnchor(FormatKind kind, Index p)
 {
-    const int slot = partitionSlot(p);
-    if (slot < 0)
-        return std::nullopt;
-    for (const auto &row : calibrationTable) {
-        if (row.kind == kind) {
-            return ResourceEstimate{row.bram[slot], row.ff[slot],
-                                    row.lut[slot], true};
+    const FormatKind sibling = paperSibling(kind);
+    const int slot = nearestSlot(p);
+    for (const CalibrationRow &row : calibrationTable) {
+        if (row.kind == sibling) {
+            return {sibling, calibratedSizes[slot],
+                    {row.bram[slot], row.ff[slot], row.lut[slot], true},
+                    row.dyn[slot]};
         }
     }
-    return std::nullopt;
+    panic("calibrationAnchor: no Table 2 row for a paper format");
 }
 
 ResourceEstimate
-estimateResources(FormatKind kind, Index p)
+estimateResources(FormatKind kind, Index p, const FormatParams &params)
 {
-    COPERNICUS_FATAL_IF(p == 0,
-                        "estimateResources: partition size must be positive");
-    if (auto cal = paperCalibration(kind, p))
-        return *cal;
-
-    // Anchor the structural estimate to the nearest calibrated point of
-    // the structurally closest paper format.
-    const FormatKind sibling = structuralSibling(kind);
-    Index anchor_p = 8;
-    if (p >= 24)
-        anchor_p = 32;
-    else if (p >= 12)
-        anchor_p = 16;
-    const auto anchor = paperCalibration(sibling, anchor_p);
-    COPERNICUS_PANIC_IF(!anchor, "no calibration anchor for paper format");
-
+    const PaperPoint anchor = calibrationAnchor(kind, p);
+    const ResourceEstimate &measured = anchor.resources;
     ResourceEstimate est;
-    est.calibrated = false;
-    est.bram18k = anchor->bram18k * structuralBram(kind, p) /
-                  structuralBram(sibling, anchor_p);
-    est.ffK = anchor->ffK * structuralFf(kind, p) /
-              structuralFf(sibling, anchor_p);
-    est.lutK = anchor->lutK * structuralLut(kind, p) /
-               structuralLut(sibling, anchor_p);
+    // Each ratio is exactly 1 when the structures are equal, which
+    // keeps a calibrated point verbatim.
+    est.bram18k = measured.bram18k *
+                  (structuralBram(kind, p, params) /
+                   structuralBram(anchor.kind, anchor.p, FormatParams()));
+    est.ffK = measured.ffK *
+              (structuralFf(kind, p) / structuralFf(anchor.kind, anchor.p));
+    est.lutK = measured.lutK * (structuralLut(kind, p) /
+                                structuralLut(anchor.kind, anchor.p));
+    est.calibrated = anchor.kind == kind && anchor.p == p &&
+                     bufferRequirements(kind, p, params) ==
+                         bufferRequirements(kind, p);
     return est;
 }
 

@@ -1192,8 +1192,7 @@ Server::dispatch(const ServeRequest &request,
             if (spec->stringOr("kind", "") == "cbm")
                 identity.matrixEpoch =
                     CbmReader(spec->stringOr("path", "")).epoch();
-            identity.configHash =
-                sweepConfigHash(cfg.partitionSizes, cfg.formats);
+            identity.configHash = sweepConfigHash(cfg);
             cfg.journal =
                 std::make_shared<SweepJournal>(journalPath, identity);
             resumedCells = cfg.journal->resumedCells();

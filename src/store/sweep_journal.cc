@@ -151,16 +151,36 @@ parseCell(const JsonValue &obj)
 } // namespace
 
 std::uint64_t
-sweepConfigHash(const std::vector<Index> &partitionSizes,
-                const std::vector<FormatKind> &formats)
+sweepConfigHash(const StudyConfig &config)
 {
     std::uint64_t hash = fnvOffsetBasis;
-    hash = fnv1aValue<std::uint64_t>(partitionSizes.size(), hash);
-    for (Index p : partitionSizes)
+    hash = fnv1aValue<std::uint64_t>(config.partitionSizes.size(), hash);
+    for (Index p : config.partitionSizes)
         hash = fnv1aValue(p, hash);
-    hash = fnv1aValue<std::uint64_t>(formats.size(), hash);
-    for (FormatKind kind : formats)
+    hash = fnv1aValue<std::uint64_t>(config.formats.size(), hash);
+    for (FormatKind kind : config.formats)
         hash = fnv1aValue(static_cast<std::uint32_t>(kind), hash);
+
+    const FormatParams &params = config.formatParams;
+    for (Index value : {params.bcsrBlock, params.ellMinWidth,
+                        params.sellSlice, params.ellCooWidth,
+                        params.sellCsWindow})
+        hash = fnv1aValue(value, hash);
+
+    const HlsConfig &hls = config.hls;
+    const DramConfig &dram = hls.dram;
+    for (double value : {hls.clockMhz, dram.busClockMhz})
+        hash = fnv1aValue(value, hash);
+    for (std::uint64_t value :
+         {std::uint64_t(hls.axiLaneBits), std::uint64_t(hls.streamlines),
+          hls.burstSetupCycles, std::uint64_t(hls.useDramModel),
+          dram.busBytes, dram.tRcd, dram.tCl, dram.tRp, dram.rowBytes,
+          std::uint64_t(hls.streamVectorOperand),
+          std::uint64_t(hls.secondStageCompression),
+          hls.bramReadLatency, std::uint64_t(hls.bramPorts),
+          hls.loopDepth, hls.hashCycles, hls.multLatency,
+          hls.adderStageLatency, hls.writebackLatency})
+        hash = fnv1aValue(value, hash);
     return hash;
 }
 

@@ -52,12 +52,14 @@ struct JournalIdentity
 };
 
 /**
- * Fingerprint of the sweep shape: partition sizes and formats, in
- * order. Two sweeps with the same fingerprint enumerate the same
- * design points for a given workload set.
+ * Fingerprint of everything that prices a row: the partition sizes and
+ * formats, in order, every codec hyperparameter (FormatParams) and
+ * every platform parameter (HlsConfig, its DRAM timing included). Two
+ * sweeps with the same fingerprint enumerate the same design points
+ * for a given workload set and price them alike. Execution settings
+ * (jobs, cancelCheck, journal) do not change a row and are left out.
  */
-std::uint64_t sweepConfigHash(const std::vector<Index> &partitionSizes,
-                              const std::vector<FormatKind> &formats);
+std::uint64_t sweepConfigHash(const StudyConfig &config);
 
 /**
  * Fold (workload name, content hash) pairs into one identity hash.

@@ -115,8 +115,7 @@ main(int argc, char **argv)
         identity.matrixHash =
             workloadSetHash({{"rand", contentHashOf(rand)},
                              {"band", contentHashOf(band)}});
-        identity.configHash =
-            sweepConfigHash(cfg.partitionSizes, cfg.formats);
+        identity.configHash = sweepConfigHash(cfg);
         cfg.journal =
             std::make_shared<SweepJournal>(journalPath, identity);
         const std::size_t resumed = cfg.journal->resumedCells();

@@ -47,6 +47,65 @@ TEST(BufferModelTest, ZeroPartitionIsFatal)
     EXPECT_THROW(bufferRequirements(FormatKind::CSR, 0), FatalError);
 }
 
+TEST(BufferModelTest, RejectedHyperparametersAreFatal)
+{
+    // Each zero is one a format's codec refuses; BCSR's and SELL's
+    // buffer sizes divide by theirs.
+    for (int field = 0; field < 5; ++field) {
+        FormatParams params;
+        Index *values[] = {&params.bcsrBlock, &params.ellMinWidth,
+                           &params.sellSlice, &params.ellCooWidth,
+                           &params.sellCsWindow};
+        *values[field] = 0;
+        for (FormatKind kind : allFormats()) {
+            const std::string why = formatParamsViolation(params, kind);
+            if (why.empty()) {
+                EXPECT_NO_THROW(bufferRequirements(kind, 16, params))
+                    << formatName(kind) << " field " << field;
+                continue;
+            }
+            try {
+                totalBufferBits(kind, 16, params);
+                ADD_FAILURE() << formatName(kind) << " field " << field;
+            } catch (const FatalError &err) {
+                EXPECT_EQ(err.what(), why);
+            }
+        }
+    }
+}
+
+TEST(BufferModelTest, BanksFollowTheUnrolledLanes)
+{
+    // array_partition: one bank per dot-engine lane for Dense's and
+    // BCSR's values, one per slab column for the ELL family's values
+    // and column indices, one for every other buffer.
+    FormatParams params;
+    params.ellMinWidth = 5;
+    params.ellCooWidth = 3;
+    for (Index p : {4u, 8u, 16u}) {
+        for (FormatKind kind : allFormats()) {
+            for (const auto &buffer : bufferRequirements(kind, p, params)) {
+                Index expected = 1;
+                const bool slabArray =
+                    buffer.array == "values" || buffer.array == "colInx";
+                if (buffer.array == "values" &&
+                    (kind == FormatKind::Dense || kind == FormatKind::BCSR))
+                    expected = p;
+                else if (slabArray &&
+                         (kind == FormatKind::ELL ||
+                          kind == FormatKind::SELL ||
+                          kind == FormatKind::SELLCS))
+                    expected = std::min<Index>(5, p);
+                else if (slabArray && kind == FormatKind::ELLCOO)
+                    expected = std::min<Index>(3, p);
+                EXPECT_EQ(buffer.banks, expected)
+                    << formatName(kind) << " p=" << p << " "
+                    << buffer.array;
+            }
+        }
+    }
+}
+
 TEST(BufferModelTest, TotalBitsSumBuffers)
 {
     for (FormatKind kind : allFormats()) {

@@ -18,15 +18,21 @@
  * Regenerate the goldens (only ever from a known-good tree) with
  *   COPERNICUS_REGEN_GOLDEN=1 ./test_encode_parity
  * which rewrites both tests/golden/study_parity.csv and
- * tests/golden/study_parity_compress.csv in the source tree.
+ * tests/golden/study_parity_compress.csv in the source tree. Before it
+ * overwrites a golden it prints how many rows changed in each column
+ * and the (format, p) pairs of those rows, so a regeneration shows
+ * whether it moved only the cells it meant to.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/study.hh"
@@ -129,12 +135,81 @@ expectCsvEqual(const std::string &got, const std::string &golden)
            << " lines)";
 }
 
+/** The comma-separated cells of each line of @p csv. */
+std::vector<std::vector<std::string>>
+csvCells(const std::string &csv)
+{
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream in(csv);
+    std::string line, cell;
+    while (std::getline(in, line)) {
+        rows.emplace_back();
+        std::istringstream cells(line);
+        while (std::getline(cells, cell, ','))
+            rows.back().push_back(cell);
+    }
+    return rows;
+}
+
+/**
+ * Print what overwriting @p golden with @p csv changes: per column, the
+ * number of rows whose cell differs, and the (format, p) pairs of those
+ * rows.
+ */
+void
+reportGoldenChanges(const char *file, const std::string &golden,
+                    const std::string &csv)
+{
+    const auto before = csvCells(golden);
+    const auto after = csvCells(csv);
+    std::cout << "regen " << file << ": ";
+    if (before.size() != after.size() || before.empty() ||
+        before[0] != after[0]) {
+        std::cout << "header or row count changed (" << before.size()
+                  << " -> " << after.size() << " lines)\n";
+        return;
+    }
+    const std::vector<std::string> &header = after[0];
+    std::vector<std::size_t> changed(header.size(), 0);
+    std::set<std::string> pairs;
+    std::size_t rows = 0;
+    for (std::size_t r = 1; r < after.size(); ++r) {
+        bool moved = before[r].size() != after[r].size();
+        for (std::size_t c = 0;
+             c < header.size() && c < before[r].size() &&
+             c < after[r].size();
+             ++c) {
+            if (before[r][c] != after[r][c]) {
+                ++changed[c];
+                moved = true;
+            }
+        }
+        if (moved) {
+            ++rows;
+            pairs.insert(after[r][1] + " p=" + after[r][2]);
+        }
+    }
+    std::cout << rows << " of " << after.size() - 1
+              << " rows changed\n";
+    for (std::size_t c = 0; c < header.size(); ++c)
+        if (changed[c] > 0)
+            std::cout << "  " << header[c] << ": " << changed[c]
+                      << " rows\n";
+    if (!pairs.empty()) {
+        std::cout << "  (format, p):";
+        for (const std::string &pair : pairs)
+            std::cout << " [" << pair << "]";
+        std::cout << "\n";
+    }
+}
+
 /** Compare the serial run with @p file, or rewrite it in regen mode. */
 void
 checkSerial(bool secondStage, const char *file)
 {
     const std::string csv = runParityCsv(1, secondStage);
     if (regenRequested()) {
+        reportGoldenChanges(file, loadGolden(file), csv);
         std::ofstream out(goldenPath(file));
         ASSERT_TRUE(out.good()) << "cannot write " << goldenPath(file);
         out << csv;

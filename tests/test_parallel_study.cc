@@ -150,8 +150,7 @@ TEST(ParallelStudyTest, CancelThenResumeMatchesAtEveryJobs)
                                  std::to_string(jobs) + ".ndjson";
         std::remove(path.c_str());
         const StudyConfig cfg = studyConfig(jobs);
-        const JournalIdentity id{
-            1, 0, sweepConfigHash(cfg.partitionSizes, cfg.formats)};
+        const JournalIdentity id{1, 0, sweepConfigHash(cfg)};
 
         // Every lane polls one shared budget; exactly `budget` polls
         // let their design point run, and each of those is journaled

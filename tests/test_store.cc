@@ -661,23 +661,87 @@ TEST(SweepJournal, ToleratesTornTrailingLine)
     std::remove(path.c_str());
 }
 
+/** A sweep over @p sizes x @p formats at default pricing. */
+StudyConfig
+sweepShape(std::vector<Index> sizes, std::vector<FormatKind> formats)
+{
+    StudyConfig cfg;
+    cfg.partitionSizes = std::move(sizes);
+    cfg.formats = std::move(formats);
+    return cfg;
+}
+
 TEST(SweepJournal, ConfigHashSeesOrderAndContent)
 {
-    const std::uint64_t base =
-        sweepConfigHash({8, 16}, {FormatKind::CSR, FormatKind::COO});
-    EXPECT_NE(base, sweepConfigHash({16, 8}, {FormatKind::CSR,
-                                              FormatKind::COO}));
-    EXPECT_NE(base, sweepConfigHash({8, 16}, {FormatKind::COO,
-                                              FormatKind::CSR}));
-    EXPECT_NE(base, sweepConfigHash({8}, {FormatKind::CSR,
-                                          FormatKind::COO}));
-    EXPECT_EQ(base, sweepConfigHash({8, 16}, {FormatKind::CSR,
-                                              FormatKind::COO}));
+    const std::uint64_t base = sweepConfigHash(
+        sweepShape({8, 16}, {FormatKind::CSR, FormatKind::COO}));
+    EXPECT_NE(base, sweepConfigHash(sweepShape(
+                        {16, 8}, {FormatKind::CSR, FormatKind::COO})));
+    EXPECT_NE(base, sweepConfigHash(sweepShape(
+                        {8, 16}, {FormatKind::COO, FormatKind::CSR})));
+    EXPECT_NE(base, sweepConfigHash(sweepShape(
+                        {8}, {FormatKind::CSR, FormatKind::COO})));
+    EXPECT_EQ(base, sweepConfigHash(sweepShape(
+                        {8, 16}, {FormatKind::CSR, FormatKind::COO})));
 
     const std::uint64_t ws = workloadSetHash({{"a", 1}, {"b", 2}});
     EXPECT_NE(ws, workloadSetHash({{"b", 2}, {"a", 1}}));
     EXPECT_NE(ws, workloadSetHash({{"a", 1}}));
     EXPECT_EQ(ws, workloadSetHash({{"a", 1}, {"b", 2}}));
+}
+
+/**
+ * A journal priced under one codec or platform configuration is refused
+ * under another, so no row resumes with figures the current
+ * configuration would not give.
+ */
+TEST(SweepJournal, RefusesAnotherPricingConfigAsStale)
+{
+    const std::string path = tempPath("pricing.ndjson");
+    std::remove(path.c_str());
+    const StudyConfig base;
+    { SweepJournal journal(path, {1, 2, sweepConfigHash(base)}); }
+
+    const auto expectRefused = [&](const std::string &what, auto edit) {
+        StudyConfig cfg = base;
+        edit(cfg);
+        try {
+            SweepJournal journal(path, {1, 2, sweepConfigHash(cfg)});
+            ADD_FAILURE() << "journal resumed under a changed " << what;
+        } catch (const FatalError &err) {
+            const std::string message = err.what();
+            EXPECT_NE(message.find("stale"), std::string::npos) << what;
+            EXPECT_NE(message.find("sweep config"), std::string::npos)
+                << what;
+        }
+    };
+    expectRefused("bcsrBlock",
+                  [](StudyConfig &c) { c.formatParams.bcsrBlock = 8; });
+    expectRefused("ellMinWidth",
+                  [](StudyConfig &c) { c.formatParams.ellMinWidth = 16; });
+    expectRefused("sellSlice",
+                  [](StudyConfig &c) { c.formatParams.sellSlice = 8; });
+    expectRefused("ellCooWidth",
+                  [](StudyConfig &c) { c.formatParams.ellCooWidth = 4; });
+    expectRefused("sellCsWindow",
+                  [](StudyConfig &c) { c.formatParams.sellCsWindow = 16; });
+    expectRefused("secondStageCompression", [](StudyConfig &c) {
+        c.hls.secondStageCompression = true;
+    });
+    expectRefused("streamVectorOperand",
+                  [](StudyConfig &c) { c.hls.streamVectorOperand = true; });
+    expectRefused("clockMhz",
+                  [](StudyConfig &c) { c.hls.clockMhz = 200.0; });
+    expectRefused("dram.tCl", [](StudyConfig &c) { c.hls.dram.tCl = 12; });
+
+    // Execution settings price nothing: the journal still opens.
+    StudyConfig parallel = base;
+    parallel.jobs = 4;
+    {
+        SweepJournal journal(path, {1, 2, sweepConfigHash(parallel)});
+        EXPECT_EQ(journal.resumedCells(), 0u);
+    }
+    std::remove(path.c_str());
 }
 
 /** Cancel a sweep partway, then resume it: output must be identical. */
@@ -706,9 +770,7 @@ TEST(SweepJournal, InterruptedStudyResumesByteIdentical)
 
     const std::string path = tempPath("resume.ndjson");
     std::remove(path.c_str());
-    const JournalIdentity id{1234, 0, sweepConfigHash(
-                                          cfg.partitionSizes,
-                                          cfg.formats)};
+    const JournalIdentity id{1234, 0, sweepConfigHash(cfg)};
 
     // First attempt: cancel after a few design points complete.
     {
