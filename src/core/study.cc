@@ -1,6 +1,9 @@
 #include "core/study.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <fstream>
+#include <mutex>
 
 #include "analysis/table_writer.hh"
 #include "common/status.hh"
@@ -158,6 +161,44 @@ Study::makeRow(const std::string &workload, const Partitioning &parts,
     return row;
 }
 
+namespace {
+
+/** One (workload, partition size) combination of a running sweep. */
+struct Combination
+{
+    std::once_flag built;
+    Partitioning parts;
+
+    /** Design points still to price; the one that ends at 0 frees parts. */
+    std::atomic<std::size_t> pending{0};
+};
+
+/**
+ * Run's index space: every design point in row order, plus one build
+ * per combination. The builds of the first @p window combinations come
+ * first; the build of combination c + window follows the last design
+ * point of combination c. Entries below combos * formats are design
+ * points; entry combos * formats + c builds combination c.
+ */
+std::vector<std::size_t>
+interleave(std::size_t combos, std::size_t formats, std::size_t window)
+{
+    const std::size_t points = combos * formats;
+    std::vector<std::size_t> order;
+    order.reserve(points + combos);
+    for (std::size_t c = 0; c < std::min(window, combos); ++c)
+        order.push_back(points + c);
+    for (std::size_t c = 0; c < combos; ++c) {
+        for (std::size_t f = 0; f < formats; ++f)
+            order.push_back(c * formats + f);
+        if (c + window < combos)
+            order.push_back(points + c + window);
+    }
+    return order;
+}
+
+} // namespace
+
 StudyResult
 Study::run() const
 {
@@ -165,47 +206,79 @@ Study::run() const
     const CompressTotals compressBefore = compressTotals();
     ThreadPool pool(cfg.jobs);
 
-    // Partition every (workload, partition size) combination once,
-    // workload-major, into its own slot.
+    // Design point i prices combination i / formats (a (workload,
+    // partition size) pair, workload-major) in cfg.formats[i % formats]
+    // and writes only row i, so completion order cannot change the
+    // result. Rows the journal holds are restored up front; each
+    // combination counts down the rows it has left to price.
     const std::size_t sizes = cfg.partitionSizes.size();
-    std::vector<Partitioning> parts(matrices.size() * sizes);
-    pool.parallelFor(parts.size(), [&](std::size_t c) {
-        const ScopedSpan part_span("study.partition", "study");
-        parts[c] = partition(matrices[c / sizes].second,
-                             cfg.partitionSizes[c % sizes]);
-    });
+    const std::size_t formats = cfg.formats.size();
+    const std::size_t combos = matrices.size() * sizes;
+    const std::size_t points = combos * formats;
+    StudyResult result;
+    result.rows.resize(points);
+    std::vector<char> restored(points, 0);
+    std::vector<Combination> slots(combos);
+    for (std::size_t i = 0; i < points; ++i) {
+        const std::size_t c = i / formats;
+        const StudyRow *done = nullptr;
+        if (cfg.journal)
+            done = cfg.journal->completed(matrices[c / sizes].first,
+                                          cfg.formats[i % formats],
+                                          cfg.partitionSizes[c % sizes]);
+        if (done != nullptr) {
+            result.rows[i] = *done;
+            restored[i] = 1;
+        } else {
+            ++slots[c].pending;
+        }
+    }
 
-    // One design point per (combination, format), each writing only
-    // its own row, so completion order cannot change the result.
+    // A combination is partitioned at most once, by its build index or
+    // by the first of its design points to get there (the others wait
+    // in call_once), and freed by the lane that prices its last point,
+    // so about two lane-counts of partitionings are alive at a time,
+    // not the whole design space. A combination with nothing left to
+    // price is never partitioned.
+    const auto build = [&](std::size_t c) {
+        Combination &combo = slots[c];
+        std::call_once(combo.built, [&] {
+            const ScopedSpan part_span("study.partition", "study");
+            combo.parts = partition(matrices[c / sizes].second,
+                                    cfg.partitionSizes[c % sizes]);
+        });
+    };
+
     // Per-partition traces are kept only when the points run one at a
     // time: interleaved timelines would be meaningless, and worker
     // lanes cover the parallel case. Cancellation is polled before
-    // each point starts; the first CancelledError stops the loop and
-    // discards every row.
-    const std::size_t formats = cfg.formats.size();
-    StudyResult result;
-    result.rows.resize(parts.size() * formats);
-    TraceSink *sink = pool.jobs() > 1 && result.rows.size() > 1
-                          ? &noTraceSink()
-                          : nullptr;
-    pool.parallelFor(result.rows.size(), [&](std::size_t i) {
+    // each design point starts, never before a build; the first
+    // CancelledError stops the loop and discards every row.
+    TraceSink *sink = pool.jobs() > 1 && points > 1 ? &noTraceSink()
+                                                    : nullptr;
+    const std::vector<std::size_t> order =
+        interleave(combos, formats, pool.jobs());
+    pool.parallelFor(order.size(), [&](std::size_t s) {
+        const std::size_t i = order[s];
+        if (i >= points) {
+            if (slots[i - points].pending.load() > 0)
+                build(i - points);
+            return;
+        }
         if (cfg.cancelCheck && cfg.cancelCheck())
             throw CancelledError(
                 "Study::run cancelled between design points");
-        const Partitioning &combo = parts[i / formats];
-        const std::string &workload = matrices[i / formats / sizes].first;
-        const FormatKind kind = cfg.formats[i % formats];
-        if (cfg.journal) {
-            const StudyRow *done = cfg.journal->completed(
-                workload, kind, combo.partitionSize);
-            if (done != nullptr) {
-                result.rows[i] = *done;
-                return;
-            }
-        }
-        result.rows[i] = makeRow(workload, combo, kind, sink);
+        if (restored[i])
+            return;
+        const std::size_t c = i / formats;
+        build(c);
+        Combination &combo = slots[c];
+        result.rows[i] = makeRow(matrices[c / sizes].first, combo.parts,
+                                 cfg.formats[i % formats], sink);
         if (cfg.journal)
             cfg.journal->record(result.rows[i]);
+        if (combo.pending.fetch_sub(1) == 1)
+            combo.parts = Partitioning();
     });
 
     if (cfg.hls.secondStageCompression &&

@@ -161,7 +161,13 @@ class Study
      */
     std::uint64_t workloadSetIdentity() const;
 
-    /** Evaluate every (workload, format, partition size) triple. */
+    /**
+     * Evaluate every (workload, format, partition size) triple. Each
+     * (workload, partition size) is partitioned at most once, about
+     * one lane-count of combinations ahead of its first design point,
+     * and freed after its last, so the sweep holds a few lanes' worth
+     * of partitionings at a time.
+     */
     StudyResult run() const;
 
     const StudyConfig &config() const { return cfg; }

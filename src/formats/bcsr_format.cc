@@ -93,15 +93,19 @@ BcsrCodec::decodeInto(const EncodedTile &encoded,
     const Index grid = p / b;
     tile.reset(p);
     tile.reserve(bcsr.nnz());
+    // Listing 2: drows[j / b][col0 + j mod b] = values[i][j]. Each of
+    // a block's b rows is one run; taking a block-row's rows in order,
+    // and its blocks in column order within each, keeps the writes
+    // row-major.
     for (Index br = 0; br < grid; ++br) {
-        for (Index i = bcsr.blockRowStart(br); i < bcsr.blockRowEnd(br);
-             ++i) {
-            const Index col0 = bcsr.colInx[i];
-            const auto &flat = bcsr.values[i];
-            // Listing 2: drows[j / b][col0 + j mod b] = values[i][j].
-            for (Index j = 0; j < b * b; ++j)
-                tile.set(br * b + j / b, col0 + j % b, flat[j]);
-        }
+        const Index first = bcsr.blockRowStart(br);
+        const Index last = bcsr.blockRowEnd(br);
+        for (Index r = 0; r < b; ++r)
+            for (Index i = first; i < last; ++i)
+                tile.setRun(br * b + r, bcsr.colInx[i],
+                            bcsr.values[i].data() +
+                                static_cast<std::size_t>(r) * b,
+                            b);
     }
 }
 

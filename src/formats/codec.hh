@@ -37,7 +37,8 @@ class FormatCodec
     /**
      * Replay @p encoded's arrays into @p out, the one decoder each
      * codec implements: @p out is reset to the encoded tile's size,
-     * then receives every stored element through TileBuilder::set().
+     * then receives every stored element through TileBuilder::set()
+     * or, for a run of cells in one row, TileBuilder::setRun().
      * A caller that only checks the result against a known tile calls
      * TileBuilder::matches() and never builds a Tile.
      *

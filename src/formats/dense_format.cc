@@ -22,9 +22,9 @@ DenseCodec::decodeInto(const EncodedTile &encoded,
     tile.reset(p);
     tile.reserve(dense.nnz());
     for (Index r = 0; r < p; ++r)
-        for (Index c = 0; c < p; ++c)
-            tile.set(r, c,
-                     dense.values[static_cast<std::size_t>(r) * p + c]);
+        tile.setRun(r, 0,
+                    dense.values.data() + static_cast<std::size_t>(r) * p,
+                    p);
 }
 
 } // namespace copernicus

@@ -1,6 +1,7 @@
 #include "formats/dia_format.hh"
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 namespace copernicus {
@@ -51,16 +52,19 @@ DiaCodec::decodeInto(const EncodedTile &encoded,
     const Index p = dia.tileSize();
     tile.reset(p);
     tile.reserve(dia.nnz());
-    // Listing 7: for each row, scan every stored diagonal.
-    for (Index row = 0; row < p; ++row) {
-        for (const auto &diag : dia.diagonals) {
-            if (!dia.rowOnDiagonal(row, diag.number))
-                continue;
-            const Index col = static_cast<Index>(
-                static_cast<std::int32_t>(row) + diag.number);
-            tile.set(row, col,
-                     diag.values[DiaEncoded::slotForRow(row, diag.number)]);
-        }
+    // Listing 7 scans every stored diagonal for every row; the decode
+    // walks only each diagonal's valid slots. Slot s of diagonal d is
+    // cell (s + max(0, -d), s + max(0, d)) for s < p - |d|, so a
+    // number outside (-p, p) has no slot.
+    for (const DiaDiagonal &diag : dia.diagonals) {
+        const std::int64_t d = diag.number;
+        const std::int64_t reach = std::int64_t(p) - std::abs(d);
+        const Index row0 = d < 0 ? static_cast<Index>(-d) : 0;
+        const Index col0 = d > 0 ? static_cast<Index>(d) : 0;
+        for (std::int64_t s = 0; s < reach; ++s)
+            tile.set(row0 + static_cast<Index>(s),
+                     col0 + static_cast<Index>(s),
+                     diag.values[static_cast<std::size_t>(s)]);
     }
 }
 

@@ -71,15 +71,6 @@ class DiaEncoded : public EncodedTile
                      : row;
     }
 
-    /** True iff @p row intersects diagonal @p d in a p x p tile. */
-    bool
-    rowOnDiagonal(Index row, std::int32_t d) const
-    {
-        const auto r = static_cast<std::int32_t>(row);
-        const auto size = static_cast<std::int32_t>(p);
-        return d <= size - 1 - r && d >= -r;
-    }
-
     /** Stored non-zero diagonals, ordered by diagonal number. */
     std::vector<DiaDiagonal> diagonals;
 };

@@ -9,6 +9,13 @@ namespace copernicus {
 namespace {
 
 /**
+ * Entries (12 bytes each) a thread's decode builder keeps between
+ * calls: a dense tile up to p = 256. A decode that needed more frees
+ * its storage before verifyDecompression() returns.
+ */
+constexpr std::size_t keptDecodeEntries = std::size_t(1) << 16;
+
+/**
  * Resolve the format's schedule spec against this tile's real trip
  * counts and fold it: every per-format formula of Listings 1-7 lives
  * in the declarative schedule IR. @p decoded is the tile the encoding
@@ -33,8 +40,15 @@ DecompressCost
 verifyDecompression(const EncodedTile &encoded, const Tile &source,
                     const HlsConfig &config)
 {
-    // decodeInto() reserves the builder to the encoded nnz.
-    TileBuilder decoded(encoded.tileSize());
+    // Each thread decodes into one builder that keeps its storage from
+    // call to call; decodeInto() resets it and reserves the encoded
+    // nnz. Whatever the outcome, storage past keptDecodeEntries is
+    // freed on return, so no lane holds on to a large tile's decode.
+    thread_local TileBuilder decoded(1);
+    struct Shrink
+    {
+        ~Shrink() { decoded.shrink(keptDecodeEntries); }
+    } shrinkOnReturn;
     defaultCodec(encoded.kind()).decodeInto(encoded, decoded);
     COPERNICUS_PANIC_IF(!decoded.matches(source),
                         "pipeline: decompressor model corrupted a tile");

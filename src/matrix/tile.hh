@@ -261,6 +261,43 @@ class TileBuilder
     }
 
     /**
+     * Record A(row, col + k) = values[k] for every k < @p count: set()
+     * on a run of cells in one row, range-checked once for the run.
+     * Zero and -0 values add no entry, as in set(). Throws PanicError
+     * when any cell of the run is out of range.
+     */
+    void
+    setRun(Index row, Index col, const Value *values, Index count)
+    {
+        if (row >= p || col > p || count > p - col)
+            panic("Tile write out of range");
+        const std::size_t before = entries.size();
+        for (Index k = 0; k < count; ++k)
+            if (values[k] != Value(0))
+                entries.push_back({row, col + k, values[k]});
+        // The run ascends, so only its first entry can break the
+        // row-major order of the writes.
+        if (rowMajor && before > 0 && entries.size() > before) {
+            const TileNonzero &last = entries[before - 1];
+            rowMajor = last.row < row ||
+                       (last.row == row && last.col < entries[before].col);
+        }
+    }
+
+    /**
+     * Drop the writes and free their storage when it has room for more
+     * than @p maxEntries; otherwise change nothing. A builder kept for
+     * reuse calls it between tiles, so it never holds on to a large
+     * tile's storage.
+     */
+    void
+    shrink(std::size_t maxEntries)
+    {
+        if (entries.capacity() > maxEntries)
+            std::vector<TileNonzero>().swap(entries);
+    }
+
+    /**
      * The tile holding every write; it takes over the builder's
      * storage, so a builder builds once. Throws PanicError when a cell
      * was written twice or build() was called before.

@@ -314,16 +314,6 @@ TEST(DiaFormatTest, PureDiagonalUtilizationApproachesOne)
     }
 }
 
-TEST(DiaFormatTest, RowOnDiagonalPredicate)
-{
-    DiaEncoded dia(4, 0);
-    EXPECT_TRUE(dia.rowOnDiagonal(0, 0));
-    EXPECT_TRUE(dia.rowOnDiagonal(0, 3));
-    EXPECT_FALSE(dia.rowOnDiagonal(0, -1));
-    EXPECT_TRUE(dia.rowOnDiagonal(3, -3));
-    EXPECT_FALSE(dia.rowOnDiagonal(3, 1));
-}
-
 TEST(JdsFormatTest, PermutationSortsByRowLength)
 {
     const auto encoded = JdsCodec().encode(exampleTile());

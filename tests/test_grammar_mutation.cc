@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 
@@ -42,6 +44,7 @@
 #include "formats/sell_format.hh"
 #include "formats/sellcs_format.hh"
 #include "formats/validate.hh"
+#include "hls/decompressor.hh"
 
 namespace copernicus {
 namespace {
@@ -325,6 +328,45 @@ TEST(GrammarMutationTest, LilRowAtTileSizeFailsDecode)
     auto encoded = encodeTile<LilEncoded>(FormatKind::LIL);
     static_cast<LilEncoded &>(*encoded).rowAt(0, 0) = mutationP;
     expectDecodeRejects(*encoded);
+}
+
+TEST(GrammarMutationTest, BcsrBlockPastTileSizeFailsDecode)
+{
+    // A block that starts at column p, or runs past it from inside.
+    for (const Index col : {mutationP, mutationP - 1}) {
+        auto encoded = encodeTile<BcsrEncoded>(FormatKind::BCSR);
+        static_cast<BcsrEncoded &>(*encoded).colInx[0] = col;
+        expectDecodeRejects(*encoded);
+    }
+}
+
+/**
+ * A DIA number outside (-p, p) names no diagonal of the tile: however
+ * far out it lies, it yields no cell (and never an underflowed slot
+ * count), so the decode loses that diagonal's values and the
+ * pipeline's decode check rejects it.
+ */
+TEST(GrammarMutationTest, DiaDiagonalAtTileSizeFailsDecodeCheck)
+{
+    const Tile source = mutationTile();
+    const auto p = static_cast<std::int32_t>(mutationP);
+    for (const std::int32_t number :
+         {p, -p, std::numeric_limits<std::int32_t>::max(),
+          std::numeric_limits<std::int32_t>::min()}) {
+        SCOPED_TRACE(number);
+        auto encoded = encodeTile<DiaEncoded>(FormatKind::DIA);
+        DiaDiagonal &moved =
+            static_cast<DiaEncoded &>(*encoded).diagonals.back();
+        const auto lost = static_cast<Index>(
+            std::count_if(moved.values.begin(), moved.values.end(),
+                          [](Value v) { return v != Value(0); }));
+        ASSERT_GT(lost, 0u);
+        moved.number = number;
+        EXPECT_EQ(defaultCodec(FormatKind::DIA).decode(*encoded).nnz(),
+                  source.nnz() - lost);
+        EXPECT_THROW(verifyDecompression(*encoded, source, HlsConfig()),
+                     PanicError);
+    }
 }
 
 // ---------------------------------------------------------------- //

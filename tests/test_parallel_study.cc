@@ -2,8 +2,10 @@
  * @file
  * Determinism contract of the parallel sweep engine: Study::run() and
  * planFormats() must produce bit-identical results at any jobs setting,
- * a sweep with second-stage compression on repeats exactly, and a
- * cancelled journaled sweep resumes to the uninterrupted result.
+ * a sweep with second-stage compression on repeats exactly, a
+ * cancelled journaled sweep resumes to the uninterrupted result, and a
+ * (workload, partition size) whose every row the journal holds is
+ * never partitioned.
  */
 
 #include <atomic>
@@ -22,6 +24,7 @@
 #include "core/study.hh"
 #include "matrix/partitioner.hh"
 #include "store/sweep_journal.hh"
+#include "trace/span.hh"
 #include "workloads/generators.hh"
 
 using namespace copernicus;
@@ -105,8 +108,28 @@ csvOf(const StudyResult &result)
 TEST(ParallelStudyTest, RunIsBitIdenticalAcrossJobsSettings)
 {
     const StudyResult serial = runStudy(1);
-    const StudyResult parallel = runStudy(4);
-    expectRowsIdentical(serial.rows, parallel.rows);
+    for (const unsigned jobs : {2u, 3u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        expectRowsIdentical(serial.rows, runStudy(jobs).rows);
+    }
+}
+
+TEST(ParallelStudyTest, MoreLanesThanCombinationsIsBitIdentical)
+{
+    // One (workload, p): the lanes that do not partition it wait for
+    // the lane that does.
+    const auto oneCombination = [](unsigned jobs) {
+        StudyConfig cfg;
+        cfg.partitionSizes = {16};
+        cfg.jobs = jobs;
+        Rng rng(13);
+        Study study(cfg);
+        study.addWorkload("random", randomMatrix(96, 0.05, rng));
+        return study.run();
+    };
+    const StudyResult serial = oneCombination(1);
+    ASSERT_EQ(serial.rows.size(), paperFormats().size());
+    expectRowsIdentical(serial.rows, oneCombination(4).rows);
 }
 
 TEST(ParallelStudyTest, CompressedRunRepeatsExactly)
@@ -173,6 +196,49 @@ TEST(ParallelStudyTest, CancelThenResumeMatchesAtEveryJobs)
                   static_cast<std::size_t>(budget));
         EXPECT_LT(static_cast<std::size_t>(budget), points);
         EXPECT_EQ(csvOf(runStudy(resumed)), baseline);
+        std::remove(path.c_str());
+    }
+}
+
+TEST(ParallelStudyTest, FullyJournaledCombinationIsNeverPartitioned)
+{
+    const StudyResult uninterrupted = runStudy(1);
+    const std::string baseline = csvOf(uninterrupted);
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const std::string path = ::testing::TempDir() +
+                                 "parallel_skip_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 std::to_string(jobs) + ".ndjson";
+        std::remove(path.c_str());
+        const StudyConfig cfg = studyConfig(jobs);
+        const JournalIdentity id{1, 0, sweepConfigHash(cfg)};
+
+        // Journal every row of ("band", p = 8) and nothing else.
+        {
+            SweepJournal journal(path, id);
+            for (const StudyRow &row : uninterrupted.rows)
+                if (row.workload == "band" && row.partitionSize == 8)
+                    journal.record(row);
+        }
+        StudyConfig resumed = cfg;
+        resumed.journal = std::make_shared<SweepJournal>(path, id);
+        ASSERT_EQ(resumed.journal->resumedCells(), paperFormats().size());
+
+        SpanCollector &spans = SpanCollector::global();
+        spans.clear();
+        spans.setEnabled(true);
+        const std::string csv = csvOf(runStudy(resumed));
+        spans.setEnabled(false);
+        std::uint64_t partitions = 0;
+        for (const SpanTotal &total : spans.totals())
+            if (total.name == "study.partition")
+                partitions = total.calls;
+        spans.clear();
+
+        // Two workloads x two sizes, one of them fully restored.
+        EXPECT_EQ(partitions, 3u);
+        EXPECT_EQ(csv, baseline);
         std::remove(path.c_str());
     }
 }

@@ -4,7 +4,9 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <random>
 
 #include "common/rng.hh"
@@ -212,6 +214,67 @@ TEST(TileBuilderTest, RepeatedCellThrows)
         for (const TileNonzero &e : order)
             b.set(e.row, e.col, e.value);
         EXPECT_THROW(b.build(), PanicError);
+    }
+}
+
+TEST(TileBuilderTest, RunWritesSkipZerosAsSetDoes)
+{
+    const Value nan = std::numeric_limits<Value>::quiet_NaN();
+    const Value run[] = {1.0f, 0.0f, -0.0f, nan, 2.0f};
+    TileBuilder b(8);
+    b.setRun(3, 2, run, 5);
+    const Tile t = b.build();
+    // 0 and -0 add no entry; NaN is not zero and is kept.
+    ASSERT_EQ(t.nnz(), 3u);
+    EXPECT_EQ(t.nonzeros()[0], (TileNonzero{3, 2, 1.0f}));
+    EXPECT_EQ(t.nonzeros()[1].row, 3u);
+    EXPECT_EQ(t.nonzeros()[1].col, 5u);
+    EXPECT_TRUE(std::isnan(t.nonzeros()[1].value));
+    EXPECT_EQ(t.nonzeros()[2], (TileNonzero{3, 6, 2.0f}));
+}
+
+TEST(TileBuilderTest, RunWritesAreRangeChecked)
+{
+    const Value ones[] = {1.0f, 1.0f, 1.0f, 1.0f, 1.0f};
+    const Value zeros[] = {0.0f, 0.0f};
+    TileBuilder b(4);
+    EXPECT_THROW(b.setRun(4, 0, ones, 1), PanicError);
+    EXPECT_THROW(b.setRun(0, 0, ones, 5), PanicError);
+    EXPECT_THROW(b.setRun(0, 3, ones, 2), PanicError);
+    // All-zero cells past the edge are still out of range.
+    EXPECT_THROW(b.setRun(0, 3, zeros, 2), PanicError);
+    EXPECT_THROW(b.setRun(0, 5, ones, 0), PanicError);
+    // A count that would wrap around the column range.
+    EXPECT_THROW(
+        b.setRun(0, 1, ones, std::numeric_limits<Index>::max()),
+        PanicError);
+    // An empty run at the edge is in range and writes nothing; no
+    // rejected run wrote any of its cells.
+    b.setRun(3, 4, ones, 0);
+    EXPECT_TRUE(b.build().empty());
+}
+
+TEST(TileBuilderTest, RunBeforeTheLastWriteIsSorted)
+{
+    const Value run[] = {0.0f, 5.0f, 6.0f};
+    // Each case writes one cell and then a run; the run's first entry
+    // lands at column 1 of row 2.
+    const std::vector<TileNonzero> cells = {
+        {2, 0, 9.0f}, // before the run: the writes stay row-major
+        {2, 3, 9.0f}, // later in the run's row
+        {4, 0, 9.0f}, // a later row
+    };
+    for (const TileNonzero &cell : cells) {
+        SCOPED_TRACE(std::to_string(cell.row) + "," +
+                     std::to_string(cell.col));
+        TileBuilder runs(8);
+        runs.set(cell.row, cell.col, cell.value);
+        runs.setRun(2, 0, run, 3);
+        TileBuilder sets(8);
+        sets.set(2, 1, 5.0f);
+        sets.set(2, 2, 6.0f);
+        sets.set(cell.row, cell.col, cell.value);
+        expectSameTile(runs.build(), sets.build());
     }
 }
 
