@@ -1,18 +1,18 @@
 /**
  * @file
- * Software-codec microbenchmarks (google-benchmark): encode, decode,
+ * Software-codec microbenchmarks (google-benchmark): encode, decode and
  * the in-place decode check (decodeInto plus TileBuilder::matches, what
- * the pipeline pays per tile) and compressed-domain SpMV wall-clock
- * cost per format on a 16x16 tile at two densities. These time the
- * *host-side* implementation, complementing the modelled hardware
- * cycles.
+ * the pipeline pays per tile) wall-clock cost per format on a 16x16
+ * tile at two densities. SpMV on an encoding is this decode followed
+ * by the dot engine, bit-identical for every format, so BM_Decode is
+ * its format-dependent part. These time the *host-side*
+ * implementation, complementing the modelled hardware cycles.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
 #include "formats/registry.hh"
-#include "kernels/spmv.hh"
 
 namespace copernicus {
 namespace {
@@ -85,25 +85,6 @@ BM_Verify(benchmark::State &state)
 }
 
 void
-BM_SpmvEncoded(benchmark::State &state)
-{
-    const FormatKind kind = kindAt(static_cast<int>(state.range(0)));
-    const double density = state.range(1) / 100.0;
-    const Tile tile = makeTile(16, density);
-    const auto encoded = defaultCodec(kind).encode(tile);
-    Rng rng(99);
-    std::vector<Value> x(16);
-    for (auto &v : x)
-        v = static_cast<Value>(rng.range(-1.0, 1.0));
-    for (auto _ : state) {
-        auto y = spmvEncoded(*encoded, x);
-        benchmark::DoNotOptimize(y);
-    }
-    state.SetLabel(std::string(formatName(kind)) + " d=" +
-                   std::to_string(density));
-}
-
-void
 formatArgs(benchmark::internal::Benchmark *bench)
 {
     const int count = static_cast<int>(allFormats().size());
@@ -115,7 +96,6 @@ formatArgs(benchmark::internal::Benchmark *bench)
 BENCHMARK(BM_Encode)->Apply(formatArgs);
 BENCHMARK(BM_Decode)->Apply(formatArgs);
 BENCHMARK(BM_Verify)->Apply(formatArgs);
-BENCHMARK(BM_SpmvEncoded)->Apply(formatArgs);
 
 } // namespace
 } // namespace copernicus

@@ -4,7 +4,7 @@
  *
  *  1. Build a sparse matrix (or read one from MatrixMarket).
  *  2. Partition it and compress a tile in every format.
- *  3. Run SpMV directly on the compressed tiles.
+ *  3. Run SpMV on the compressed tiles.
  *  4. Characterize the formats on the modelled FPGA platform.
  */
 
@@ -51,7 +51,8 @@ main()
     }
     bytes.print(std::cout);
 
-    // 4. SpMV straight off the compressed data.
+    // 4. SpMV on the compressed tiles: each is decoded by its codec and
+    //    multiplied on the dot engine, bit-identically in every format.
     std::vector<Value> x(matrix.cols(), 1.0f);
     const auto y = spmvPartitioned(parts, FormatKind::CSR, x);
     double checksum = 0;

@@ -1,6 +1,7 @@
 #include "common/lock_order.hh"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "common/status.hh"
 
@@ -33,8 +34,16 @@ constexpr bool orderChecks = true;
 constexpr bool orderChecks = false;
 #endif
 
-/** Ranks held by the calling thread, acquisition order. */
-thread_local std::vector<int> heldRanks;
+/**
+ * Ranks held by the calling thread, acquisition order. Trivially
+ * destructible on purpose: the main thread's thread_local destructors
+ * run before exit-time handlers, and those still take ranked locks (a
+ * bench's atexit artifact writer reads the span collector). The ranks
+ * held at once are distinct, so the registry's eleven bound the depth.
+ */
+constexpr std::size_t maxHeld = 16;
+thread_local int heldRanks[maxHeld];
+thread_local std::size_t heldCount = 0;
 
 } // namespace
 
@@ -51,7 +60,11 @@ noteLockAcquired(int rank)
             std::to_string(held) +
             " (locks must be taken in strictly increasing rank "
             "order; see common/lock_order.hh)");
-    heldRanks.push_back(rank);
+    COPERNICUS_PANIC_IF(heldCount == maxHeld,
+                        "lock-order tracking: more than " +
+                            std::to_string(maxHeld) +
+                            " ranked locks held at once");
+    heldRanks[heldCount++] = rank;
 }
 
 void
@@ -59,18 +72,20 @@ noteLockReleased(int rank)
 {
     if (!orderChecks || rank <= 0)
         return;
-    const auto it =
-        std::find(heldRanks.rbegin(), heldRanks.rend(), rank);
-    if (it != heldRanks.rend())
-        heldRanks.erase(std::next(it).base());
+    int *const end = heldRanks + heldCount;
+    int *const at = std::find(heldRanks, end, rank);
+    if (at != end) {
+        std::copy(at + 1, end, at);
+        --heldCount;
+    }
 }
 
 int
 currentMaxHeldRank()
 {
-    if (!orderChecks || heldRanks.empty())
+    if (!orderChecks || heldCount == 0)
         return 0;
-    return *std::max_element(heldRanks.begin(), heldRanks.end());
+    return *std::max_element(heldRanks, heldRanks + heldCount);
 }
 
 } // namespace copernicus

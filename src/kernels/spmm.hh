@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse-matrix / dense-matrix multiplication built on the SpMV kernels.
+ * Sparse-matrix / dense-matrix multiplication on a full-matrix CSR operand.
  *
  * Section 3.3 observes that the machine-learning workloads reduce to
  * SpMV or SpMM over the same dot-product engine; this kernel realizes

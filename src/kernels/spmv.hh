@@ -1,13 +1,11 @@
 /**
  * @file
- * SpMV kernels that consume compressed tiles directly.
- *
- * These are the software mirror of the hardware's decompress+dot pipeline:
- * each format-specific kernel walks the encoded arrays without first
- * materializing the dense tile (the paper notes the performance
- * implications apply equally to "accelerators that directly perform
- * computations on compressed data"). Tests check every kernel against
- * decode-then-dense-multiply.
+ * SpMV on compressed tiles, along the path of the modelled hardware
+ * (Figure 2): each format's one decoder, FormatCodec::decode(), rebuilds
+ * the tile, and the p-wide adder-tree dot engine multiplies its rows.
+ * So every format returns the same y bit for bit, the dense
+ * reference's, and a malformed encoding gets the decoder's typed error
+ * instead of an out-of-bounds read.
  */
 
 #ifndef COPERNICUS_KERNELS_SPMV_HH
@@ -24,8 +22,8 @@
 namespace copernicus {
 
 /**
- * y = tile * x, one full p-wide dot per row as the dense engine computes
- * it (the reference the compressed-domain kernels are tested against).
+ * y = tile * x, one full p-wide dot per row as the adder-tree engine
+ * (kernels/dot_engine) computes it.
  *
  * @param tile Any tile.
  * @param x Input segment of length p.
@@ -34,9 +32,11 @@ namespace copernicus {
 std::vector<Value> spmvDense(const Tile &tile, std::span<const Value> x);
 
 /**
- * y = encoded * x, computed directly on the compressed representation.
+ * y = encoded * x: decode with the default codec of encoded.kind(),
+ * then spmvDense(). Bit-identical to spmvDense() of the source tile.
  *
- * @param encoded Tile in any implemented format.
+ * @param encoded Tile in any implemented format; an encoding its
+ *        decoder rejects is that decoder's PanicError.
  * @param x Input segment of length tileSize().
  * @return Output segment of length tileSize().
  */
@@ -49,8 +49,9 @@ std::vector<Value> spmvEncoded(const EncodedTile &encoded,
  *
  * @param parts Partitioning of the operand matrix.
  * @param kind Format every tile is compressed in.
- * @param x Input vector, length >= gridCols * partitionSize (the padded
- *        width); shorter vectors are zero-extended to the padded width.
+ * @param x Input vector, at most the padded width gridCols *
+ *        partitionSize long (a longer one is a FatalError); a shorter
+ *        one is zero-extended to it.
  * @param registry Codec source, defaults to the paper's parameters.
  * @return Output vector of padded length gridRows * partitionSize.
  */

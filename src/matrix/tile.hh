@@ -27,7 +27,9 @@
 #define COPERNICUS_MATRIX_TILE_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -36,7 +38,12 @@
 
 namespace copernicus {
 
-/** One non-zero of a tile, in tile-local coordinates. */
+/**
+ * One non-zero of a tile, in tile-local coordinates. Equality compares
+ * the value's bit pattern, so a NaN equals the same NaN and a decode
+ * check passes on a tile that holds one; no tile stores -0, so this is
+ * never looser than float ==.
+ */
 struct TileNonzero
 {
     Index row = 0;
@@ -46,7 +53,9 @@ struct TileNonzero
     friend bool
     operator==(const TileNonzero &a, const TileNonzero &b)
     {
-        return a.row == b.row && a.col == b.col && a.value == b.value;
+        return a.row == b.row && a.col == b.col &&
+               std::bit_cast<std::uint32_t>(a.value) ==
+                   std::bit_cast<std::uint32_t>(b.value);
     }
 };
 

@@ -45,6 +45,7 @@
 #include "formats/sellcs_format.hh"
 #include "formats/validate.hh"
 #include "hls/decompressor.hh"
+#include "kernels/spmv.hh"
 
 namespace copernicus {
 namespace {
@@ -270,19 +271,24 @@ TEST(GrammarMutationTest, EllCooUnsortedOverflow)
                     "ellcoo.overflow.order");
 }
 
+constexpr Index mutationP = 8;
+
 /**
  * Decode replays untrusted index arrays, so a coordinate equal to p must
  * throw in every build instead of landing in a neighbouring cell, or
- * past the tile, once NDEBUG drops the debug-only checks.
+ * past the tile, once NDEBUG drops the debug-only checks. SpMV reads an
+ * encoding only through that decoder, so it throws the same error
+ * instead of reading x or writing y out of bounds.
  */
 void
 expectDecodeRejects(const EncodedTile &encoded)
 {
     EXPECT_THROW(defaultCodec(encoded.kind()).decode(encoded), PanicError)
         << formatName(encoded.kind());
+    const std::vector<Value> x(mutationP, Value(1));
+    EXPECT_THROW(spmvEncoded(encoded, x), PanicError)
+        << formatName(encoded.kind());
 }
-
-constexpr Index mutationP = 8;
 
 TEST(GrammarMutationTest, CsrColumnAtTileSizeFailsDecode)
 {
@@ -344,7 +350,8 @@ TEST(GrammarMutationTest, BcsrBlockPastTileSizeFailsDecode)
  * A DIA number outside (-p, p) names no diagonal of the tile: however
  * far out it lies, it yields no cell (and never an underflowed slot
  * count), so the decode loses that diagonal's values and the
- * pipeline's decode check rejects it.
+ * pipeline's decode check rejects it. SpMV multiplies that lossy
+ * decode and reads nothing out of bounds.
  */
 TEST(GrammarMutationTest, DiaDiagonalAtTileSizeFailsDecodeCheck)
 {
@@ -362,10 +369,14 @@ TEST(GrammarMutationTest, DiaDiagonalAtTileSizeFailsDecodeCheck)
                           [](Value v) { return v != Value(0); }));
         ASSERT_GT(lost, 0u);
         moved.number = number;
-        EXPECT_EQ(defaultCodec(FormatKind::DIA).decode(*encoded).nnz(),
-                  source.nnz() - lost);
+        const Tile decoded = defaultCodec(FormatKind::DIA).decode(*encoded);
+        EXPECT_EQ(decoded.nnz(), source.nnz() - lost);
         EXPECT_THROW(verifyDecompression(*encoded, source, HlsConfig()),
                      PanicError);
+        std::vector<Value> x(mutationP);
+        for (Index i = 0; i < mutationP; ++i)
+            x[i] = Value(1) + Value(i);
+        EXPECT_EQ(spmvEncoded(*encoded, x), spmvDense(decoded, x));
     }
 }
 

@@ -6,6 +6,8 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -279,9 +281,9 @@ TEST_P(DecompressorFormatTest, EmptyTileCostsNothingMuch)
 
 TEST_P(DecompressorFormatTest, WalkerAndKernelAgreeOnSemantics)
 {
-    // The cycle walker's reconstructed tile and the compressed-domain
-    // SpMV kernel must describe the same matrix: y computed from the
-    // decoded tile equals y computed straight off the encoding.
+    // The cycle walker's reconstructed tile and the codec's decoder
+    // must describe the same matrix: y computed from the walker's tile
+    // equals y computed from the encoding, bit for bit.
     const Tile tile = randomTile(16, 0.25, 41);
     const auto encoded = defaultCodec(GetParam()).encode(tile);
     const auto result = simulateDecompression(*encoded, HlsConfig());
@@ -293,8 +295,9 @@ TEST_P(DecompressorFormatTest, WalkerAndKernelAgreeOnSemantics)
     const auto from_decoded = spmvDense(result.decoded, x);
     const auto from_encoded = spmvEncoded(*encoded, x);
     for (Index i = 0; i < 16; ++i)
-        EXPECT_NEAR(from_decoded[i], from_encoded[i], 1e-4)
-            << formatName(GetParam());
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(from_decoded[i]),
+                  std::bit_cast<std::uint32_t>(from_encoded[i]))
+            << formatName(GetParam()) << " row=" << i;
 }
 
 TEST_P(DecompressorFormatTest, SigmaIsPositive)

@@ -2,14 +2,16 @@
  * @file
  * Determinism contract of the parallel sweep engine: Study::run() and
  * planFormats() must produce bit-identical results at any jobs setting,
- * a sweep with second-stage compression on repeats exactly, a
- * cancelled journaled sweep resumes to the uninterrupted result, and a
+ * a sweep with second-stage compression on repeats exactly, a matrix
+ * holding a NaN sweeps as it would with a number there, a cancelled
+ * journaled sweep resumes to the uninterrupted result, and a
  * (workload, partition size) whose every row the journal holds is
  * never partitioned.
  */
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -130,6 +132,35 @@ TEST(ParallelStudyTest, MoreLanesThanCombinationsIsBitIdentical)
     const StudyResult serial = oneCombination(1);
     ASSERT_EQ(serial.rows.size(), paperFormats().size());
     expectRowsIdentical(serial.rows, oneCombination(4).rows);
+}
+
+TEST(ParallelStudyTest, NanEntrySweepsAsANumberDoes)
+{
+    // MatrixMarket input may hold nan. Every tile that holds it passes
+    // the decode check, and no row field depends on a value, so the
+    // sweep equals the one with that entry set to 1.0 at any jobs.
+    Rng rng(14);
+    const TripletMatrix base = randomMatrix(64, 0.05, rng);
+    const auto sweep = [&](Value first, unsigned jobs) {
+        TripletMatrix m(base.rows(), base.cols());
+        for (const Triplet &t : base.triplets())
+            m.add(t.row, t.col,
+                  &t == &base.triplets().front() ? first : t.value);
+        m.finalize();
+        StudyConfig cfg;
+        cfg.jobs = jobs;
+        cfg.hls.secondStageCompression = false;
+        Study study(cfg);
+        study.addWorkload("nan", std::move(m));
+        return study.run();
+    };
+    const Value nan = std::numeric_limits<Value>::quiet_NaN();
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const StudyResult withNan = sweep(nan, jobs);
+        ASSERT_EQ(withNan.rows.size(), 24u);
+        expectRowsIdentical(withNan.rows, sweep(1.0f, jobs).rows);
+    }
 }
 
 TEST(ParallelStudyTest, CompressedRunRepeatsExactly)

@@ -344,6 +344,24 @@ TEST(TileBuilderTest, MatchesRejectsEveryDifference)
     EXPECT_TRUE(replayMatches(b, nz, want));
 }
 
+TEST(TileBuilderTest, MatchesANanItHolds)
+{
+    // MatrixMarket input may hold nan, and a sweep checks every decode
+    // against its source tile: values compare by bit pattern, under
+    // which a NaN equals itself and still differs from any number.
+    const Value nan = std::numeric_limits<Value>::quiet_NaN();
+    const std::vector<TileNonzero> nz = {{0, 1, 2.0f}, {2, 3, nan}};
+    TileBuilder source(4);
+    for (const TileNonzero &e : nz)
+        source.set(e.row, e.col, e.value);
+    const Tile want = source.build();
+    TileBuilder b(4);
+    EXPECT_TRUE(replayMatches(b, nz, want));
+    std::vector<TileNonzero> number = nz;
+    number[1].value = 1.0f;
+    EXPECT_FALSE(replayMatches(b, number, want));
+}
+
 TEST(TileBuilderTest, MatchesKeepsTheBuildChecks)
 {
     const Tile want = partitionedTile();
